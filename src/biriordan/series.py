@@ -14,6 +14,7 @@ prove.
 from __future__ import annotations
 
 import enum
+import math
 from fractions import Fraction
 
 from .errors import (
@@ -27,8 +28,10 @@ from .errors import (
     UndefinedProductError,
     ZeroSeriesError,
 )
+from .field import PrimeFieldElement
 
 DEFAULT_PRECISION = 16
+MAX_NESTING = 100  # parenthesis depth the recursive-descent parser accepts
 
 
 class Side(enum.Enum):
@@ -150,13 +153,6 @@ class LaurentSeries:
                 "no nonzero coefficient inside the known window"
             )
         return self.lo if side is Side.BELOW else self.hi
-
-    def _support_lo(self) -> int:
-        # certified lower bound for the support; valid even with empty coeffs
-        return self.lo
-
-    def _support_hi(self) -> int:
-        return self.hi
 
     def count_from_order(self) -> int | None:
         """Number of known coefficients counted from the order; None if exact."""
@@ -299,25 +295,52 @@ def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
         # known through min over inexact factors of (hi + other's support bound)
         caps = []
         if not a.exact:
-            caps.append(a.hi + b._support_lo())
+            caps.append(a.hi + b.lo)
         if not b.exact:
-            caps.append(b.hi + a._support_lo())
+            caps.append(b.hi + a.lo)
         hi = min(caps)
-        lo = a._support_lo() + b._support_lo()
+        lo = a.lo + b.lo
         terms = _convolve(a.coeffs, b.coeffs, hi=hi)
         return LaurentSeries.truncated(terms, Side.BELOW, lo, hi)
     caps = []
     if not a.exact:
-        caps.append(a.lo + b._support_hi())
+        caps.append(a.lo + b.hi)
     if not b.exact:
-        caps.append(b.lo + a._support_hi())
+        caps.append(b.lo + a.hi)
     lo = max(caps)
-    hi = a._support_hi() + b._support_hi()
+    hi = a.hi + b.hi
     terms = _convolve(a.coeffs, b.coeffs, lo=lo)
     return LaurentSeries.truncated(terms, Side.ABOVE, lo, hi)
 
 
 def _convolve(ca: dict, cb: dict, lo: int | None = None, hi: int | None = None) -> dict:
+    """Product of coefficient dicts, keeping exponents in [lo, hi] (None: unbounded).
+
+    Terms that cannot reach the window are dropped first.  Q and GF(p)
+    coefficients on dense enough supports are multiplied as one packed
+    integer; anything else goes through the term-by-term loop."""
+    if not (ca and cb):
+        return {}
+    if hi is not None:
+        a_min, b_min = min(ca), min(cb)
+        ca = {e: c for e, c in ca.items() if e + b_min <= hi}
+        cb = {e: c for e, c in cb.items() if e + a_min <= hi}
+    if lo is not None and ca and cb:
+        a_max, b_max = max(ca), max(cb)
+        ca = {e: c for e, c in ca.items() if e + b_max >= lo}
+        cb = {e: c for e, c in cb.items() if e + a_max >= lo}
+    if not (ca and cb):
+        return {}
+    # a handful of term pairs, or a support mostly made of gaps, is cheaper
+    # term by term
+    if len(ca) * len(cb) > 8 and _dense_enough(ca) and _dense_enough(cb):
+        out = _convolve_packed(ca, cb, lo, hi)
+        if out is not None:
+            return out
+    return _convolve_terms(ca, cb, lo, hi)
+
+
+def _convolve_terms(ca: dict, cb: dict, lo: int | None, hi: int | None) -> dict:
     out: dict = {}
     for i, ci in ca.items():
         for j, cj in cb.items():
@@ -328,6 +351,91 @@ def _convolve(ca: dict, cb: dict, lo: int | None = None, hi: int | None = None) 
                 continue
             out[k] = out.get(k, 0) + ci * cj
     return out
+
+
+def _dense_enough(c: dict) -> bool:
+    # packing costs a slot per exponent in the span, the loop a step per term
+    return max(c) - min(c) < 4 * len(c) + 64
+
+
+def _convolve_packed(ca: dict, cb: dict, lo: int | None,
+                     hi: int | None) -> dict | None:
+    """Kronecker substitution: the dense integer coefficient lists of both
+    operands become base-2^(8*width) digits of one int each, so a single
+    big-integer product yields every output coefficient at once.  Over Q the
+    operands are first scaled by the lcm of their denominators; over GF(p)
+    the residues are used as they are.  Returns None unless the coefficients
+    are all Fraction or all residues mod one prime."""
+    values = [*ca.values(), *cb.values()]
+    kind = type(values[0])
+    if kind is Fraction:
+        if not all(type(c) is Fraction for c in values):
+            return None
+    elif kind is PrimeFieldElement:
+        p = values[0].p
+        if not all(type(c) is PrimeFieldElement and c.p == p for c in values):
+            return None
+    else:
+        return None
+    if kind is Fraction:
+        # a list, not a generator: with a generator argument the resident
+        # memory of a long run kept growing on CPython 3.11
+        da = math.lcm(*[c.denominator for c in ca.values()])
+        db = math.lcm(*[c.denominator for c in cb.values()])
+        xa = _dense({e: c.numerator * (da // c.denominator) for e, c in ca.items()})
+        xb = _dense({e: c.numerator * (db // c.denominator) for e, c in cb.items()})
+    else:
+        xa = _dense({e: c.n for e, c in ca.items()})
+        xb = _dense({e: c.n for e, c in cb.items()})
+    # a coefficient of the product sums at most min(len) products: size the
+    # slots so that it fits with a sign bit to spare
+    bits = (max(map(abs, xa)).bit_length() + max(map(abs, xb)).bit_length()
+            + min(len(ca), len(cb)).bit_length() + 1)
+    width = bits // 8 + 1
+    z = _pack(xa, width) * _pack(xb, width)
+    base = min(ca) + min(cb)
+    count = len(xa) + len(xb) - 1
+    first = 0 if lo is None else max(0, lo - base)
+    last = count - 1 if hi is None else min(count - 1, hi - base)
+    digits = _unpack(z, width, count)
+    out: dict = {}
+    if kind is Fraction:
+        den = da * db
+        for k in range(first, last + 1):
+            if digits[k]:
+                out[base + k] = Fraction(digits[k], den)
+    else:
+        for k in range(first, last + 1):
+            v = digits[k] % p
+            if v:
+                out[base + k] = PrimeFieldElement(v, p)
+    return out
+
+
+def _dense(ints: dict) -> list:
+    # the values from the least exponent to the greatest, gaps filled with 0
+    return [ints.get(e, 0) for e in range(min(ints), max(ints) + 1)]
+
+
+def _pack(xs: list, width: int) -> int:
+    # sum of xs[i] * 2^(8*width*i) for signed xs[i] with |xs[i]| < 2^(8*width-1)
+    packed = int.from_bytes(
+        b"".join((x if x > 0 else 0).to_bytes(width, "little") for x in xs), "little")
+    if min(xs) < 0:
+        packed -= int.from_bytes(
+            b"".join((-x if x < 0 else 0).to_bytes(width, "little") for x in xs),
+            "little")
+    return packed
+
+
+def _unpack(z: int, width: int, count: int) -> list:
+    # the count signed base-2^(8*width) digits of z; biasing every digit by
+    # half a slot makes them all nonnegative, so the bytes split without carries
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * count, "little")
+    raw = (z + bias).to_bytes(width * count, "little")
+    return [int.from_bytes(raw[i:i + width], "little") - half
+            for i in range(0, width * count, width)]
 
 
 # -- reciprocal and powers -----------------------------------------------------
@@ -481,7 +589,7 @@ def _compose_kernel(chi: LaurentSeries, omega: LaurentSeries,
     # binding window (lowest power of omega, or omega itself) emerges on its
     # own; chi's truncation is applied as an explicit cap afterwards.
     w = omega.lo
-    m = chi._support_lo()
+    m = chi.lo
     chi_cap = (chi.hi + 1) * w - 1
     acc = None
     cur = power(omega, m, Side.BELOW, precision)
@@ -543,31 +651,24 @@ def _reversion(omega: LaurentSeries, precision: int | None) -> LaurentSeries:
         cap = precision if precision is not None else DEFAULT_PRECISION
     else:
         cap = omega.hi
-    w = [omega.coeffs.get(e, 0) for e in range(cap + 1)]
+    w = {e: c for e, c in omega.coeffs.items() if e <= cap}
     w1 = w[1]
-    # coefficient lists of omega^k truncated at exponent cap, k = 1..cap
-    pows = [None, list(w)]
-    for k in range(2, cap + 1):
-        prev = pows[-1]
-        nxt = [0] * (cap + 1)
-        for i in range(k - 1, cap):
-            pi = prev[i]
-            if not pi:
-                continue
-            for j in range(1, cap + 1 - i):
-                if w[j]:
-                    nxt[i + j] = nxt[i + j] + pi * w[j]
-        pows.append(nxt)
+    # inv[n] = -(sum over k < n of inv[k] * [x^n] omega^k) / w1^n; `sums`
+    # collects those sums one power of omega (truncated at cap) at a time
     inv = {1: 1 / w1}
+    sums: dict = {}
+    cur = w  # omega^(n-1) in step n
     w1n = w1
     for n in range(2, cap + 1):
+        c = inv[n - 1]
+        if c:
+            for e, t in cur.items():
+                if e >= n and t:
+                    sums[e] = sums.get(e, 0) + c * t
         w1n = w1n * w1
-        s = 0
-        for k in range(1, n):
-            c = inv.get(k)
-            if c and pows[k][n]:
-                s = s + c * pows[k][n]
-        inv[n] = -(s / w1n)
+        inv[n] = -(sums.get(n, 0) / w1n)
+        if n < cap:
+            cur = _convolve(cur, w, hi=cap)
     return LaurentSeries.truncated(inv, Side.BELOW, 1, cap)
 
 
@@ -640,6 +741,7 @@ class _Parser:
         self.pos = 0
         self.side = side
         self.precision = precision
+        self.depth = 0
 
     def parse(self) -> LaurentSeries:
         value = self.expr()
@@ -678,10 +780,12 @@ class _Parser:
         return value
 
     def unary(self) -> LaurentSeries:
-        if self.peek() == "-":
+        negate = False
+        while self.peek() == "-":
             self.pos += 1
-            return neg(self.unary())
-        return self.power()
+            negate = not negate
+        value = self.power()
+        return neg(value) if negate else value
 
     def power(self) -> LaurentSeries:
         value = self.atom()
@@ -714,8 +818,13 @@ class _Parser:
     def atom(self) -> LaurentSeries:
         ch = self.peek()
         if ch == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING} levels", self.pos)
             self.pos += 1
             value = self.expr()
+            self.depth -= 1
             if self.peek() != ")":
                 raise ParseError("expected ')'", self.pos)
             self.pos += 1

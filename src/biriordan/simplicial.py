@@ -12,6 +12,7 @@ connects palindromic h-vectors to vanishing residuals.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,13 +39,10 @@ _CHAIN_PRECISION = 32
 
 
 def binomial(n: int, k: int) -> int:
-    """C(n, k) by the Pascal recurrence; 0 outside 0 <= k <= n."""
+    """C(n, k); 0 outside 0 <= k <= n."""
     if k < 0 or k > n or n < 0:
         return 0
-    row = [1]
-    for _ in range(n):
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    return row[k]
+    return math.comb(n, k)
 
 
 def _sign(n: int) -> int:

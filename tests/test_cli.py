@@ -314,6 +314,14 @@ def test_prec_validation(capsys):
     assert code == 2
 
 
+def test_deep_nesting_exits_two(capsys):
+    expr = "(" * 2000 + "x" + ")" * 2000
+    code, out, err = run(capsys, "series", "eval", "--expr", expr)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_determinism(capsys):
     first = run(capsys, "ds", "--f", "1,6,12,8", "--json", "--trace")
     second = run(capsys, "ds", "--f", "1,6,12,8", "--json", "--trace")

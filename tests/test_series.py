@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,9 @@ from biriordan.errors import (
 from biriordan.field import PrimeField
 from biriordan.series import (
     LaurentSeries,
+    _convolve,
+    _convolve_packed,
+    _convolve_terms,
     Side,
     add,
     compose,
@@ -199,6 +203,73 @@ def test_mul_commutes_on_windows():
         assert mul(a, b) == mul(b, a)
 
 
+def _kernel_operand(rng, kind, lo, hi):
+    # a dense-ish dict with gaps; kind is "q" or a prime
+    coeffs = {}
+    for e in range(lo, hi + 1):
+        if rng.random() < 0.25:
+            continue
+        if kind == "q":
+            big = rng.random() < 0.3
+            num = rng.randint(-10**40, 10**40) if big else rng.randint(-6, 6)
+            den = rng.randint(1, 10**30) if big else rng.randint(1, 4)
+            coeffs[e] = Fraction(num, den)
+        else:
+            coeffs[e] = PrimeField(kind)(rng.randrange(kind))
+    return {e: c for e, c in coeffs.items() if c}
+
+
+def test_packed_kernel_matches_term_loop():
+    rng = make_rng(41)
+    checked = 0
+    for _ in range(300):
+        kind = rng.choice(["q", 2**31 - 1, 7])
+        a0, b0 = rng.randint(-12, 6), rng.randint(-12, 6)
+        ca = _kernel_operand(rng, kind, a0, a0 + rng.randint(0, 30))
+        cb = _kernel_operand(rng, kind, b0, b0 + rng.randint(0, 30))
+        if not (ca and cb):
+            continue
+        lo = rng.choice([None, rng.randint(-24, 30)])
+        hi = rng.choice([None, rng.randint(-24, 60)])
+        want = {e: c for e, c in _convolve_terms(ca, cb, lo, hi).items() if c}
+        got = _convolve_packed(ca, cb, lo, hi)
+        assert got == want
+        assert all(type(c) is type(next(iter(ca.values()))) for c in got.values())
+        assert {e: c for e, c in _convolve(ca, cb, lo, hi).items() if c} == want
+        checked += 1
+    assert checked > 250
+
+
+def test_packed_kernel_cancellation_and_canonical_fractions():
+    # (1 - x)(1 + x + ... + x^9) = 1 - x^10: the middle terms cancel exactly
+    a = {0: Fraction(10**30, 7), 1: Fraction(-10**30, 7)}
+    b = {e: Fraction(7, 10**30) for e in range(10)}
+    got = _convolve_packed(a, b, None, None)
+    assert got == {0: Fraction(1), 10: Fraction(-1)}
+    assert all(c.denominator == 1 for c in got.values())
+    assert mul(LaurentSeries.from_terms(a), LaurentSeries.from_terms(b)) == \
+        LaurentSeries.from_terms({0: 1, 10: -1})
+
+
+def test_sparse_product_stays_exact_and_fast():
+    a = parse("1 + x^100000000")
+    b = parse("2 - x^100000000")
+    start = time.perf_counter()
+    p = mul(a, b)
+    assert time.perf_counter() - start < 0.5
+    assert p == LaurentSeries.from_terms({0: 2, 100000000: 1, 200000000: -1})
+
+
+def test_mixed_fields_still_raise_type_error():
+    gf7 = PrimeField(7)
+    q = LaurentSeries.from_terms({e: Fraction(e + 1, 2) for e in range(6)})
+    g = LaurentSeries.from_terms({e: gf7(e + 1) for e in range(6)})
+    with pytest.raises(TypeError):
+        mul(q, g)
+    with pytest.raises(TypeError):
+        _convolve({0: Fraction(1), 1: gf7(1)}, {e: Fraction(1) for e in range(6)})
+
+
 # -- reciprocal and powers ---------------------------------------------------------
 
 
@@ -323,6 +394,13 @@ def test_parse_errors_carry_position():
         parse("1+ +x")
     except ParseError as exc:
         assert "position" in str(exc)
+
+
+def test_parse_nesting_is_bounded():
+    assert parse("(" * 100 + "1-x" + ")" * 100) == parse("1-x")
+    assert parse("-" * 3000 + "x") == parse("x")
+    with pytest.raises(ParseError):
+        parse("(" * 2000 + "x" + ")" * 2000)
 
 
 def test_format_random_round_trip():
