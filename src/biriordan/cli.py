@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import warnings
 
@@ -44,6 +45,7 @@ _SIDE_TAGS = {
     Side.FINITE: "finite",
 }
 _MAX_SPAN = 64
+_NEGATIVE_RANGE = re.compile(r"-\d+\.\.")
 
 
 def _precision(text: str) -> int:
@@ -72,6 +74,18 @@ def _index_range(text: str) -> tuple:
         raise argparse.ArgumentTypeError(
             f"range {text!r} spans more than {_MAX_SPAN} indices")
     return lo, hi
+
+
+def _attach_negative_ranges(argv: list) -> list:
+    """argparse reads a value such as -3..0 as an option, so attach it to the
+    --rows/--cols before it (--cols=-3..0)."""
+    out: list = []
+    for arg in argv:
+        if out and out[-1] in ("--rows", "--cols") and _NEGATIVE_RANGE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _display_text(chi: LaurentSeries, prec: int) -> str:
@@ -308,6 +322,7 @@ def _run_ds(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _attach_negative_ranges(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

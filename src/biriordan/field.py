@@ -13,8 +13,6 @@ from fractions import Fraction
 
 from .errors import ParseError
 
-Rational = Fraction
-
 _SCALAR_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
@@ -33,24 +31,6 @@ def parse_scalar(text: str) -> Fraction:
 def format_scalar(a) -> str:
     """Canonical text form: "p" when the denominator is 1, else "p/q"."""
     return str(a)
-
-
-def add(a, b):
-    return a + b
-
-
-def mul(a, b):
-    return a * b
-
-
-def neg(a):
-    return -a
-
-
-def recip(a):
-    if not a:
-        raise ZeroDivisionError("reciprocal of zero")
-    return 1 / a
 
 
 class PrimeFieldElement:

@@ -21,8 +21,7 @@ from .errors import (
 from .series import (
     LaurentSeries,
     Side,
-    _above_order,
-    _below_order,
+    _side_order,
     compose,
     compositional_inverse,
     mul,
@@ -157,13 +156,13 @@ def classify(m: RiordanMatrix) -> frozenset:
     on a side contributes nothing.
     """
     classes = set()
-    bo = _below_order(m.omega)
+    bo = _side_order(m.omega, Side.BELOW)
     if bo is not None:
         if bo >= 1:
             classes.add(EchelonClass.L_PLUS)
         elif bo <= -1:
             classes.add(EchelonClass.L_MINUS)
-    ao = _above_order(m.omega)
+    ao = _side_order(m.omega, Side.ABOVE)
     if ao is not None:
         if ao >= 1:
             classes.add(EchelonClass.U_PLUS)
@@ -183,8 +182,9 @@ def apply(m: RiordanMatrix, chi: LaurentSeries) -> LaurentSeries:
 
 
 # Defined class products and their results; the remaining eight pairs have no
-# certified finite summation ranges and are rejected.  The tuple fixes the
-# tie-break order when finite-support components make several cells eligible.
+# certified finite summation ranges and are rejected.  The dict's insertion
+# order fixes the tie-break when finite-support components make several cells
+# eligible.
 _TABLE = {
     (EchelonClass.L_PLUS, EchelonClass.L_PLUS): EchelonClass.L_PLUS,
     (EchelonClass.L_PLUS, EchelonClass.L_MINUS): EchelonClass.L_MINUS,
@@ -195,17 +195,6 @@ _TABLE = {
     (EchelonClass.U_MINUS, EchelonClass.L_PLUS): EchelonClass.U_MINUS,
     (EchelonClass.U_MINUS, EchelonClass.L_MINUS): EchelonClass.U_PLUS,
 }
-
-_CELL_ORDER = (
-    (EchelonClass.L_PLUS, EchelonClass.L_PLUS),
-    (EchelonClass.L_PLUS, EchelonClass.L_MINUS),
-    (EchelonClass.L_MINUS, EchelonClass.U_PLUS),
-    (EchelonClass.L_MINUS, EchelonClass.U_MINUS),
-    (EchelonClass.U_PLUS, EchelonClass.U_PLUS),
-    (EchelonClass.U_PLUS, EchelonClass.U_MINUS),
-    (EchelonClass.U_MINUS, EchelonClass.L_PLUS),
-    (EchelonClass.U_MINUS, EchelonClass.L_MINUS),
-)
 
 _SIDE_OF_CLASS = {
     EchelonClass.L_PLUS: Side.BELOW,
@@ -219,7 +208,7 @@ def product_cell(m: RiordanMatrix, n: RiordanMatrix):
     """First defined (class of m, class of n) cell in tie-break order, or None."""
     cm = classify(m)
     cn = classify(n)
-    for cell in _CELL_ORDER:
+    for cell in _TABLE:
         if cell[0] in cm and cell[1] in cn:
             return cell
     return None

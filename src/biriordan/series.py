@@ -249,24 +249,17 @@ def add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
             "sum of a bounded-below and a bounded-above series cannot be "
             "certified bounded on either side"
         )
-    side = sides.pop()
-    if side is Side.BELOW:
-        hi = min(s.hi for s in (a, b) if not s.exact)
-        lo = min(s.lo for s in (a, b) if not (s.exact and not s.coeffs))
-        terms: dict = {}
-        for s in (a, b):
-            for e, c in s.coeffs.items():
-                if e <= hi:
-                    terms[e] = terms.get(e, 0) + c
-        return LaurentSeries.truncated(terms, Side.BELOW, lo, hi)
-    lo = max(s.lo for s in (a, b) if not s.exact)
-    hi = max(s.hi for s in (a, b) if not (s.exact and not s.coeffs))
-    terms = {}
+    if sides.pop() is Side.ABOVE:
+        return substitute_reciprocal(
+            add(substitute_reciprocal(a), substitute_reciprocal(b)))
+    hi = min(s.hi for s in (a, b) if not s.exact)
+    lo = min(s.lo for s in (a, b) if not (s.exact and not s.coeffs))
+    terms: dict = {}
     for s in (a, b):
         for e, c in s.coeffs.items():
-            if e >= lo:
+            if e <= hi:
                 terms[e] = terms.get(e, 0) + c
-    return LaurentSeries.truncated(terms, Side.ABOVE, lo, hi)
+    return LaurentSeries.truncated(terms, Side.BELOW, lo, hi)
 
 
 def neg(a: LaurentSeries) -> LaurentSeries:
@@ -290,27 +283,18 @@ def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
             "product of a bounded-below and a bounded-above series is "
             "undefined unless one has finite support"
         )
-    side = sides.pop()
-    if side is Side.BELOW:
-        # known through min over inexact factors of (hi + other's support bound)
-        caps = []
-        if not a.exact:
-            caps.append(a.hi + b.lo)
-        if not b.exact:
-            caps.append(b.hi + a.lo)
-        hi = min(caps)
-        lo = a.lo + b.lo
-        terms = _convolve(a.coeffs, b.coeffs, hi=hi)
-        return LaurentSeries.truncated(terms, Side.BELOW, lo, hi)
+    if sides.pop() is Side.ABOVE:
+        return substitute_reciprocal(
+            mul(substitute_reciprocal(a), substitute_reciprocal(b)))
+    # known through min over inexact factors of (hi + other's support bound)
     caps = []
     if not a.exact:
-        caps.append(a.lo + b.hi)
+        caps.append(a.hi + b.lo)
     if not b.exact:
-        caps.append(b.lo + a.hi)
-    lo = max(caps)
-    hi = a.hi + b.hi
-    terms = _convolve(a.coeffs, b.coeffs, lo=lo)
-    return LaurentSeries.truncated(terms, Side.ABOVE, lo, hi)
+        caps.append(b.hi + a.lo)
+    hi = min(caps)
+    terms = _convolve(a.coeffs, b.coeffs, hi=hi)
+    return LaurentSeries.truncated(terms, Side.BELOW, a.lo + b.lo, hi)
 
 
 def _convolve(ca: dict, cb: dict, lo: int | None = None, hi: int | None = None) -> dict:
@@ -511,25 +495,15 @@ def substitute_reciprocal(a: LaurentSeries) -> LaurentSeries:
 # -- composition ---------------------------------------------------------------
 
 
-def _below_order(omega: LaurentSeries) -> int | None:
-    """Order of omega as a bounded-below series, or None if not viewable so."""
-    if omega.exact:
-        return omega.lo
-    if omega.side is not Side.BELOW:
-        return None
-    if not omega.coeffs:
-        raise OrderIndeterminateError("inner series has indeterminate order")
-    return omega.lo
-
-
-def _above_order(omega: LaurentSeries) -> int | None:
-    if omega.exact:
-        return omega.hi
-    if omega.side is not Side.ABOVE:
-        return None
-    if not omega.coeffs:
-        raise OrderIndeterminateError("inner series has indeterminate order")
-    return omega.hi
+def _side_order(omega: LaurentSeries, side: Side) -> int | None:
+    """Order of omega viewed on `side` (least exponent below, greatest
+    above), or None if omega cannot be viewed on that side."""
+    if not omega.exact:
+        if omega.side is not side:
+            return None
+        if not omega.coeffs:
+            raise OrderIndeterminateError("inner series has indeterminate order")
+    return omega.lo if side is Side.BELOW else omega.hi
 
 
 def compose(chi: LaurentSeries, omega: LaurentSeries,
@@ -552,28 +526,22 @@ def compose(chi: LaurentSeries, omega: LaurentSeries,
             term = mul(monomial(chi.coeffs[e]), power(omega, e, work, precision))
             result = term if result is None else add(result, term)
         return result
+    bo = _side_order(omega, Side.BELOW)
+    ao = _side_order(omega, Side.ABOVE)
     if chi.side is Side.BELOW:
-        bo = _below_order(omega)
         if bo is not None and bo >= 1:
             return _compose_kernel(chi, omega, precision)
-        ao = _above_order(omega)
         if ao is not None and ao <= -1:
             return substitute_reciprocal(
                 _compose_kernel(chi, substitute_reciprocal(omega), precision)
             )
     else:
-        bo = _below_order(omega)
-        if bo is not None and bo <= -1:
-            return _compose_kernel(
-                substitute_reciprocal(chi), recip(omega, Side.BELOW, precision),
-                precision,
-            )
-        ao = _above_order(omega)
-        if ao is not None and ao >= 1:
-            inner = substitute_reciprocal(recip(omega, Side.ABOVE, precision))
-            return substitute_reciprocal(
-                _compose_kernel(substitute_reciprocal(chi), inner, precision)
-            )
+        # a bounded-above chi is (J chi)(1/x), so chi(omega) = (J chi)(1/omega)
+        inner_side = (Side.BELOW if bo is not None and bo <= -1 else
+                      Side.ABOVE if ao is not None and ao >= 1 else None)
+        if inner_side is not None:
+            return compose(substitute_reciprocal(chi),
+                           recip(omega, inner_side, precision), precision)
     raise CompositionUndefinedError(
         "composition undefined: infinite outer support needs an inner series "
         "of nonzero order on a matching side (bounded-below outer with "
@@ -621,23 +589,17 @@ def compositional_inverse(omega: LaurentSeries,
         raise ZeroSeriesError("compositional inverse of the zero series")
     if not omega.exact and not omega.coeffs:
         raise OrderIndeterminateError("compositional inverse needs a computable order")
-    bo = _below_order(omega)
-    ao = _above_order(omega)
+    bo = _side_order(omega, Side.BELOW)
     if bo == 1:
         return _reversion(omega, precision)
     if bo == -1:
         return substitute_reciprocal(
             _reversion(recip(omega, Side.BELOW, precision), precision)
         )
-    if ao == 1:
-        tau = _reversion(
-            recip(substitute_reciprocal(omega), Side.BELOW, precision), precision
-        )
-        return recip(substitute_reciprocal(tau), Side.ABOVE, precision)
-    if ao == -1:
-        return recip(
-            _reversion(substitute_reciprocal(omega), precision), Side.BELOW, precision
-        )
+    if _side_order(omega, Side.ABOVE) in (1, -1):
+        # with psi the inverse of J omega, omega(1/psi) = (J omega)(psi) = x
+        return recip(compositional_inverse(substitute_reciprocal(omega), precision),
+                     None, precision)
     raise NotInvertibleError(
         "compositional inverse requires order +1 or -1 on the series' side"
     )

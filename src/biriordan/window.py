@@ -19,7 +19,7 @@ from fractions import Fraction
 from .errors import GuardViolationError
 from .field import format_scalar, parse_scalar
 from .riordan import RiordanMatrix
-from .series import LaurentSeries, Side, _above_order, _below_order
+from .series import LaurentSeries, Side, _side_order
 
 
 @dataclass(frozen=True)
@@ -121,24 +121,23 @@ def _left_bounds(m: RiordanMatrix, i: int):
                  and len(m.omega.coeffs) == 1)
     dead = False
     if m.work_side is Side.BELOW or two_sided:
-        w = _below_order(m.omega)
-        a_lo = m.alpha.lo
-        if w > 0:
-            uppers.append((i - a_lo) // w)
-        elif w < 0:
-            lowers.append(_ceil_div(i - a_lo, w))
-        elif a_lo > i:
-            dead = True
+        w = _side_order(m.omega, Side.BELOW)
+        dead = _row_bounds(i, m.alpha.lo, w, lowers, uppers)
     if m.work_side is Side.ABOVE or two_sided:
-        w = _above_order(m.omega)
-        a_hi = m.alpha.hi
-        if w > 0:
-            lowers.append(_ceil_div(i - a_hi, w))
-        elif w < 0:
-            uppers.append((i - a_hi) // w)
-        elif a_hi < i:
-            dead = True
+        # the bounded-below rule applied to the J-image of row i
+        w = _side_order(m.omega, Side.ABOVE)
+        dead = _row_bounds(-i, -m.alpha.hi, -w, lowers, uppers) or dead
     return lowers, uppers, dead
+
+
+def _row_bounds(i: int, a_lo: int, w: int, lowers: list, uppers: list) -> bool:
+    """Bounded-below rule for row i when alpha has order a_lo and omega order
+    w: append the bounds on k to lowers/uppers; True when the row is dead."""
+    if w > 0:
+        uppers.append((i - a_lo) // w)
+    elif w < 0:
+        lowers.append(_ceil_div(i - a_lo, w))
+    return w == 0 and a_lo > i
 
 
 def _right_bounds(n: RiordanMatrix, j: int):
@@ -151,9 +150,9 @@ def _right_bounds(n: RiordanMatrix, j: int):
     per_column = (n.alpha.exact and n.omega.exact
                   and (j >= 0 or len(n.omega.coeffs) == 1))
     if n.work_side is Side.BELOW or per_column:
-        lowers.append(n.alpha.lo + j * _below_order(n.omega))
+        lowers.append(n.alpha.lo + j * _side_order(n.omega, Side.BELOW))
     if n.work_side is Side.ABOVE or per_column:
-        uppers.append(n.alpha.hi + j * _above_order(n.omega))
+        uppers.append(n.alpha.hi + j * _side_order(n.omega, Side.ABOVE))
     return lowers, uppers, False
 
 

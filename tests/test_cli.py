@@ -208,6 +208,20 @@ def test_matrix_apply(capsys):
     assert out.splitlines()[0] == "1 + O(x^6)"
 
 
+def test_matrix_negative_range_needs_no_equals_sign(capsys):
+    spaced = run(capsys, "matrix", "window", "--omega", "x",
+                 "--rows", "-2..0", "--cols", "-3..0")
+    joined = run(capsys, "matrix", "window", "--omega", "x",
+                 "--rows=-2..0", "--cols=-3..0")
+    assert spaced == joined
+    assert joined[0] == 0
+    assert joined[1] == " 0  1  0  0\n 0  0  1  0\n 0  0  0 [1]\n"
+    code, _, err = run(capsys, "matrix", "window", "--omega", "x",
+                       "--rows", "0..2", "--cols", "-3..x")
+    assert code == 2
+    assert "range must look like LO..HI" in err
+
+
 def test_matrix_range_validation(capsys):
     code, _, err = run(capsys, "matrix", "window", "--omega", "x",
                        "--rows", "0..100", "--cols", "0..2")

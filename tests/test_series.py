@@ -37,7 +37,13 @@ from biriordan.series import (
     recip,
     substitute_reciprocal,
 )
-from conftest import convolve_dicts, make_rng, random_polynomial, random_truncated
+from conftest import (
+    convolve_dicts,
+    make_rng,
+    random_polynomial,
+    random_rational,
+    random_truncated,
+)
 
 
 # -- construction and basic structure ---------------------------------------------
@@ -575,3 +581,93 @@ def test_eq_to_precision_compares_shared_window():
     assert eq_to_precision(a, b)
     c = LaurentSeries.truncated({0: 1, 1: 2}, Side.BELOW, 0, 4)
     assert not eq_to_precision(a, c)
+
+
+# -- J-equivariance ----------------------------------------------------------------
+#
+# J = substitute_reciprocal is the flip x -> 1/x.  Each bounded-above result
+# must equal the flip of the matching bounded-below computation, window and
+# side included (== compares side, lo, hi and coefficients).
+
+J = substitute_reciprocal
+
+
+def _exact_with_ends(rng, lo, hi):
+    # exact Laurent polynomial whose lowest and highest terms are lo and hi
+    coeffs = {e: random_rational(rng) for e in range(lo, hi + 1)}
+    coeffs[lo] = random_rational(rng, allow_zero=False)
+    coeffs[hi] = random_rational(rng, allow_zero=False)
+    return LaurentSeries.from_terms(coeffs)
+
+
+def _below_or_exact(rng, exact_share=0.3):
+    if rng.random() < exact_share:
+        return random_polynomial(rng, rng.randint(-3, 1), rng.randint(1, 3))
+    return random_truncated(rng, Side.BELOW, rng.randint(-3, 3),
+                            count=rng.randint(1, 8))
+
+
+def _outer(rng):
+    # an inexact bounded-below outer series, negative orders included
+    return random_truncated(rng, Side.BELOW, rng.randint(-2, 2),
+                            count=rng.randint(1, 6))
+
+
+def _inner(rng, side, order):
+    # an inner series of the given order on `side`, exact or inexact
+    if rng.random() < 0.3:
+        other = order + rng.randint(0, 2) if side is Side.BELOW \
+            else order - rng.randint(0, 2)
+        return _exact_with_ends(rng, min(order, other), max(order, other))
+    return random_truncated(rng, side, order, count=rng.randint(1, 6))
+
+
+def test_add_mul_recip_above_are_flips_of_below():
+    rng = make_rng(71)
+    for _ in range(60):
+        a, b = J(_below_or_exact(rng)), J(_below_or_exact(rng))
+        if a.exact and b.exact:
+            continue
+        assert add(a, b) == J(add(J(a), J(b)))
+        assert add(b, a) == J(add(J(b), J(a)))
+        assert mul(a, b) == J(mul(J(a), J(b)))
+        assert mul(b, a) == J(mul(J(b), J(a)))
+        for c in (a, b):
+            if not c.is_zero() and (c.exact or c.coeffs):
+                assert recip(c, Side.ABOVE, 7) == J(recip(J(c), Side.BELOW, 7))
+
+
+def test_compose_cases_are_flips_of_the_kernel_case():
+    rng = make_rng(72)
+    for _ in range(25):
+        chi = _outer(rng)
+        # bounded-below outer: chi(omega) is the flip of chi(J omega)
+        omega = _inner(rng, Side.BELOW, rng.randint(1, 2))
+        assert compose(chi, omega, 6) == J(compose(chi, J(omega), 6))
+        omega = _inner(rng, Side.ABOVE, -rng.randint(1, 2))
+        assert compose(chi, omega, 6) == J(compose(chi, J(omega), 6))
+        # bounded-above outer: chi(omega) = (J chi)(1/omega)
+        chi = J(chi)
+        omega = _inner(rng, Side.BELOW, -rng.randint(1, 2))
+        assert compose(chi, omega, 6) == compose(
+            J(chi), recip(omega, Side.BELOW, 6), 6)
+        omega = _inner(rng, Side.ABOVE, rng.randint(1, 2))
+        if omega.exact and omega.lo <= -1:
+            continue
+        assert compose(chi, omega, 6) == compose(
+            J(chi), recip(omega, Side.ABOVE, 6), 6)
+
+
+def test_compositional_inverse_above_is_flip_of_below():
+    rng = make_rng(73)
+    for _ in range(25):
+        for order in (1, -1):
+            if rng.random() < 0.3:
+                # the lowest exponent keeps the bounded-below order off +-1
+                low = rng.choice([0, -2, -3]) if order == 1 else rng.randint(-4, -2)
+                omega = _exact_with_ends(rng, low, order)
+            else:
+                omega = random_truncated(rng, Side.ABOVE, order,
+                                         count=rng.randint(2, 6))
+            got = compositional_inverse(omega, 6)
+            assert got == recip(compositional_inverse(J(omega), 6), None, 6)
