@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 import warnings
 
@@ -45,7 +44,14 @@ _SIDE_TAGS = {
     Side.FINITE: "finite",
 }
 _MAX_SPAN = 64
-_NEGATIVE_RANGE = re.compile(r"-\d+\.\.")
+# --prec and |pow --n| above these exit 2 at once: a precision is the length
+# of the dense vectors the kernels allocate, an exponent the degree of a power
+_MAX_PREC = 10_000
+_MAX_EXPONENT = 10_000
+# options whose value may start with "-" (an expression such as -1+x, or a
+# range such as -3..0); argparse would read such a value as an option
+_SIGNED_VALUES = ("--expr", "--a", "--b", "--alpha", "--omega", "--chi",
+                  "--beta", "--rows", "--cols")
 
 
 def _precision(text: str) -> int:
@@ -55,6 +61,19 @@ def _precision(text: str) -> int:
         raise argparse.ArgumentTypeError(f"precision must be an integer, got {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError("precision must be at least 1")
+    if value > _MAX_PREC:
+        raise argparse.ArgumentTypeError(f"precision must be at most {_MAX_PREC}")
+    return value
+
+
+def _exponent(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"exponent must be an integer, got {text!r}")
+    if abs(value) > _MAX_EXPONENT:
+        raise argparse.ArgumentTypeError(
+            f"exponent must be at most {_MAX_EXPONENT} in absolute value")
     return value
 
 
@@ -76,12 +95,14 @@ def _index_range(text: str) -> tuple:
     return lo, hi
 
 
-def _attach_negative_ranges(argv: list) -> list:
-    """argparse reads a value such as -3..0 as an option, so attach it to the
-    --rows/--cols before it (--cols=-3..0)."""
+def _attach_signed_values(argv: list) -> list:
+    """argparse reads a value such as -1+x or -3..0 as an option, so attach
+    a value starting with a single "-" to the expression or range option
+    before it (--expr=-1+x, --cols=-3..0)."""
     out: list = []
     for arg in argv:
-        if out and out[-1] in ("--rows", "--cols") and _NEGATIVE_RANGE.match(arg):
+        if (out and out[-1] in _SIGNED_VALUES and arg.startswith("-")
+                and not arg.startswith("--") and arg != "-h"):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -150,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = series_sub.add_parser("pow", help="integer power")
     p.add_argument("--a", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_exponent, required=True)
     _series_args(p)
 
     p = series_sub.add_parser("compose", help="substitute omega into chi")
@@ -322,7 +343,7 @@ def _run_ds(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    argv = _attach_negative_ranges(sys.argv[1:] if argv is None else list(argv))
+    argv = _attach_signed_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,0 +1,142 @@
+"""Dense working form of truncated power series over Q or GF(p).
+
+The series kernels convert their operands once into a working form
+(xs, den): over Q (p = 0) a list of integers over one common denominator,
+over GF(p) the residues over 1.  Every product in between is one packed
+integer product (Kronecker substitution), truncated to the coefficients
+the result needs, and the values are converted back once at the end.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from .field import PrimeFieldElement
+
+
+def field_of(values: list) -> int | None:
+    """0 when every value is a Fraction, p when every value is a residue mod
+    the same prime p, None otherwise."""
+    first = values[0]
+    if type(first) is Fraction:
+        return 0 if all(type(c) is Fraction for c in values) else None
+    if type(first) is PrimeFieldElement:
+        p = first.p
+        if all(type(c) is PrimeFieldElement and c.p == p for c in values):
+            return p
+    return None
+
+
+def require_field(values: list) -> int:
+    """field_of for the dense kernels: values that share no field raise what
+    a scalar loop multiplying them raises, the product of the first misfit
+    with values[0] (TypeError, or ValueError for two primes)."""
+    p = field_of(values)
+    if p is None:
+        for c in values:
+            if field_of([values[0], c]) is None:
+                c * values[0]  # raises for Fraction with a residue, or two primes
+                raise TypeError(f"unsupported coefficient type {type(c).__name__!r}")
+    return p
+
+
+def from_coeffs(coeffs: dict, lo: int, n: int, p: int) -> tuple:
+    """Working form of the coefficients of x^lo .. x^(lo+n-1); gaps are 0."""
+    if p:
+        return [coeffs[e].n if e in coeffs else 0 for e in range(lo, lo + n)], 1
+    # ints have a numerator and a denominator too, so a gap (0) needs no branch
+    cs = [coeffs.get(e, 0) for e in range(lo, lo + n)]
+    # a list, not a generator: with a generator argument the resident memory
+    # of a long run kept growing on CPython 3.11
+    den = math.lcm(*[c.denominator for c in cs])
+    return [c.numerator * (den // c.denominator) for c in cs], den
+
+
+def to_coeffs(xs: list, den: int, lo: int, p: int) -> dict:
+    """Coefficient dict {lo + i: xs[i] / den}, zeros dropped."""
+    if p:
+        return {lo + i: PrimeFieldElement(x, p) for i, x in enumerate(xs) if x % p}
+    return {lo + i: Fraction(x, den) for i, x in enumerate(xs) if x}
+
+
+def _normal(xs: list, den: int, p: int) -> tuple:
+    # residues reduced mod p; over Q the common factor of den and xs divided out
+    if p:
+        return [x % p for x in xs], 1
+    g = math.gcd(den, *xs)
+    if g == 1:
+        return xs, den
+    return [x // g for x in xs], den // g
+
+
+def mul(a: tuple, b: tuple, n: int, p: int) -> tuple:
+    """a * b to n coefficients."""
+    return _normal(product(a[0], b[0], n), a[1] * b[1], p)
+
+
+def join(a: tuple, b: tuple, p: int) -> tuple:
+    """The working form whose coefficients are a's followed by b's."""
+    (xa, da), (xb, db) = a, b
+    d = math.lcm(da, db)
+    return _normal([x * (d // da) for x in xa] + [x * (d // db) for x in xb], d, p)
+
+
+def product(xa: list, xb: list, n: int) -> list:
+    """The first n coefficients of the product of two integer lists.
+
+    Kronecker substitution: each list becomes the base-2^(8*width) digits of
+    one int, so a single big-integer product yields every output coefficient
+    at once."""
+    if n <= 0 or not (xa and xb):
+        return []
+    xa, xb = xa[:n], xb[:n]
+    # a coefficient of the product sums at most min(len) products: size the
+    # slots so that it fits with a sign bit to spare
+    bits = (max(map(abs, xa)).bit_length() + max(map(abs, xb)).bit_length()
+            + min(len(xa), len(xb)).bit_length() + 1)
+    width = bits // 8 + 1
+    return _unpack(_pack(xa, width) * _pack(xb, width), width,
+                   min(n, len(xa) + len(xb) - 1))
+
+
+def _pack(xs: list, width: int) -> int:
+    # sum of xs[i] * 2^(8*width*i) for signed xs[i] with |xs[i]| < 2^(8*width-1);
+    # every digit is written biased by half a slot, so it is nonnegative
+    half = 1 << (8 * width - 1)
+    raw = b"".join([(x + half).to_bytes(width, "little") for x in xs])
+    return int.from_bytes(raw, "little") - _bias(half, width, len(xs))
+
+
+def _unpack(z: int, width: int, count: int) -> list:
+    # the lowest count signed base-2^(8*width) digits of z; with the bias
+    # every digit is nonnegative, so the bytes split without carries and the
+    # digits above count can be masked off
+    half = 1 << (8 * width - 1)
+    raw = ((z + _bias(half, width, count)) & ((1 << (8 * width * count)) - 1)
+           ).to_bytes(width * count, "little")
+    return [int.from_bytes(raw[i:i + width], "little") - half
+            for i in range(0, width * count, width)]
+
+
+def _bias(half: int, width: int, count: int) -> int:
+    # half in each of count digits
+    return int.from_bytes(half.to_bytes(width, "little") * count, "little")
+
+
+def recip(u: tuple, n: int, p: int) -> tuple:
+    """1/u to n coefficients (u[0] != 0) by Newton iteration: when v is right
+    to k coefficients, u*v = 1 + x^k*e and v - x^k*(v*e) is right to 2k."""
+    xs, den = u
+    if p:
+        v = ([pow(xs[0], -1, p)], 1)
+    else:
+        v = ([den], xs[0]) if xs[0] > 0 else ([-den], -xs[0])
+    k = 1
+    while k < n:
+        k2 = min(2 * k, n)
+        ex, ed = mul(u, v, k2, p)
+        vx, vd = mul(v, (ex[k:], ed), k2 - k, p)
+        v = join(v, ([-x for x in vx], vd), p)
+        k = k2
+    return v

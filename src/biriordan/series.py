@@ -14,7 +14,6 @@ prove.
 from __future__ import annotations
 
 import enum
-import math
 from fractions import Fraction
 
 from .errors import (
@@ -28,6 +27,7 @@ from .errors import (
     UndefinedProductError,
     ZeroSeriesError,
 )
+from . import dense
 from .field import PrimeFieldElement
 
 DEFAULT_PRECISION = 16
@@ -344,82 +344,22 @@ def _dense_enough(c: dict) -> bool:
 
 def _convolve_packed(ca: dict, cb: dict, lo: int | None,
                      hi: int | None) -> dict | None:
-    """Kronecker substitution: the dense integer coefficient lists of both
-    operands become base-2^(8*width) digits of one int each, so a single
-    big-integer product yields every output coefficient at once.  Over Q the
-    operands are first scaled by the lcm of their denominators; over GF(p)
-    the residues are used as they are.  Returns None unless the coefficients
-    are all Fraction or all residues mod one prime."""
-    values = [*ca.values(), *cb.values()]
-    kind = type(values[0])
-    if kind is Fraction:
-        if not all(type(c) is Fraction for c in values):
-            return None
-    elif kind is PrimeFieldElement:
-        p = values[0].p
-        if not all(type(c) is PrimeFieldElement and c.p == p for c in values):
-            return None
-    else:
+    """The product of two Q or GF(p) coefficient dicts in the dense working
+    form, as one packed integer product (see dense.product); None unless the
+    coefficients are all Fraction or all residues mod one prime."""
+    p = dense.field_of([*ca.values(), *cb.values()])
+    if p is None:
         return None
-    if kind is Fraction:
-        # a list, not a generator: with a generator argument the resident
-        # memory of a long run kept growing on CPython 3.11
-        da = math.lcm(*[c.denominator for c in ca.values()])
-        db = math.lcm(*[c.denominator for c in cb.values()])
-        xa = _dense({e: c.numerator * (da // c.denominator) for e, c in ca.items()})
-        xb = _dense({e: c.numerator * (db // c.denominator) for e, c in cb.items()})
-    else:
-        xa = _dense({e: c.n for e, c in ca.items()})
-        xb = _dense({e: c.n for e, c in cb.items()})
-    # a coefficient of the product sums at most min(len) products: size the
-    # slots so that it fits with a sign bit to spare
-    bits = (max(map(abs, xa)).bit_length() + max(map(abs, xb)).bit_length()
-            + min(len(ca), len(cb)).bit_length() + 1)
-    width = bits // 8 + 1
-    z = _pack(xa, width) * _pack(xb, width)
-    base = min(ca) + min(cb)
+    a0, b0 = min(ca), min(cb)
+    xa, da = dense.from_coeffs(ca, a0, max(ca) - a0 + 1, p)
+    xb, db = dense.from_coeffs(cb, b0, max(cb) - b0 + 1, p)
+    base = a0 + b0
     count = len(xa) + len(xb) - 1
+    if hi is not None:
+        count = min(count, hi - base + 1)
     first = 0 if lo is None else max(0, lo - base)
-    last = count - 1 if hi is None else min(count - 1, hi - base)
-    digits = _unpack(z, width, count)
-    out: dict = {}
-    if kind is Fraction:
-        den = da * db
-        for k in range(first, last + 1):
-            if digits[k]:
-                out[base + k] = Fraction(digits[k], den)
-    else:
-        for k in range(first, last + 1):
-            v = digits[k] % p
-            if v:
-                out[base + k] = PrimeFieldElement(v, p)
-    return out
-
-
-def _dense(ints: dict) -> list:
-    # the values from the least exponent to the greatest, gaps filled with 0
-    return [ints.get(e, 0) for e in range(min(ints), max(ints) + 1)]
-
-
-def _pack(xs: list, width: int) -> int:
-    # sum of xs[i] * 2^(8*width*i) for signed xs[i] with |xs[i]| < 2^(8*width-1)
-    packed = int.from_bytes(
-        b"".join((x if x > 0 else 0).to_bytes(width, "little") for x in xs), "little")
-    if min(xs) < 0:
-        packed -= int.from_bytes(
-            b"".join((-x if x < 0 else 0).to_bytes(width, "little") for x in xs),
-            "little")
-    return packed
-
-
-def _unpack(z: int, width: int, count: int) -> list:
-    # the count signed base-2^(8*width) digits of z; biasing every digit by
-    # half a slot makes them all nonnegative, so the bytes split without carries
-    half = 1 << (8 * width - 1)
-    bias = int.from_bytes(half.to_bytes(width, "little") * count, "little")
-    raw = (z + bias).to_bytes(width * count, "little")
-    return [int.from_bytes(raw[i:i + width], "little") - half
-            for i in range(0, width * count, width)]
+    xs = dense.product(xa, xb, count)[first:]
+    return dense.to_coeffs(xs, da * db, base + first, p)
 
 
 # -- reciprocal and powers -----------------------------------------------------
@@ -454,16 +394,11 @@ def recip(a: LaurentSeries, side: Side | None = None,
     count = a.count_from_order()
     if count is None:
         count = precision if precision is not None else DEFAULT_PRECISION
-    u = [a.coeffs.get(m + i, 0) for i in range(count)]
-    v = [1 / u[0]]
-    for k in range(1, count):
-        s = 0
-        for i in range(1, k + 1):
-            if u[i]:
-                s = s + u[i] * v[k - i]
-        v.append(-(s / u[0]))
-    terms = {-m + i: v[i] for i in range(count)}
-    return LaurentSeries.truncated(terms, Side.BELOW, -m, -m + count - 1)
+    p = dense.require_field(
+        [a.coeffs[e] for e in sorted(a.coeffs) if e < m + count])
+    xs, den = dense.recip(dense.from_coeffs(a.coeffs, m, count, p), count, p)
+    return LaurentSeries.truncated(dense.to_coeffs(xs, den, -m, p), Side.BELOW,
+                                   -m, -m + count - 1)
 
 
 def power(a: LaurentSeries, j: int, side: Side | None = None,
@@ -552,27 +487,40 @@ def compose(chi: LaurentSeries, omega: LaurentSeries,
 
 def _compose_kernel(chi: LaurentSeries, omega: LaurentSeries,
                     precision: int | None) -> LaurentSeries:
-    # chi inexact bounded below; omega viewable below with order w >= 1.
-    # Accumulating with add() intersects the terms' known regions, so the
-    # binding window (lowest power of omega, or omega itself) emerges on its
-    # own; chi's truncation is applied as an explicit cap afterwards.
+    # chi inexact bounded below of order m; omega viewable below with order
+    # w >= 1.  chi(omega) = omega^m * sum over k of chi_k omega^(k-m), the sum
+    # by Horner's rule on the dense working form.
     w = omega.lo
     m = chi.lo
-    chi_cap = (chi.hi + 1) * w - 1
-    acc = None
-    cur = power(omega, m, Side.BELOW, precision)
-    for k in range(m, chi.hi + 1):
-        c = chi.coeffs.get(k)
-        if c:
-            term = mul(monomial(c), cur)
-            acc = term if acc is None else add(acc, term)
-        if k < chi.hi:
-            cur = mul(cur, omega)
-    if acc is None:
-        return LaurentSeries.truncated({}, Side.BELOW, m * w, chi_cap)
-    cap = chi_cap if acc.exact else min(chi_cap, acc.hi)
-    terms = {e: c for e, c in acc.coeffs.items() if e <= cap}
-    return LaurentSeries.truncated(terms, Side.BELOW, m * w, cap)
+    cap = (chi.hi + 1) * w - 1  # chi's own truncation
+    if not chi.coeffs:
+        return LaurentSeries.truncated({}, Side.BELOW, m * w, cap)
+    head = power(omega, m, Side.BELOW, precision)
+    # chi_k omega^k is known through the hi of omega^k, which grows with k,
+    # so the first inexact term binds: omega^m when inexact, else (m = 0,
+    # omega inexact) omega^k of the next nonzero chi_k, known through
+    # omega.hi + (k - 1) w
+    if not head.exact:
+        cap = min(cap, head.hi)
+    elif not omega.exact:
+        later = [k for k in chi.coeffs if k > 0]
+        if later:
+            cap = min(cap, omega.hi + (min(later) - 1) * w)
+    n = cap - m * w + 1
+    top = min(chi.hi, m + (n - 1) // w)  # later terms start above x^cap
+    p = dense.require_field([*omega.coeffs.values(),
+                             *[chi.coeffs[k] for k in sorted(chi.coeffs)]])
+    cs, dc = dense.from_coeffs(chi.coeffs, m, top - m + 1, p)
+    tail = dense.from_coeffs(omega.coeffs, w, n - w, p)  # omega / x^w
+    acc = ([cs[-1]], dc)
+    for k in range(top - 1, m - 1, -1):
+        # acc <- chi_k + omega * acc, to the n - (k - m) w coefficients that
+        # still reach x^cap after the remaining multiplications by omega
+        prod = dense.mul(acc, tail, n - (k + 1 - m) * w, p)
+        acc = dense.join(([cs[k - m]] + [0] * (w - 1), dc), prod, p)
+    xs, den = dense.mul(dense.from_coeffs(head.coeffs, m * w, n, p), acc, n, p)
+    return LaurentSeries.truncated(dense.to_coeffs(xs, den, m * w, p),
+                                   Side.BELOW, m * w, cap)
 
 
 # -- compositional inverse ------------------------------------------------------
@@ -606,31 +554,27 @@ def compositional_inverse(omega: LaurentSeries,
 
 
 def _reversion(omega: LaurentSeries, precision: int | None) -> LaurentSeries:
-    # omega viewable below with order exactly 1; coefficientwise back-substitution
+    # omega viewable below with order exactly 1
     if omega.exact and len(omega.coeffs) == 1:
         return monomial(1 / omega.coeffs[1], 1)
     if omega.exact:
         cap = precision if precision is not None else DEFAULT_PRECISION
     else:
         cap = omega.hi
-    w = {e: c for e, c in omega.coeffs.items() if e <= cap}
-    w1 = w[1]
-    # inv[n] = -(sum over k < n of inv[k] * [x^n] omega^k) / w1^n; `sums`
-    # collects those sums one power of omega (truncated at cap) at a time
-    inv = {1: 1 / w1}
-    sums: dict = {}
-    cur = w  # omega^(n-1) in step n
-    w1n = w1
-    for n in range(2, cap + 1):
-        c = inv[n - 1]
-        if c:
-            for e, t in cur.items():
-                if e >= n and t:
-                    sums[e] = sums.get(e, 0) + c * t
-        w1n = w1n * w1
-        inv[n] = -(sums.get(n, 0) / w1n)
+    p = dense.require_field(
+        [omega.coeffs[e] for e in sorted(omega.coeffs) if e <= cap])
+    # Lagrange inversion in the form that never divides by n (so it also
+    # holds in characteristic p <= cap): with psi = x/omega,
+    # [x^n] omega^-1 = [x^(n-1)] psi^(n-1) (psi - x psi'), and each
+    # q = psi^(n-1) (psi - x psi') is the previous one times psi
+    psi = dense.recip(dense.from_coeffs(omega.coeffs, 1, cap, p), cap, p)
+    q = ([(1 - i) * x for i, x in enumerate(psi[0])], psi[1])
+    inv = {}
+    for n in range(1, cap + 1):
+        x, den = q[0][n - 1], q[1]
+        inv[n] = PrimeFieldElement(x, p) if p else Fraction(x, den)
         if n < cap:
-            cur = _convolve(cur, w, hi=cap)
+            q = dense.mul(q, psi, cap, p)
     return LaurentSeries.truncated(inv, Side.BELOW, 1, cap)
 
 

@@ -3,7 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
+import resource
+import subprocess
+import sys
+import time
 
+import biriordan
 from biriordan.cli import main
 
 
@@ -220,6 +226,67 @@ def test_matrix_negative_range_needs_no_equals_sign(capsys):
                        "--rows", "0..2", "--cols", "-3..x")
     assert code == 2
     assert "range must look like LO..HI" in err
+
+
+def test_expression_starting_with_minus_needs_no_equals_sign(capsys):
+    spaced = run(capsys, "series", "eval", "--expr", "-1+x")
+    joined = run(capsys, "series", "eval", "--expr=-1+x")
+    assert spaced == joined
+    assert joined == (0, "-1 + x\nside: finite\n", "")
+    spaced = run(capsys, "series", "compose", "--chi", "-1/(1-x)",
+                 "--omega", "-x", "--prec", "4")
+    joined = run(capsys, "series", "compose", "--chi=-1/(1-x)",
+                 "--omega=-x", "--prec", "4")
+    assert spaced == joined and joined[0] == 0
+    spaced = run(capsys, "matrix", "mul", "--alpha", "-1", "--omega", "x",
+                 "--beta", "-2", "--chi", "-x")
+    joined = run(capsys, "matrix", "mul", "--alpha=-1", "--omega", "x",
+                 "--beta=-2", "--chi=-x")
+    assert spaced == joined and joined[0] == 0
+
+
+def test_malformed_input_still_exits_two(capsys):
+    for argv in (
+        ("series", "eval", "--expr", "1+*x"),
+        ("series", "eval", "--expr", "(1+x"),
+        ("series", "eval", "--expr", "1/0"),
+        ("series", "eval", "--expr", "x", "--prec", "0"),
+        ("series", "eval", "--expr", "-1+*x"),
+        ("series", "eval", "--expr", "--prec", "4"),
+        ("series", "pow", "--a", "1+x"),
+        ("matrix", "window", "--omega", "x", "--rows", "3..1", "--cols", "0..1"),
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (2, "")
+
+
+def _limit_memory():
+    # a failing size check must not take the machine's memory with it
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_huge_precision_and_exponent_fail_fast():
+    src = os.path.dirname(os.path.dirname(biriordan.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in (("series", "eval", "--expr", "1/(1-x)", "--prec", "100000000"),
+                 ("series", "pow", "--a", "1+x", "--n", "100000000"),
+                 ("series", "pow", "--a", "1+x", "--n", "-100000000")):
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-m", "biriordan", *argv],
+                              capture_output=True, text=True, timeout=20,
+                              preexec_fn=_limit_memory, env=env)
+        assert time.perf_counter() - start < 1.0
+        assert done.returncode == 2
+        assert done.stdout == "" and "at most 10000" in done.stderr
+
+
+def test_largest_allowed_sizes_are_accepted(capsys):
+    code, out, _ = run(capsys, "series", "pow", "--a", "x", "--n", "-10000")
+    assert (code, out) == (0, "x^-10000\nside: finite\n")
+    code, _, err = run(capsys, "series", "eval", "--expr", "x", "--prec", "10001")
+    assert code == 2 and "at most 10000" in err
+    code, out, _ = run(capsys, "series", "eval", "--expr", "x", "--prec", "10000")
+    assert (code, out) == (0, "x\nside: finite\n")
 
 
 def test_matrix_range_validation(capsys):

@@ -1,0 +1,323 @@
+"""The dense kernels against the scalar loops they replaced.
+
+`recip`, `_compose_kernel` and `_reversion` run on the dense working form
+of `biriordan.dense` (Newton iteration, Horner's rule and Lagrange
+inversion over packed integer products).  The functions prefixed `ref_`
+below are the earlier coefficientwise versions, kept here as references:
+the O(n^2) reciprocal recurrence, the compose loop accumulating
+chi_k * omega^k with `mul`/`add`, and reversion by back-substitution.
+Results must be equal with `==`, which compares side, exactness, window
+and every coefficient.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from biriordan.field import PrimeField
+from biriordan.series import (
+    DEFAULT_PRECISION,
+    LaurentSeries,
+    Side,
+    _compose_kernel,
+    _convolve,
+    _reversion,
+    add,
+    compose,
+    compositional_inverse,
+    monomial,
+    mul,
+    parse,
+    power,
+    recip,
+)
+
+FIELDS = ("q", 7, 2**31 - 1)
+
+
+# -- the references ------------------------------------------------------------------
+
+
+def ref_recip(a: LaurentSeries, precision: int | None) -> LaurentSeries:
+    """Bounded-below reciprocal of a non-monomial series, term by term."""
+    m = a.order(Side.BELOW)
+    count = a.count_from_order()
+    if count is None:
+        count = precision if precision is not None else DEFAULT_PRECISION
+    u = [a.coeffs.get(m + i, 0) for i in range(count)]
+    v = [1 / u[0]]
+    for k in range(1, count):
+        s = 0
+        for i in range(1, k + 1):
+            if u[i]:
+                s = s + u[i] * v[k - i]
+        v.append(-(s / u[0]))
+    terms = {-m + i: v[i] for i in range(count)}
+    return LaurentSeries.truncated(terms, Side.BELOW, -m, -m + count - 1)
+
+
+def ref_power(a: LaurentSeries, j: int, precision: int | None) -> LaurentSeries:
+    if j >= 0 or (a.exact and len(a.coeffs) == 1):
+        return power(a, j, Side.BELOW, precision)
+    return power(ref_recip(a, precision), -j)
+
+
+def ref_compose_kernel(chi: LaurentSeries, omega: LaurentSeries,
+                       precision: int | None) -> LaurentSeries:
+    """chi bounded below, omega of order w >= 1: sum of chi_k * omega^k with
+    mul/add, whose known regions intersect to the binding window."""
+    w = omega.lo
+    m = chi.lo
+    chi_cap = (chi.hi + 1) * w - 1
+    acc = None
+    cur = ref_power(omega, m, precision)
+    for k in range(m, chi.hi + 1):
+        c = chi.coeffs.get(k)
+        if c:
+            term = mul(monomial(c), cur)
+            acc = term if acc is None else add(acc, term)
+        if k < chi.hi:
+            cur = mul(cur, omega)
+    if acc is None:
+        return LaurentSeries.truncated({}, Side.BELOW, m * w, chi_cap)
+    cap = chi_cap if acc.exact else min(chi_cap, acc.hi)
+    terms = {e: c for e, c in acc.coeffs.items() if e <= cap}
+    return LaurentSeries.truncated(terms, Side.BELOW, m * w, cap)
+
+
+def ref_reversion(omega: LaurentSeries, precision: int | None) -> LaurentSeries:
+    """omega of order exactly 1, inverted coefficient by coefficient:
+    inv[n] = -(sum over k < n of inv[k] [x^n] omega^k) / w1^n."""
+    if omega.exact and len(omega.coeffs) == 1:
+        return monomial(1 / omega.coeffs[1], 1)
+    if omega.exact:
+        cap = precision if precision is not None else DEFAULT_PRECISION
+    else:
+        cap = omega.hi
+    w = {e: c for e, c in omega.coeffs.items() if e <= cap}
+    w1 = w[1]
+    inv = {1: 1 / w1}
+    sums: dict = {}
+    cur = w
+    w1n = w1
+    for n in range(2, cap + 1):
+        c = inv[n - 1]
+        if c:
+            for e, t in cur.items():
+                if e >= n and t:
+                    sums[e] = sums.get(e, 0) + c * t
+        w1n = w1n * w1
+        inv[n] = -(sums.get(n, 0) / w1n)
+        if n < cap:
+            cur = _convolve(cur, w, hi=cap)
+    return LaurentSeries.truncated(inv, Side.BELOW, 1, cap)
+
+
+# -- random operands -------------------------------------------------------------------
+
+
+def scalar(rng: random.Random, field):
+    if field == "q":
+        num = rng.randint(-6, 6) if rng.random() < 0.9 else rng.randint(-10**15, 10**15)
+        return Fraction(num, rng.randint(1, 5))
+    return PrimeField(field)(rng.randrange(field))
+
+
+def nonzero(rng: random.Random, field):
+    while True:
+        c = scalar(rng, field)
+        if c:
+            return c
+
+
+def below(rng: random.Random, field, order: int, count: int,
+          exact: bool = False) -> LaurentSeries:
+    """A series of the given order with `count` coefficients from it (some
+    zero); exact, or known exactly on that window."""
+    terms = {order + i: scalar(rng, field) for i in range(1, count)}
+    terms[order] = nonzero(rng, field)
+    if exact:
+        return LaurentSeries.from_terms(terms)
+    return LaurentSeries.truncated(terms, Side.BELOW, order, order + count - 1)
+
+
+def same(got_fn, want_fn):
+    """Both calls return equal series, or raise the same exception."""
+    try:
+        want = want_fn()
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc)) as info:
+            got_fn()
+        assert str(info.value) == str(exc)
+        return None
+    got = got_fn()
+    assert got == want
+    return got
+
+
+# -- reciprocal ---------------------------------------------------------------------
+
+
+def test_recip_matches_recurrence_over_each_field():
+    rng = random.Random(101)
+    for _ in range(150):
+        field = rng.choice(FIELDS)
+        exact = rng.random() < 0.4
+        a = below(rng, field, rng.randint(-4, 4), rng.randint(2, 24), exact)
+        prec = rng.choice([None, 1, 2, 7, 16, 25])
+        if a.exact and len(a.coeffs) == 1:
+            continue
+        same(lambda: recip(a, Side.BELOW, prec), lambda: ref_recip(a, prec))
+
+
+def test_recip_above_and_negative_orders_match_through_the_flip():
+    rng = random.Random(102)
+    for _ in range(40):
+        field = rng.choice(FIELDS)
+        a = below(rng, field, rng.randint(-5, -1), rng.randint(2, 20))
+        flipped = LaurentSeries.truncated({-e: c for e, c in a.coeffs.items()},
+                                          Side.ABOVE, -a.hi, -a.lo)
+        want = ref_recip(a, None)
+        assert recip(a) == want
+        got = recip(flipped)
+        assert got.side is Side.ABOVE
+        assert {-e: c for e, c in got.coeffs.items()} == want.coeffs
+        assert (-got.hi, -got.lo) == (want.lo, want.hi)
+
+
+def test_recip_fractions_are_canonical_after_cancellation():
+    # (1 - x^2) with every coefficient scaled by 10^20/7: the reciprocal is
+    # 7/10^20 * (1 + x^2 + x^4 + ...), whose odd terms cancel exactly
+    s = Fraction(10**20, 7)
+    a = LaurentSeries.from_terms({0: s, 2: -s})
+    got = recip(a, Side.BELOW, 9)
+    assert got == ref_recip(a, 9)
+    assert got.coeffs == {e: 1 / s for e in range(0, 9, 2)}
+    assert all(math.gcd(c.numerator, c.denominator) == 1 for c in got.coeffs.values())
+
+
+def test_recip_of_mixed_fields_raises_what_the_recurrence_raised():
+    gf7, gf11 = PrimeField(7), PrimeField(11)
+    cases = [
+        {0: Fraction(2), 1: gf7(3)},
+        {0: gf7(2), 2: Fraction(1, 3)},
+        {0: gf7(2), 1: gf11(3)},
+    ]
+    for terms in cases:
+        a = LaurentSeries.truncated(terms, Side.BELOW, 0, 4)
+        same(lambda: recip(a), lambda: ref_recip(a, None))
+    # one known coefficient multiplies nothing, so nothing is raised
+    a = LaurentSeries.truncated({0: Fraction(2)}, Side.BELOW, 0, 0)
+    assert recip(a) == ref_recip(a, None)
+
+
+# -- composition ---------------------------------------------------------------------
+
+
+def test_compose_kernel_matches_mul_add_loop():
+    rng = random.Random(103)
+    checked = 0
+    for _ in range(150):
+        field = rng.choice(FIELDS)
+        chi = below(rng, field, rng.randint(-3, 3), rng.randint(1, 14))
+        w = rng.choice([1, 1, 2, 3])
+        kind = rng.random()
+        if kind < 0.15:
+            omega = monomial(nonzero(rng, field), w)
+        else:
+            omega = below(rng, field, w, rng.randint(1, 14), exact=kind < 0.45)
+        prec = rng.choice([None, 3, 8, 17])
+        got = same(lambda: _compose_kernel(chi, omega, prec),
+                   lambda: ref_compose_kernel(chi, omega, prec))
+        assert compose(chi, omega, prec) == got
+        checked += 1
+    assert checked == 150
+
+
+def test_compose_kernel_edge_windows():
+    rng = random.Random(104)
+    omega = below(rng, "q", 1, 6)
+    # chi with no known nonzero coefficient: an empty window starting at x^(m w)
+    for chi in (LaurentSeries.truncated({}, Side.BELOW, 3, 7),
+                LaurentSeries.truncated({}, Side.BELOW, -2, -1)):
+        assert _compose_kernel(chi, omega, 8) == ref_compose_kernel(chi, omega, 8)
+    # m = 0 with an inexact omega: the first later nonzero term binds
+    chi = LaurentSeries.truncated({0: Fraction(3), 4: Fraction(-1, 2)},
+                                  Side.BELOW, 0, 9)
+    got = _compose_kernel(chi, omega, 8)
+    assert got == ref_compose_kernel(chi, omega, 8)
+    assert got.hi == omega.hi + 3
+    # only chi_0 known nonzero: every term is exact, chi's truncation binds
+    chi = LaurentSeries.truncated({0: Fraction(3)}, Side.BELOW, 0, 4)
+    assert _compose_kernel(chi, omega, 8) == ref_compose_kernel(chi, omega, 8)
+    # negative order over an exact omega: omega^m comes from the reciprocal
+    chi = below(rng, "q", -3, 8)
+    omega = parse("x + 2x^2 - x^3")
+    assert _compose_kernel(chi, omega, 6) == ref_compose_kernel(chi, omega, 6)
+
+
+def test_compose_cancels_to_canonical_fractions():
+    # 1/(1+x) composed with x/(1-x) is 1 - x exactly on the window
+    chi = parse("1/(1+x)", precision=10)
+    omega = parse("x/(1-x)", precision=10)
+    got = compose(chi, omega, 10)
+    assert got == ref_compose_kernel(chi, omega, 10)
+    assert got.coeffs == {0: Fraction(1), 1: Fraction(-1)}
+    assert all(c.denominator == 1 for c in got.coeffs.values())
+
+
+def test_compose_of_mixed_fields_raises_what_the_loop_raised():
+    rng = random.Random(105)
+    pairs = [("q", 7), (7, "q"), (7, 11), (2**31 - 1, 7)]
+    for chi_field, omega_field in pairs:
+        for exact in (False, True):
+            chi = below(rng, chi_field, rng.randint(-1, 2), 5)
+            omega = below(rng, omega_field, 1, 5, exact)
+            with pytest.raises(TypeError if "q" in (chi_field, omega_field)
+                               else ValueError):
+                _compose_kernel(chi, omega, 6)
+            same(lambda: _compose_kernel(chi, omega, 6),
+                 lambda: ref_compose_kernel(chi, omega, 6))
+
+
+# -- reversion -----------------------------------------------------------------------
+
+
+def test_reversion_matches_back_substitution():
+    rng = random.Random(106)
+    for _ in range(150):
+        field = rng.choice(FIELDS)
+        kind = rng.random()
+        if kind < 0.1:
+            omega = monomial(nonzero(rng, field), 1)
+        else:
+            omega = below(rng, field, 1, rng.randint(1, 20), exact=kind < 0.4)
+        prec = rng.choice([None, 1, 5, 9, 20])
+        got = same(lambda: _reversion(omega, prec), lambda: ref_reversion(omega, prec))
+        assert compositional_inverse(omega, prec) == got
+
+
+def test_reversion_in_characteristic_at_most_the_precision():
+    # over GF(7) with 20 coefficients, n = 7 and 14 are 0 in the field; the
+    # inversion never divides by n
+    gf7 = PrimeField(7)
+    omega = LaurentSeries.from_terms({1: gf7(3), 2: gf7(1), 5: gf7(6)})
+    got = _reversion(omega, 20)
+    assert got == ref_reversion(omega, 20)
+    assert got.hi == 20
+
+
+def test_reversion_order_minus_one_and_above_sides_match():
+    rng = random.Random(107)
+    for _ in range(30):
+        field = rng.choice(FIELDS)
+        omega = below(rng, field, -1, rng.randint(2, 12))
+        want = ref_reversion(ref_recip(omega, None), None)
+        got = compositional_inverse(omega)
+        assert got.side is Side.ABOVE
+        assert {-e: c for e, c in got.coeffs.items()} == want.coeffs
+        assert (-got.hi, -got.lo) == (want.lo, want.hi)
