@@ -18,6 +18,7 @@ from .errors import ComputationError, ParseError
 from .field import format_scalar
 from .riordan import apply, classify, format_class_set, inverse, matmul, riordan
 from .series import (
+    MAX_EXPONENT,
     LaurentSeries,
     Side,
     compose,
@@ -27,6 +28,7 @@ from .series import (
     parse,
     power,
     recip,
+    substitute_reciprocal,
 )
 from .window import extract, render
 from .simplicial import (
@@ -44,14 +46,17 @@ _SIDE_TAGS = {
     Side.FINITE: "finite",
 }
 _MAX_SPAN = 64
-# --prec and |pow --n| above these exit 2 at once: a precision is the length
-# of the dense vectors the kernels allocate, an exponent the degree of a power
+# sizes above these exit 2 at once: a precision is the length of the dense
+# vectors the kernels allocate, an exponent the degree of a power, and the
+# parser and the f-to-h transform grow faster than linearly in the length of
+# an expression and of an f-vector
 _MAX_PREC = 10_000
-_MAX_EXPONENT = 10_000
-# options whose value may start with "-" (an expression such as -1+x, or a
-# range such as -3..0); argparse would read such a value as an option
+_MAX_EXPRESSION = 4096
+_MAX_ENTRIES = 64
+# options whose value may start with "-" (an expression such as -1+x, a range
+# such as -3..0, an f-vector); argparse would read such a value as an option
 _SIGNED_VALUES = ("--expr", "--a", "--b", "--alpha", "--omega", "--chi",
-                  "--beta", "--rows", "--cols")
+                  "--beta", "--rows", "--cols", "--f")
 
 
 def _precision(text: str) -> int:
@@ -71,10 +76,24 @@ def _exponent(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"exponent must be an integer, got {text!r}")
-    if abs(value) > _MAX_EXPONENT:
+    if abs(value) > MAX_EXPONENT:
         raise argparse.ArgumentTypeError(
-            f"exponent must be at most {_MAX_EXPONENT} in absolute value")
+            f"exponent must be at most {MAX_EXPONENT} in absolute value")
     return value
+
+
+def _expression(text: str) -> str:
+    if len(text) > _MAX_EXPRESSION:
+        raise argparse.ArgumentTypeError(
+            f"expression longer than {_MAX_EXPRESSION} characters")
+    return text
+
+
+def _f_vector(text: str) -> str:
+    if text.count(",") >= _MAX_ENTRIES:
+        raise argparse.ArgumentTypeError(
+            f"an f-vector has at most {_MAX_ENTRIES} entries")
+    return text
 
 
 def _index_range(text: str) -> tuple:
@@ -110,24 +129,16 @@ def _attach_signed_values(argv: list) -> list:
 
 
 def _display_text(chi: LaurentSeries, prec: int) -> str:
-    """Canonical text, truncating an inexact window to |exponent| < prec."""
-    if chi.exact:
+    """Canonical text, truncating an inexact window to |exponent| < prec; a
+    bounded-above window is trimmed through the flip x -> 1/x."""
+    flip = chi.side is Side.ABOVE
+    below = substitute_reciprocal(chi) if flip else chi
+    hi = min(below.hi, prec - 1)
+    if chi.exact or hi < below.lo:
         return format_series(chi)
-    if chi.side is Side.BELOW:
-        hi = min(chi.hi, prec - 1)
-        if hi < chi.lo:
-            return format_series(chi)
-        trimmed = LaurentSeries.truncated(
-            {e: c for e, c in chi.coeffs.items() if e <= hi},
-            Side.BELOW, chi.lo, hi)
-    else:
-        lo = max(chi.lo, 1 - prec)
-        if lo > chi.hi:
-            return format_series(chi)
-        trimmed = LaurentSeries.truncated(
-            {e: c for e, c in chi.coeffs.items() if e >= lo},
-            Side.ABOVE, lo, chi.hi)
-    return format_series(trimmed)
+    trimmed = LaurentSeries.truncated(
+        {e: c for e, c in below.coeffs.items() if e <= hi}, Side.BELOW, below.lo, hi)
+    return format_series(substitute_reciprocal(trimmed) if flip else trimmed)
 
 
 def _print_series(chi: LaurentSeries, args) -> int:
@@ -157,41 +168,41 @@ def build_parser() -> argparse.ArgumentParser:
     series_sub = series_p.add_subparsers(dest="op", required=True)
 
     p = series_sub.add_parser("eval", help="parse and normalize an expression")
-    p.add_argument("--expr", required=True)
+    p.add_argument("--expr", type=_expression, required=True)
     _series_args(p)
 
     p = series_sub.add_parser("mul", help="product of two series")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
+    p.add_argument("--a", type=_expression, required=True)
+    p.add_argument("--b", type=_expression, required=True)
     _series_args(p)
 
     p = series_sub.add_parser("recip", help="multiplicative inverse")
-    p.add_argument("--a", required=True)
+    p.add_argument("--a", type=_expression, required=True)
     _series_args(p)
 
     p = series_sub.add_parser("pow", help="integer power")
-    p.add_argument("--a", required=True)
+    p.add_argument("--a", type=_expression, required=True)
     p.add_argument("--n", type=_exponent, required=True)
     _series_args(p)
 
     p = series_sub.add_parser("compose", help="substitute omega into chi")
-    p.add_argument("--chi", required=True)
-    p.add_argument("--omega", required=True)
+    p.add_argument("--chi", type=_expression, required=True)
+    p.add_argument("--omega", type=_expression, required=True)
     p.add_argument("--other-side", choices=sorted(_SIDES),
                    help="side omega is expanded on (default: --side)")
     _series_args(p)
 
     p = series_sub.add_parser("invert", help="compositional inverse of omega")
-    p.add_argument("--omega", required=True)
+    p.add_argument("--omega", type=_expression, required=True)
     _series_args(p)
 
     matrix_p = sub.add_parser("matrix", help="Riordan matrix operations")
     matrix_sub = matrix_p.add_subparsers(dest="op", required=True)
 
     def matrix_args(p, rows_required=False):
-        p.add_argument("--alpha", default="1",
+        p.add_argument("--alpha", type=_expression, default="1",
                        help="multiplier series (default 1)")
-        p.add_argument("--omega", required=True,
+        p.add_argument("--omega", type=_expression, required=True,
                        help="composition series (column generator)")
         if rows_required:
             p.add_argument("--rows", type=_index_range, required=True)
@@ -210,9 +221,9 @@ def build_parser() -> argparse.ArgumentParser:
     matrix_args(p)
 
     p = matrix_sub.add_parser("mul", help="product with a second matrix")
-    p.add_argument("--beta", default="1",
+    p.add_argument("--beta", type=_expression, default="1",
                    help="multiplier series of the right factor (default 1)")
-    p.add_argument("--chi", required=True,
+    p.add_argument("--chi", type=_expression, required=True,
                    help="composition series of the right factor")
     p.add_argument("--other-side", choices=sorted(_SIDES),
                    help="side the right factor is expanded on (default: --side)")
@@ -222,14 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
     matrix_args(p)
 
     p = matrix_sub.add_parser("apply", help="apply the matrix to a series")
-    p.add_argument("--chi", required=True, help="series to act on")
+    p.add_argument("--chi", type=_expression, required=True, help="series to act on")
     p.add_argument("--other-side", choices=sorted(_SIDES),
                    help="side chi is expanded on (default: --side)")
     matrix_args(p)
 
     ds_p = sub.add_parser(
         "ds", help="Dehn-Sommerville residual check of an f-vector")
-    ds_p.add_argument("--f", required=True,
+    ds_p.add_argument("--f", type=_f_vector, required=True,
                       help='comma-separated rationals "f_-1,f_0,...,f_d"')
     ds_p.add_argument("--json", action="store_true")
     ds_p.add_argument("--trace", action="store_true",

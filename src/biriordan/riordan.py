@@ -44,20 +44,18 @@ class EchelonClass(enum.Enum):
         return self.value
 
 
-_CLASS_ORDER = (
-    EchelonClass.L_PLUS,
-    EchelonClass.L_MINUS,
-    EchelonClass.U_PLUS,
-    EchelonClass.U_MINUS,
-)
+# the side omega lives on and the sign of its order there, per class
+_SHAPE = {
+    EchelonClass.L_PLUS: (Side.BELOW, 1),
+    EchelonClass.L_MINUS: (Side.BELOW, -1),
+    EchelonClass.U_PLUS: (Side.ABOVE, 1),
+    EchelonClass.U_MINUS: (Side.ABOVE, -1),
+}
 
 
 def format_class_set(classes) -> str:
     """Fixed-order comma listing, 'none' when empty."""
-    names = [c.value for c in _CLASS_ORDER if c in classes]
-    if not names:
-        return "none"
-    return ", ".join(names)
+    return ", ".join(c.value for c in EchelonClass if c in classes) or "none"
 
 
 class RiordanMatrix:
@@ -156,18 +154,10 @@ def classify(m: RiordanMatrix) -> frozenset:
     on a side contributes nothing.
     """
     classes = set()
-    bo = _side_order(m.omega, Side.BELOW)
-    if bo is not None:
-        if bo >= 1:
-            classes.add(EchelonClass.L_PLUS)
-        elif bo <= -1:
-            classes.add(EchelonClass.L_MINUS)
-    ao = _side_order(m.omega, Side.ABOVE)
-    if ao is not None:
-        if ao >= 1:
-            classes.add(EchelonClass.U_PLUS)
-        elif ao <= -1:
-            classes.add(EchelonClass.U_MINUS)
+    for c, (side, sign) in _SHAPE.items():
+        order = _side_order(m.omega, side)
+        if order is not None and order * sign >= 1:
+            classes.add(c)
     return frozenset(classes)
 
 
@@ -196,13 +186,6 @@ _TABLE = {
     (EchelonClass.U_MINUS, EchelonClass.L_MINUS): EchelonClass.U_PLUS,
 }
 
-_SIDE_OF_CLASS = {
-    EchelonClass.L_PLUS: Side.BELOW,
-    EchelonClass.L_MINUS: Side.BELOW,
-    EchelonClass.U_PLUS: Side.ABOVE,
-    EchelonClass.U_MINUS: Side.ABOVE,
-}
-
 
 def product_cell(m: RiordanMatrix, n: RiordanMatrix):
     """First defined (class of m, class of n) cell in tie-break order, or None."""
@@ -224,11 +207,10 @@ def matmul(m: RiordanMatrix, n: RiordanMatrix) -> RiordanMatrix:
             f"{format_class_set(classify(m))} x {format_class_set(classify(n))}"
         )
     prec = m.precision if m.precision is not None else n.precision
-    side_m = _SIDE_OF_CLASS[cell[0]]
-    result_side = _SIDE_OF_CLASS[_TABLE[cell]]
+    side_m = _SHAPE[cell[0]][0]
     new_omega = compose(n.omega, m.omega, prec, side_m)
     new_alpha = mul(m.alpha, compose(n.alpha, m.omega, prec, side_m))
-    return RiordanMatrix(new_alpha, new_omega, result_side, prec)
+    return RiordanMatrix(new_alpha, new_omega, _SHAPE[_TABLE[cell]][0], prec)
 
 
 def inverse(m: RiordanMatrix) -> RiordanMatrix:

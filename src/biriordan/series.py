@@ -32,6 +32,7 @@ from .field import PrimeFieldElement
 
 DEFAULT_PRECISION = 16
 MAX_NESTING = 100  # parenthesis depth the recursive-descent parser accepts
+MAX_EXPONENT = 10_000  # largest |j| in a power of a base with several terms
 
 
 class Side(enum.Enum):
@@ -52,31 +53,26 @@ class LaurentSeries:
 
     __slots__ = ("side", "coeffs", "lo", "hi", "exact")
 
-    def __init__(self, side: Side, coeffs: dict, lo: int, hi: int, exact: bool):
+    def __init__(self, side: Side, coeffs: dict, lo: int, hi: int):
+        # exactness is the finite side; a slot, not a property, as the
+        # matrix code reads it in its inner loops
+        exact = side is Side.FINITE
         coeffs = {e: (Fraction(c) if isinstance(c, int) else c)
                   for e, c in coeffs.items() if c}
         if exact:
-            side = Side.FINITE
-            if coeffs:
-                lo, hi = min(coeffs), max(coeffs)
+            lo, hi = (min(coeffs), max(coeffs)) if coeffs else (0, -1)
+        elif coeffs:
+            if min(coeffs) < lo or max(coeffs) > hi:
+                raise ValueError("coefficient outside known window")
+            # tighten the window against known-zero leading coefficients
+            if side is Side.BELOW:
+                lo = min(coeffs)
             else:
-                lo, hi = 0, -1
+                hi = max(coeffs)
+        elif side is Side.BELOW:
+            lo = hi + 1
         else:
-            if side not in (Side.BELOW, Side.ABOVE):
-                raise ValueError("inexact series must be bounded below or above")
-            if coeffs:
-                if min(coeffs) < lo or max(coeffs) > hi:
-                    raise ValueError("coefficient outside known window")
-                # tighten the window against known-zero leading coefficients
-                if side is Side.BELOW:
-                    lo = min(coeffs)
-                else:
-                    hi = max(coeffs)
-            else:
-                if side is Side.BELOW:
-                    lo = hi + 1
-                else:
-                    hi = lo - 1
+            hi = lo - 1
         object.__setattr__(self, "side", side)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "lo", lo)
@@ -93,14 +89,16 @@ class LaurentSeries:
         """Exact Laurent polynomial from {exponent: coefficient} or pairs."""
         if not isinstance(terms, dict):
             terms = dict(terms)
-        return cls(Side.FINITE, dict(terms), 0, -1, True)
+        return cls(Side.FINITE, dict(terms), 0, -1)
 
     @classmethod
     def truncated(cls, terms, side: Side, lo: int, hi: int) -> "LaurentSeries":
         """Inexact series known exactly on [lo, hi]."""
         if not isinstance(terms, dict):
             terms = dict(terms)
-        return cls(side, dict(terms), lo, hi, False)
+        if side not in (Side.BELOW, Side.ABOVE):
+            raise ValueError("inexact series must be bounded below or above")
+        return cls(side, dict(terms), lo, hi)
 
     @classmethod
     def zero(cls) -> "LaurentSeries":
@@ -167,15 +165,13 @@ class LaurentSeries:
             return NotImplemented
         return (
             self.side is other.side
-            and self.exact == other.exact
             and self.lo == other.lo
             and self.hi == other.hi
             and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
-        return hash((self.side, self.exact, self.lo, self.hi,
-                     tuple(sorted(self.coeffs.items()))))
+        return hash((self.side, self.lo, self.hi, tuple(sorted(self.coeffs.items()))))
 
     # -- operators ----------------------------------------------------------
 
@@ -297,8 +293,8 @@ def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     return LaurentSeries.truncated(terms, Side.BELOW, a.lo + b.lo, hi)
 
 
-def _convolve(ca: dict, cb: dict, lo: int | None = None, hi: int | None = None) -> dict:
-    """Product of coefficient dicts, keeping exponents in [lo, hi] (None: unbounded).
+def _convolve(ca: dict, cb: dict, hi: int | None = None) -> dict:
+    """Product of coefficient dicts, keeping exponents <= hi (None: unbounded).
 
     Terms that cannot reach the window are dropped first.  Q and GF(p)
     coefficients on dense enough supports are multiplied as one packed
@@ -309,31 +305,24 @@ def _convolve(ca: dict, cb: dict, lo: int | None = None, hi: int | None = None) 
         a_min, b_min = min(ca), min(cb)
         ca = {e: c for e, c in ca.items() if e + b_min <= hi}
         cb = {e: c for e, c in cb.items() if e + a_min <= hi}
-    if lo is not None and ca and cb:
-        a_max, b_max = max(ca), max(cb)
-        ca = {e: c for e, c in ca.items() if e + b_max >= lo}
-        cb = {e: c for e, c in cb.items() if e + a_max >= lo}
-    if not (ca and cb):
-        return {}
+        if not (ca and cb):
+            return {}
     # a handful of term pairs, or a support mostly made of gaps, is cheaper
     # term by term
     if len(ca) * len(cb) > 8 and _dense_enough(ca) and _dense_enough(cb):
-        out = _convolve_packed(ca, cb, lo, hi)
+        out = _convolve_packed(ca, cb, hi)
         if out is not None:
             return out
-    return _convolve_terms(ca, cb, lo, hi)
+    return _convolve_terms(ca, cb, hi)
 
 
-def _convolve_terms(ca: dict, cb: dict, lo: int | None, hi: int | None) -> dict:
+def _convolve_terms(ca: dict, cb: dict, hi: int | None) -> dict:
     out: dict = {}
     for i, ci in ca.items():
         for j, cj in cb.items():
             k = i + j
-            if hi is not None and k > hi:
-                continue
-            if lo is not None and k < lo:
-                continue
-            out[k] = out.get(k, 0) + ci * cj
+            if hi is None or k <= hi:
+                out[k] = out.get(k, 0) + ci * cj
     return out
 
 
@@ -342,8 +331,7 @@ def _dense_enough(c: dict) -> bool:
     return max(c) - min(c) < 4 * len(c) + 64
 
 
-def _convolve_packed(ca: dict, cb: dict, lo: int | None,
-                     hi: int | None) -> dict | None:
+def _convolve_packed(ca: dict, cb: dict, hi: int | None) -> dict | None:
     """The product of two Q or GF(p) coefficient dicts in the dense working
     form, as one packed integer product (see dense.product); None unless the
     coefficients are all Fraction or all residues mod one prime."""
@@ -357,9 +345,7 @@ def _convolve_packed(ca: dict, cb: dict, lo: int | None,
     count = len(xa) + len(xb) - 1
     if hi is not None:
         count = min(count, hi - base + 1)
-    first = 0 if lo is None else max(0, lo - base)
-    xs = dense.product(xa, xb, count)[first:]
-    return dense.to_coeffs(xs, da * db, base + first, p)
+    return dense.to_coeffs(dense.product(xa, xb, count), da * db, base, p)
 
 
 # -- reciprocal and powers -----------------------------------------------------
@@ -698,6 +684,9 @@ class _Parser:
         if self.peek() == "^":
             self.pos += 1
             j = self.signed_int()
+            if abs(j) > MAX_EXPONENT and len(value.coeffs) > 1:
+                raise ParseError(
+                    f"exponent must be at most {MAX_EXPONENT} in absolute value", self.pos)
             value = power(value, j, self.side, self.precision)
         return value
 

@@ -49,6 +49,16 @@ def _sign(n: int) -> int:
     return -1 if n % 2 else 1
 
 
+def _entries(d: int, values, kind: str) -> tuple:
+    """The d + 2 entries of an f- or h-vector, integers made Fractions."""
+    if d < -1:
+        raise ValueError("dimension must be at least -1")
+    entries = tuple(Fraction(c) if isinstance(c, int) else c for c in values)
+    if len(entries) != d + 2:
+        raise ValueError(f"an {kind}-vector for d={d} needs {d + 2} entries")
+    return entries
+
+
 @dataclass(frozen=True)
 class FVector:
     """Face counts (f_{-1}, f_0, ..., f_d); entry 0 counts the empty face."""
@@ -57,13 +67,7 @@ class FVector:
     f: tuple
 
     def __post_init__(self):
-        if self.d < -1:
-            raise ValueError("dimension must be at least -1")
-        entries = tuple(Fraction(c) if isinstance(c, int) else c for c in self.f)
-        if len(entries) != self.d + 2:
-            raise ValueError(
-                f"an f-vector for d={self.d} needs {self.d + 2} entries"
-            )
+        entries = _entries(self.d, self.f, "f")
         object.__setattr__(self, "f", entries)
         if entries and entries[0] != 1:
             warnings.warn("leading entry f_{-1} is expected to be 1 (the empty face)")
@@ -83,31 +87,18 @@ class HVector:
     h: tuple
 
     def __post_init__(self):
-        if self.d < -1:
-            raise ValueError("dimension must be at least -1")
-        entries = tuple(Fraction(c) if isinstance(c, int) else c for c in self.h)
-        if len(entries) != self.d + 2:
-            raise ValueError(
-                f"an h-vector for d={self.d} needs {self.d + 2} entries"
-            )
-        object.__setattr__(self, "h", entries)
+        object.__setattr__(self, "h", _entries(self.d, self.h, "h"))
 
     def series(self) -> LaurentSeries:
         return LaurentSeries.from_terms({t: c for t, c in enumerate(self.h)})
 
 
-def _fh_matrix(d: int, precision: int) -> RiordanMatrix:
-    """R((1-x)^{d+1}, x/(1-x)): sends the embedded f-polynomial to h."""
-    one_minus = parse("1-x")
-    omega = mul(parse("x"), recip(one_minus, Side.BELOW, precision))
-    return riordan(power(one_minus, d + 1), omega, precision=precision)
-
-
-def _hf_matrix(d: int, precision: int) -> RiordanMatrix:
-    """R((1+x)^{d+1}, x/(1+x)): the inverse transform."""
-    one_plus = parse("1+x")
-    omega = mul(parse("x"), recip(one_plus, Side.BELOW, precision))
-    return riordan(power(one_plus, d + 1), omega, precision=precision)
+def _transform(text: str, d: int, precision: int) -> RiordanMatrix:
+    """R(b^{d+1}, x/b) for b = parse(text): with b = 1-x it sends the embedded
+    f-polynomial to h, with b = 1+x it is the inverse transform."""
+    b = parse(text)
+    omega = mul(parse("x"), recip(b, Side.BELOW, precision))
+    return riordan(power(b, d + 1), omega, precision=precision)
 
 
 def _reversal_matrix(d: int) -> RiordanMatrix:
@@ -120,15 +111,13 @@ def _final_matrix(d: int) -> RiordanMatrix:
     return riordan(monomial(_sign(d + 1)), neg(parse("1+x")))
 
 
-def f_to_h(fv: FVector, precision: int | None = None) -> HVector:
-    p = precision if precision is not None else fv.d + 4
-    psi = apply(_fh_matrix(fv.d, p), fv.series())
+def f_to_h(fv: FVector) -> HVector:
+    psi = apply(_transform("1-x", fv.d, fv.d + 4), fv.series())
     return HVector(fv.d, tuple(psi[t] for t in range(fv.d + 2)))
 
 
-def h_to_f(hv: HVector, precision: int | None = None) -> FVector:
-    p = precision if precision is not None else hv.d + 4
-    psi = apply(_hf_matrix(hv.d, p), hv.series())
+def h_to_f(hv: HVector) -> FVector:
+    psi = apply(_transform("1+x", hv.d, hv.d + 4), hv.series())
     return FVector(hv.d, tuple(psi[t] for t in range(hv.d + 2)))
 
 
@@ -203,6 +192,21 @@ def _require(ok: bool, step: str, message: str):
         raise CheckFailedError(f"{step}: {message}")
 
 
+def _require_entries(w, indices: range, want, step: str):
+    """Every entry (i, j) of window w over indices x indices equals want(i, j)."""
+    for i in indices:
+        for j in indices:
+            _require(w.entry(i, j) == want(i, j), step,
+                     f"entry ({i}, {j}) is {w.entry(i, j)}, expected {want(i, j)}")
+
+
+def _require_oracle(m: RiordanMatrix, n: RiordanMatrix, block: tuple, w, step: str):
+    """The guarded window oracle reproduces w, the block of the product m n."""
+    guard = product_guard(m, n, block, block)
+    oracle = oracle_matmul(extract(m, block, guard), extract(n, guard, block), guard)
+    _require(oracle == w, step, "window oracle disagrees with the implicit product")
+
+
 def verify_theorem_chain(d: int, precision: int | None = None) -> ProofTrace:
     """Replay the matrix argument connecting h-palindromicity to the
     residual identities, checking every intermediate object.
@@ -220,17 +224,14 @@ def verify_theorem_chain(d: int, precision: int | None = None) -> ProofTrace:
     steps = []
 
     m_pal = _reversal_matrix(d)
-    m_fh = _fh_matrix(d, p)
-    m_hf = _hf_matrix(d, p)
+    m_fh = _transform("1-x", d, p)
+    m_hf = _transform("1+x", d, p)
     block = (0, 9)
 
     # 1. the reversal matrix is the anti-diagonal on indices 0..d+1
     w_pal = extract(m_pal, (0, d + 1), (0, d + 1))
-    for i in range(0, d + 2):
-        for j in range(0, d + 2):
-            want = 1 if i + j == d + 1 else 0
-            _require(w_pal.entry(i, j) == want, "reversal window",
-                     f"entry ({i}, {j}) is {w_pal.entry(i, j)}, expected {want}")
+    _require_entries(w_pal, range(0, d + 2),
+                     lambda i, j: 1 if i + j == d + 1 else 0, "reversal window")
     steps.append(ProofStep(
         "reversal window",
         "R(x^{d+1}, 1/x) restricted to 0..d+1 is the anti-diagonal:\n"
@@ -249,11 +250,7 @@ def verify_theorem_chain(d: int, precision: int | None = None) -> ProofTrace:
     w_prod = extract(prod, block, block)
     _require(w_prod == extract(direct, block, block), "collapsed product",
              "window differs from the direct construction")
-    guard = product_guard(m_pal, m_fh, block, block)
-    w_oracle = oracle_matmul(extract(m_pal, block, guard),
-                             extract(m_fh, guard, block), guard)
-    _require(w_oracle == w_prod, "collapsed product",
-             "window oracle disagrees with the implicit product")
+    _require_oracle(m_pal, m_fh, block, w_prod, "collapsed product")
     steps.append(ProofStep(
         "collapsed product",
         "R(x^{d+1}, 1/x) R((1-x)^{d+1}, x/(1-x)) = R((x-1)^{d+1}, 1/(x-1)), "
@@ -269,11 +266,7 @@ def verify_theorem_chain(d: int, precision: int | None = None) -> ProofTrace:
     w_ident = extract(prod2, block, block)
     _require(w_ident == extract(identity(), block, block),
              "inverse transform", "product window is not the identity block")
-    guard2 = product_guard(m_hf, m_fh, block, block)
-    w_oracle2 = oracle_matmul(extract(m_hf, block, guard2),
-                              extract(m_fh, guard2, block), guard2)
-    _require(w_oracle2 == w_ident, "inverse transform",
-             "window oracle disagrees with the implicit product")
+    _require_oracle(m_hf, m_fh, block, w_ident, "inverse transform")
     steps.append(ProofStep(
         "inverse transform",
         "R((1+x)^{d+1}, x/(1+x)) R((1-x)^{d+1}, x/(1-x)) = I on the window.",
@@ -291,13 +284,9 @@ def verify_theorem_chain(d: int, precision: int | None = None) -> ProofTrace:
     _require(eq_to_precision(mul(final.omega, shifted), LaurentSeries.one()),
              "final matrix",
              "-(1+x) is not the reciprocal image of x/(1+x) - 1")
-    w_final = extract(final, block, block)
-    for i in range(block[0], block[1] + 1):
-        for j in range(block[0], block[1] + 1):
-            want = _sign(d + 1) * _sign(j) * binomial(j, i)
-            _require(w_final.entry(i, j) == want, "final matrix",
-                     f"entry ({i}, {j}) is {w_final.entry(i, j)}, "
-                     f"expected {want}")
+    _require_entries(extract(final, block, block), range(block[0], block[1] + 1),
+                     lambda i, j: _sign(d + 1) * _sign(j) * binomial(j, i),
+                     "final matrix")
     steps.append(ProofStep(
         "final matrix",
         "R((-1)^{d+1}, -(1+x)) carries the signed binomials "

@@ -280,6 +280,59 @@ def test_huge_precision_and_exponent_fail_fast():
         assert done.stdout == "" and "at most 10000" in done.stderr
 
 
+def test_expression_budgets_fail_fast():
+    src = os.path.dirname(os.path.dirname(biriordan.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for expr, message in (
+            ("(1+x)^30000", "at most 10000"),
+            ("1/(1-x)^100000000", "at most 10000"),
+            ("(1/(1-x))^-10001", "at most 10000"),
+            ("+".join(f"{k}x^{k}" for k in range(8000)), "longer than 4096"),
+            ("*".join(["(1+x)"] * 1600), "longer than 4096"),
+            ("(" * 2000 + "x" + ")" * 2000, "nested deeper than 100")):
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-m", "biriordan", "series", "eval",
+                               "--expr", expr],
+                              capture_output=True, text=True, timeout=20,
+                              preexec_fn=_limit_memory, env=env)
+        assert time.perf_counter() - start < 1.0
+        assert done.returncode == 2
+        assert done.stdout == "" and message in done.stderr
+
+
+def test_expression_budgets_leave_small_inputs_alone(capsys):
+    # a monomial base takes any exponent, and 4096 characters still parse
+    code, out, _ = run(capsys, "series", "eval", "--expr", "(-x)^30001")
+    assert (code, out) == (0, "-x^30001\nside: finite\n")
+    expr = "+".join(["x"] * 2047) + "+10"
+    assert len(expr) == 4096
+    code, out, _ = run(capsys, "series", "eval", "--expr", expr)
+    assert (code, out) == (0, "10 + 2047x\nside: finite\n")
+    code, _, err = run(capsys, "matrix", "apply", "--omega", "x", "--chi", expr + "0")
+    assert code == 2 and "--chi: expression longer than 4096 characters" in err
+
+
+def test_ds_f_vector_budget(capsys):
+    src = os.path.dirname(os.path.dirname(biriordan.__file__))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "biriordan", "ds", "--f",
+                           ",".join(["1"] * 20000)],
+                          capture_output=True, text=True, timeout=20,
+                          preexec_fn=_limit_memory, env=dict(os.environ, PYTHONPATH=src))
+    assert time.perf_counter() - start < 1.0
+    assert done.returncode == 2
+    assert done.stdout == "" and "at most 64 entries" in done.stderr
+    code, out, _ = run(capsys, "ds", "--f", ",".join(["1"] * 64))
+    assert code == 3 and out.startswith("d: 62\n")
+
+
+def test_ds_f_starting_with_minus_needs_no_equals_sign(capsys):
+    spaced = run(capsys, "ds", "--f", "-1,2")
+    joined = run(capsys, "ds", "--f=-1,2")
+    assert spaced == joined
+    assert spaced[0] == 3 and "h: -1, 3\n" in spaced[1]
+
+
 def test_largest_allowed_sizes_are_accepted(capsys):
     code, out, _ = run(capsys, "series", "pow", "--a", "x", "--n", "-10000")
     assert (code, out) == (0, "x^-10000\nside: finite\n")

@@ -76,6 +76,19 @@ def test_truncated_empty_support_keeps_window_empty():
     assert a.known(3) and not a.known(5)
 
 
+def test_exactness_is_the_finite_side():
+    with pytest.raises(ValueError, match="bounded below or above"):
+        LaurentSeries.truncated({0: 1}, Side.FINITE, 0, 3)
+    with pytest.raises(ValueError, match="bounded below or above"):
+        LaurentSeries.from_json_dict(
+            {"side": "finite", "exact": False, "lo": 0, "hi": 3, "terms": [[0, "1"]]})
+    for a in (LaurentSeries.from_terms({-1: 2, 3: 1}), LaurentSeries.zero(),
+              LaurentSeries.truncated({3: 1}, Side.BELOW, 1, 6),
+              LaurentSeries.truncated({}, Side.ABOVE, -4, 0)):
+        assert a.exact == (a.side is Side.FINITE)
+        assert LaurentSeries.from_json_dict(a.to_json_dict()) == a
+
+
 def test_zero_and_one():
     assert LaurentSeries.zero().is_zero()
     assert not LaurentSeries.one().is_zero()
@@ -235,13 +248,13 @@ def test_packed_kernel_matches_term_loop():
         cb = _kernel_operand(rng, kind, b0, b0 + rng.randint(0, 30))
         if not (ca and cb):
             continue
-        lo = rng.choice([None, rng.randint(-24, 30)])
+        rng.choice([None, rng.randint(-24, 30)])  # the former lo, kept for the draws
         hi = rng.choice([None, rng.randint(-24, 60)])
-        want = {e: c for e, c in _convolve_terms(ca, cb, lo, hi).items() if c}
-        got = _convolve_packed(ca, cb, lo, hi)
+        want = {e: c for e, c in _convolve_terms(ca, cb, hi).items() if c}
+        got = _convolve_packed(ca, cb, hi)
         assert got == want
         assert all(type(c) is type(next(iter(ca.values()))) for c in got.values())
-        assert {e: c for e, c in _convolve(ca, cb, lo, hi).items() if c} == want
+        assert {e: c for e, c in _convolve(ca, cb, hi).items() if c} == want
         checked += 1
     assert checked > 250
 
@@ -250,7 +263,7 @@ def test_packed_kernel_cancellation_and_canonical_fractions():
     # (1 - x)(1 + x + ... + x^9) = 1 - x^10: the middle terms cancel exactly
     a = {0: Fraction(10**30, 7), 1: Fraction(-10**30, 7)}
     b = {e: Fraction(7, 10**30) for e in range(10)}
-    got = _convolve_packed(a, b, None, None)
+    got = _convolve_packed(a, b, None)
     assert got == {0: Fraction(1), 10: Fraction(-1)}
     assert all(c.denominator == 1 for c in got.values())
     assert mul(LaurentSeries.from_terms(a), LaurentSeries.from_terms(b)) == \
