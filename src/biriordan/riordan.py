@@ -61,9 +61,10 @@ def format_class_set(classes) -> str:
 class RiordanMatrix:
     """Matrix pair (alpha, omega); immutable.
 
-    `side` is the expansion convention used when a column needs a one-sided
+    `side` is the side the columns expand on when they need a one-sided
     series (negative powers of a finite-support omega); it is inferred from
-    any inexact component and defaults to bounded-below for finite pairs.
+    any inexact component, and a finite pair is bounded below unless a side
+    is given.
     """
 
     __slots__ = ("alpha", "omega", "side", "precision")
@@ -84,6 +85,8 @@ class RiordanMatrix:
             raise SideMismatchError(
                 f"{inferred.value} components cannot form a {side.value} matrix"
             )
+        if side is Side.FINITE:
+            side = Side.BELOW
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "side", side)
@@ -92,13 +95,9 @@ class RiordanMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("RiordanMatrix is immutable")
 
-    @property
-    def work_side(self) -> Side:
-        return Side.BELOW if self.side is Side.FINITE else self.side
-
     def column(self, j: int) -> LaurentSeries:
         """The series alpha * omega^j whose coefficients fill column j."""
-        return mul(self.alpha, power(self.omega, j, self.work_side, self.precision))
+        return mul(self.alpha, power(self.omega, j, self.side, self.precision))
 
     def entry(self, i: int, j: int):
         return self.column(j)[i]
@@ -168,7 +167,7 @@ def apply(m: RiordanMatrix, chi: LaurentSeries) -> LaurentSeries:
     sum_j entry(i, j) * chi_j for every row i, which the composition rules
     evaluate without touching individual entries.
     """
-    return mul(m.alpha, compose(chi, m.omega, m.precision, m.work_side))
+    return mul(m.alpha, compose(chi, m.omega, m.precision, m.side))
 
 
 # Defined class products and their results; the remaining eight pairs have no
@@ -219,8 +218,7 @@ def inverse(m: RiordanMatrix) -> RiordanMatrix:
     if m.alpha.is_zero():
         raise NotInvertibleError("alpha is zero, so every row is annihilated")
     winv = compositional_inverse(m.omega, m.precision)
-    composed = compose(m.alpha, winv, m.precision,
-                       winv.side if winv.side is not Side.FINITE else m.work_side)
+    composed = compose(m.alpha, winv, m.precision, m.side)
     new_alpha = recip(composed, None, m.precision)
     return RiordanMatrix(new_alpha, winv, precision=m.precision)
 

@@ -87,15 +87,11 @@ class LaurentSeries:
     @classmethod
     def from_terms(cls, terms) -> "LaurentSeries":
         """Exact Laurent polynomial from {exponent: coefficient} or pairs."""
-        if not isinstance(terms, dict):
-            terms = dict(terms)
         return cls(Side.FINITE, dict(terms), 0, -1)
 
     @classmethod
     def truncated(cls, terms, side: Side, lo: int, hi: int) -> "LaurentSeries":
         """Inexact series known exactly on [lo, hi]."""
-        if not isinstance(terms, dict):
-            terms = dict(terms)
         if side not in (Side.BELOW, Side.ABOVE):
             raise ValueError("inexact series must be bounded below or above")
         return cls(side, dict(terms), lo, hi)
@@ -377,9 +373,7 @@ def recip(a: LaurentSeries, side: Side | None = None,
             recip(substitute_reciprocal(a), Side.BELOW, precision)
         )
     m = a.order(Side.BELOW)
-    count = a.count_from_order()
-    if count is None:
-        count = precision if precision is not None else DEFAULT_PRECISION
+    count = _known_count(a, precision)
     p = dense.require_field(
         [a.coeffs[e] for e in sorted(a.coeffs) if e < m + count])
     xs, den = dense.recip(dense.from_coeffs(a.coeffs, m, count, p), count, p)
@@ -387,9 +381,25 @@ def recip(a: LaurentSeries, side: Side | None = None,
                                    -m, -m + count - 1)
 
 
+def _known_count(a: LaurentSeries, precision: int | None) -> int:
+    """Coefficients known from the order: the window of an inexact series,
+    `precision` (default DEFAULT_PRECISION) for an exact one."""
+    count = a.count_from_order()
+    if count is None:
+        count = DEFAULT_PRECISION if precision is None else precision
+        if count < 1:
+            raise ValueError("precision must be at least 1")
+    return count
+
+
 def power(a: LaurentSeries, j: int, side: Side | None = None,
           precision: int | None = None) -> LaurentSeries:
-    """a ** j for integer j; negative j goes through recip on the given side."""
+    """a ** j for integer j; negative j goes through recip on the given side.
+
+    |j| above MAX_EXPONENT is refused on a base of several terms, wherever the
+    power arises (an expression, a composition, a matrix column)."""
+    if abs(j) > MAX_EXPONENT and len(a.coeffs) > 1:
+        raise ValueError(f"exponent must be at most {MAX_EXPONENT} in absolute value")
     if j == 0:
         return _one_like(a)
     base = a if j > 0 else recip(a, side, precision)
@@ -543,10 +553,7 @@ def _reversion(omega: LaurentSeries, precision: int | None) -> LaurentSeries:
     # omega viewable below with order exactly 1
     if omega.exact and len(omega.coeffs) == 1:
         return monomial(1 / omega.coeffs[1], 1)
-    if omega.exact:
-        cap = precision if precision is not None else DEFAULT_PRECISION
-    else:
-        cap = omega.hi
+    cap = _known_count(omega, precision)  # omega's order is 1
     p = dense.require_field(
         [omega.coeffs[e] for e in sorted(omega.coeffs) if e <= cap])
     # Lagrange inversion in the form that never divides by n (so it also
@@ -683,11 +690,7 @@ class _Parser:
         value = self.atom()
         if self.peek() == "^":
             self.pos += 1
-            j = self.signed_int()
-            if abs(j) > MAX_EXPONENT and len(value.coeffs) > 1:
-                raise ParseError(
-                    f"exponent must be at most {MAX_EXPONENT} in absolute value", self.pos)
-            value = power(value, j, self.side, self.precision)
+            value = power(value, self.signed_int(), self.side, self.precision)
         return value
 
     def signed_int(self) -> int:
@@ -755,8 +758,6 @@ def parse(text: str, side: Side = Side.BELOW,
           precision: int = DEFAULT_PRECISION) -> LaurentSeries:
     """Parse an expression into a series; the result is exact unless division
     or a negative power of a non-monomial forced an expansion on `side`."""
-    if precision < 1:
-        raise ParseError("precision must be at least 1")
     if side is Side.FINITE:
         side = Side.BELOW
     return _Parser(text, side, precision).parse()

@@ -219,7 +219,7 @@ def verify_theorem_chain(d: int, precision: int | None = None) -> ProofTrace:
     Raises CheckFailedError with a diagnostic on any mismatch.
     """
     if not 0 <= d <= 8:
-        raise ValueError("d must be between 0 and 8")
+        raise ValueError("the proof chain needs 0 <= d <= 8")
     p = precision if precision is not None else _CHAIN_PRECISION
     steps = []
 

@@ -120,10 +120,10 @@ def _left_bounds(m: RiordanMatrix, i: int):
     two_sided = (m.alpha.exact and m.omega.exact
                  and len(m.omega.coeffs) == 1)
     dead = False
-    if m.work_side is Side.BELOW or two_sided:
+    if m.side is Side.BELOW or two_sided:
         w = _side_order(m.omega, Side.BELOW)
         dead = _row_bounds(i, m.alpha.lo, w, lowers, uppers)
-    if m.work_side is Side.ABOVE or two_sided:
+    if m.side is Side.ABOVE or two_sided:
         # the bounded-below rule applied to the J-image of row i
         w = _side_order(m.omega, Side.ABOVE)
         dead = _row_bounds(-i, -m.alpha.hi, -w, lowers, uppers) or dead
@@ -149,9 +149,9 @@ def _right_bounds(n: RiordanMatrix, j: int):
         return lowers, uppers, True
     per_column = (n.alpha.exact and n.omega.exact
                   and (j >= 0 or len(n.omega.coeffs) == 1))
-    if n.work_side is Side.BELOW or per_column:
+    if n.side is Side.BELOW or per_column:
         lowers.append(n.alpha.lo + j * _side_order(n.omega, Side.BELOW))
-    if n.work_side is Side.ABOVE or per_column:
+    if n.side is Side.ABOVE or per_column:
         uppers.append(n.alpha.hi + j * _side_order(n.omega, Side.ABOVE))
     return lowers, uppers, False
 

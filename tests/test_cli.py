@@ -460,3 +460,60 @@ def test_determinism(capsys):
     first = run(capsys, "ds", "--f", "1,6,12,8", "--json", "--trace")
     second = run(capsys, "ds", "--f", "1,6,12,8", "--json", "--trace")
     assert first == second
+
+
+def test_every_power_route_obeys_the_exponent_budget():
+    # a composition, a matrix image, a matrix column and a matrix product all
+    # reach omega^j through the one budgeted power
+    src = os.path.dirname(os.path.dirname(biriordan.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in (("series", "compose", "--chi", "1+x^100000000", "--omega", "1+x"),
+                 ("matrix", "apply", "--chi", "x^100000000", "--omega", "1+x"),
+                 ("matrix", "window", "--omega", "1+x", "--rows", "0..1",
+                  "--cols", "99999999..100000000"),
+                 ("matrix", "mul", "--omega", "x+x^2", "--chi", "x^20000")):
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-m", "biriordan", *argv],
+                              capture_output=True, text=True, timeout=20,
+                              preexec_fn=_limit_memory, env=env)
+        assert time.perf_counter() - start < 1.0, argv
+        assert done.returncode == 2, argv
+        assert done.stdout == "" and "at most 10000" in done.stderr, argv
+
+
+def test_pow_of_a_monomial_takes_any_exponent(capsys):
+    code, out, _ = run(capsys, "series", "pow", "--a", "x", "--n", "100000000")
+    assert (code, out) == (0, "x^100000000\nside: finite\n")
+
+
+def test_matrix_side_sets_the_column_expansion(capsys):
+    args = ("--chi", "x^-1", "--omega", "1+x", "--side", "above", "--prec", "5")
+    _, applied, _ = run(capsys, "matrix", "apply", *args)
+    _, composed, _ = run(capsys, "series", "compose", *args)
+    assert applied.splitlines()[0] == composed.splitlines()[0]
+    assert composed.splitlines()[0] == "x^-1 - x^-2 + x^-3 - x^-4 + O(x^-5)"
+    code, out, _ = run(capsys, "matrix", "window", "--omega", "1+x",
+                       "--rows", "-3..1", "--cols", "-2..0", "--side", "above")
+    assert code == 0
+    # columns -2 and -1 hold (1+x)^-2 and (1+x)^-1 expanded in powers of 1/x
+    assert out == (" -2   1  0\n"
+                   "  1  -1  0\n"
+                   "  0   1  0\n"
+                   "  0   0 [1]\n"
+                   "  0   0  0\n")
+
+
+def test_matrix_options_nothing_reads_are_gone(capsys):
+    for argv in (("matrix", "classify", "--omega", "x", "--rows", "0..1"),
+                 ("matrix", "classify", "--omega", "x", "--cols", "0..1"),
+                 ("matrix", "classify", "--omega", "x", "--format", "json"),
+                 ("matrix", "apply", "--omega", "x", "--chi", "x", "--rows", "0..1"),
+                 ("matrix", "apply", "--omega", "x", "--chi", "x", "--cols", "0..1")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "unrecognized arguments" in err, argv
+    for argv in (("matrix", "mul", "--omega", "x", "--chi", "x", "--rows", "0..1"),
+                 ("matrix", "inv", "--omega", "x", "--cols", "0..1")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "--rows and --cols go together" in err, argv

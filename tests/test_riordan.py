@@ -326,3 +326,26 @@ def test_j_conjugate_matches_explicit_products():
 def test_j_conjugate_rejects_unknown_side():
     with pytest.raises(ValueError):
         j_conjugate(identity(), "up")
+
+
+def test_a_matrix_stores_the_side_its_columns_expand_on():
+    one, omega = LaurentSeries.one(), parse("1+x")
+    assert riordan(one, omega).side is Side.BELOW
+    assert riordan(one, omega, Side.FINITE) == riordan(one, omega, Side.BELOW)
+    above = riordan(one, omega, Side.ABOVE)
+    assert above.side is Side.ABOVE
+    assert above.column(-1) == recip(omega, Side.ABOVE, 16)
+    assert apply(above, LaurentSeries.from_terms({-1: 1})) == compose(
+        LaurentSeries.from_terms({-1: 1}), omega, 16, Side.ABOVE)
+    assert riordan(one, parse("1/(1-x)", Side.ABOVE, 4)).side is Side.ABOVE
+
+
+def test_matrix_columns_obey_the_exponent_budget_and_precision():
+    one = LaurentSeries.one()
+    with pytest.raises(ValueError, match="at most 10000"):
+        riordan(one, parse("1+x")).column(10**8)
+    assert riordan(one, parse("-x")).column(10**8) == LaurentSeries.from_terms(
+        {10**8: 1})
+    for precision in (0, -3):
+        with pytest.raises(ValueError, match="precision must be at least 1"):
+            riordan(one, parse("1+x"), precision=precision).column(-1)

@@ -684,3 +684,27 @@ def test_compositional_inverse_above_is_flip_of_below():
                                          count=rng.randint(2, 6))
             got = compositional_inverse(omega, 6)
             assert got == recip(compositional_inverse(J(omega), 6), None, 6)
+
+
+def test_power_owns_the_exponent_budget():
+    with pytest.raises(ValueError, match="at most 10000"):
+        power(parse("1+x"), 10001)
+    with pytest.raises(ValueError, match="at most 10000"):
+        power(parse("1+x"), -10001)
+    # inexact bases of several known terms obey the same rule, on every route
+    with pytest.raises(ValueError, match="at most 10000"):
+        compose(monomial(1, 30000), parse("x/(1-x)"))
+    assert power(parse("1+x"), 3) == parse("1+3x+3x^2+x^3")
+    assert power(parse("-x"), 30001) == monomial(-1, 30001)
+
+
+def test_precision_below_one_is_a_value_error():
+    for precision in (0, -3):
+        for call in (lambda: recip(parse("1+x"), precision=precision),
+                     lambda: power(parse("1+x"), -2, precision=precision),
+                     lambda: compositional_inverse(parse("x+x^2"), precision),
+                     lambda: compose(monomial(1, -1), parse("1+x"), precision)):
+            with pytest.raises(ValueError, match="precision must be at least 1"):
+                call()
+        with pytest.raises(ValueError, match="precision must be at least 1"):
+            parse("1/(1-x)", precision=precision)
