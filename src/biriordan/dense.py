@@ -124,6 +124,35 @@ def _bias(half: int, width: int, count: int) -> int:
     return int.from_bytes(half.to_bytes(width, "little") * count, "little")
 
 
+def power(u: tuple, k: int, count: int) -> tuple:
+    """u^k to count coefficients over Q (u[0] != 0, k != 0) by J.C.P.
+    Miller's recurrence n u_0 b_n = sum over i >= 1 of ((k+1) i - n) u_i
+    b_(n-i): one step per term of u for each output coefficient, and no
+    product of long series.  It divides by n, so it does not hold over GF(p).
+
+    With u = (xs, den) the start value keeps every b_n an integer: b_0 =
+    xs_0^k over den^k for k > 0, where b is the integer polynomial xs^k; for
+    k < 0, [x^n] xs^k has a denominator dividing xs_0^(n-k), so b_0 =
+    xs_0^(count-1) den^-k over xs_0^(count-1-k)."""
+    xs, den = u
+    x0 = xs[0]
+    steps = [(i, (k + 1) * i * x, x) for i, x in enumerate(xs[:count]) if i and x]
+    if k > 0:
+        b, out = [x0 ** k], den ** k
+    else:
+        b, out = [x0 ** (count - 1) * den ** -k], x0 ** (count - 1 - k)
+    for n in range(1, count):
+        s = 0
+        for i, a, x in steps:
+            if i > n:
+                break
+            s += (a - n * x) * b[n - i]
+        b.append(s // (n * x0))  # exact: the sum is n x0 b_n
+    if out < 0:
+        return [-x for x in b], -out
+    return b, out
+
+
 def recip(u: tuple, n: int, p: int) -> tuple:
     """1/u to n coefficients (u[0] != 0) by Newton iteration: when v is right
     to k coefficients, u*v = 1 + x^k*e and v - x^k*(v*e) is right to 2k."""

@@ -25,7 +25,7 @@ from .series import (
     compose,
     compositional_inverse,
     mul,
-    power,
+    powers,
     recip,
     substitute_reciprocal,
 )
@@ -97,7 +97,14 @@ class RiordanMatrix:
 
     def column(self, j: int) -> LaurentSeries:
         """The series alpha * omega^j whose coefficients fill column j."""
-        return mul(self.alpha, power(self.omega, j, self.side, self.precision))
+        return self.columns([j])[j]
+
+    def columns(self, js) -> dict:
+        """{j: column(j)} for the exponents js, from one walk over the powers
+        of omega (series.powers), so omega^(j+1) is omega^j times omega; the
+        first column to raise, in ascending j, raises."""
+        return {j: mul(self.alpha, pw)
+                for j, pw in powers(self.omega, js, self.side, self.precision)}
 
     def entry(self, i: int, j: int):
         return self.column(j)[i]
@@ -186,10 +193,18 @@ _TABLE = {
 }
 
 
+def _factor_classes(m: RiordanMatrix) -> frozenset:
+    # the columns of an inexact alpha exist on its own side only, so a
+    # product can use the matrix only in the classes of that side
+    if m.alpha.exact:
+        return classify(m)
+    return frozenset(c for c in classify(m) if _SHAPE[c][0] is m.alpha.side)
+
+
 def product_cell(m: RiordanMatrix, n: RiordanMatrix):
     """First defined (class of m, class of n) cell in tie-break order, or None."""
-    cm = classify(m)
-    cn = classify(n)
+    cm = _factor_classes(m)
+    cn = _factor_classes(n)
     for cell in _TABLE:
         if cell[0] in cm and cell[1] in cn:
             return cell
@@ -203,7 +218,8 @@ def matmul(m: RiordanMatrix, n: RiordanMatrix) -> RiordanMatrix:
     if cell is None:
         raise UndefinedProductError(
             "product not defined for echelon classes "
-            f"{format_class_set(classify(m))} x {format_class_set(classify(n))}"
+            f"{format_class_set(_factor_classes(m))} x "
+            f"{format_class_set(_factor_classes(n))}"
         )
     prec = m.precision if m.precision is not None else n.precision
     side_m = _SHAPE[cell[0]][0]
@@ -219,7 +235,10 @@ def inverse(m: RiordanMatrix) -> RiordanMatrix:
         raise NotInvertibleError("alpha is zero, so every row is annihilated")
     winv = compositional_inverse(m.omega, m.precision)
     composed = compose(m.alpha, winv, m.precision, m.side)
-    new_alpha = recip(composed, None, m.precision)
+    # an exact alpha o winv expands on the matrix's side, or on the other
+    # side when omega has order -1 there (substituting winv flips the side)
+    side = m.side if _side_order(m.omega, m.side) == 1 else m.side.flipped()
+    new_alpha = recip(composed, side if composed.exact else None, m.precision)
     return RiordanMatrix(new_alpha, winv, precision=m.precision)
 
 
@@ -232,10 +251,13 @@ def j_conjugate(m: RiordanMatrix, side: str = "both") -> RiordanMatrix:
     """
     if side not in ("left", "right", "both"):
         raise ValueError("side must be 'left', 'right' or 'both'")
-    alpha, omega = m.alpha, m.omega
+    alpha, omega, work = m.alpha, m.omega, m.side
     if side in ("left", "both"):
         alpha = substitute_reciprocal(alpha)
         omega = substitute_reciprocal(omega)
+        work = work.flipped()
     if side in ("right", "both"):
-        omega = recip(omega, None, m.precision)
+        # column j becomes column -j, whose power of an exact omega expands
+        # on the side the columns work on
+        omega = recip(omega, work if omega.exact else None, m.precision)
     return RiordanMatrix(alpha, omega, precision=m.precision)

@@ -392,16 +392,31 @@ def _known_count(a: LaurentSeries, precision: int | None) -> int:
     return count
 
 
-def power(a: LaurentSeries, j: int, side: Side | None = None,
-          precision: int | None = None) -> LaurentSeries:
-    """a ** j for integer j; negative j goes through recip on the given side.
-
-    |j| above MAX_EXPONENT is refused on a base of several terms, wherever the
-    power arises (an expression, a composition, a matrix column)."""
+def _check_exponent(a: LaurentSeries, j: int) -> None:
+    # the one exponent budget, on every route to a power
     if abs(j) > MAX_EXPONENT and len(a.coeffs) > 1:
         raise ValueError(f"exponent must be at most {MAX_EXPONENT} in absolute value")
+
+
+def power(a: LaurentSeries, j: int, side: Side | None = None,
+          precision: int | None = None) -> LaurentSeries:
+    """a ** j for integer j; negative j is expanded on the given side.
+
+    |j| above MAX_EXPONENT is refused on a base of several terms, wherever the
+    power arises (an expression, a composition, a matrix column).  An exact
+    base over Q of several terms is raised by Miller's recurrence
+    (dense.power) where that beats repeated squaring: for every j < 0, and
+    for j >= 2 from half its term count on when its support is dense (the
+    recurrence walks every exponent of the result).  Any other base is
+    squared repeatedly, after recip for j < 0."""
+    _check_exponent(a, j)
     if j == 0:
         return _one_like(a)
+    terms = len(a.coeffs)
+    if (a.exact and terms > 1
+            and (j < 0 or j > 1 and 2 * j >= terms and _dense_enough(a.coeffs))
+            and dense.field_of(list(a.coeffs.values())) == 0):
+        return _miller_power(a, j, side, precision)
     base = a if j > 0 else recip(a, side, precision)
     n = abs(j)
     result = None
@@ -413,6 +428,55 @@ def power(a: LaurentSeries, j: int, side: Side | None = None,
         if n:
             sq = mul(sq, sq)
     return result
+
+
+def _miller_power(a: LaurentSeries, j: int, side: Side | None,
+                  precision: int | None) -> LaurentSeries:
+    # a exact over Q with several terms: the exact polynomial a^j for j > 0,
+    # else the expansion that recip and repeated squaring give, on the same
+    # window
+    if j < 0 and side is Side.ABOVE:
+        return substitute_reciprocal(
+            _miller_power(substitute_reciprocal(a), j, Side.BELOW, precision))
+    m = min(a.coeffs)
+    span = max(a.coeffs) - m + 1
+    count = j * (span - 1) + 1 if j > 0 else _known_count(a, precision)
+    xs, den = dense.power(dense.from_coeffs(a.coeffs, m, min(span, count), 0), j, count)
+    terms = dense.to_coeffs(xs, den, j * m, 0)
+    if j > 0:
+        return LaurentSeries.from_terms(terms)
+    return LaurentSeries.truncated(terms, Side.BELOW, j * m, j * m + count - 1)
+
+
+def powers(a: LaurentSeries, exponents, side: Side | None = None,
+           precision: int | None = None):
+    """Yield (j, a ** j) for the distinct exponents in ascending order, each
+    power built from the one before it on the same side of 0: upward from
+    the first exponent > 0 by power(a, gap), downward from -1 by powers of
+    one recip(a, side, precision).  Values, windows and exceptions are those
+    of power(a, j, side, precision) taken for each j in turn."""
+    exps = sorted(set(exponents))
+    negative = [j for j in exps if j < 0]
+    if negative:
+        _check_exponent(a, negative[0])
+        r = recip(a, side, precision)
+        down = []
+        prev, pw = 0, None
+        for j in reversed(negative):
+            step = power(r, prev - j)
+            pw = step if pw is None else mul(pw, step)
+            down.append(pw)
+            prev = j
+        yield from zip(negative, reversed(down))
+    prev = pw = None
+    for j in exps[len(negative):]:
+        _check_exponent(a, j)
+        if j == 0:
+            yield j, _one_like(a)
+            continue
+        pw = power(a, j, side, precision) if pw is None else mul(pw, power(a, j - prev))
+        prev = j
+        yield j, pw
 
 
 def substitute_reciprocal(a: LaurentSeries) -> LaurentSeries:
@@ -453,8 +517,8 @@ def compose(chi: LaurentSeries, omega: LaurentSeries,
             return LaurentSeries.zero()
         work = omega.side if omega.side is not Side.FINITE else (side or Side.BELOW)
         result = None
-        for e in sorted(chi.coeffs):
-            term = mul(monomial(chi.coeffs[e]), power(omega, e, work, precision))
+        for e, pw in powers(omega, chi.coeffs, work, precision):
+            term = mul(monomial(chi.coeffs[e]), pw)
             result = term if result is None else add(result, term)
         return result
     bo = _side_order(omega, Side.BELOW)
@@ -506,6 +570,16 @@ def _compose_kernel(chi: LaurentSeries, omega: LaurentSeries,
     top = min(chi.hi, m + (n - 1) // w)  # later terms start above x^cap
     p = dense.require_field([*omega.coeffs.values(),
                              *[chi.coeffs[k] for k in sorted(chi.coeffs)]])
+    if omega.exact and len(omega.coeffs) == 1:
+        # omega = c x^w substitutes exponents: chi_k c^k lands at x^(k w), and
+        # nothing is allocated per exponent in between
+        c, ck = omega.coeffs[w], head.coeffs[m * w]
+        terms = {}
+        for k in range(m, top + 1):
+            if k in chi.coeffs:
+                terms[k * w] = chi.coeffs[k] * ck
+            ck = ck * c
+        return LaurentSeries.truncated(terms, Side.BELOW, m * w, cap)
     cs, dc = dense.from_coeffs(chi.coeffs, m, top - m + 1, p)
     tail = dense.from_coeffs(omega.coeffs, w, n - w, p)  # omega / x^w
     acc = ([cs[-1]], dc)

@@ -82,7 +82,7 @@ def extract(m: RiordanMatrix, rows, cols) -> MatrixWindow:
     clo, chi = cols
     _check_range(rows, "row")
     _check_range(cols, "column")
-    columns = {j: m.column(j) for j in range(clo, chi + 1)}
+    columns = m.columns(range(clo, chi + 1))
     grid = tuple(
         tuple(columns[j][i] for j in range(clo, chi + 1))
         for i in range(rlo, rhi + 1)

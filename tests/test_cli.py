@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import resource
 import subprocess
@@ -517,3 +518,53 @@ def test_matrix_options_nothing_reads_are_gone(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert "--rows and --cols go together" in err, argv
+
+
+def _run_limited(*argv, budget: float):
+    """Run the CLI in a subprocess under the 1 GiB limit; assert it finishes
+    within budget seconds and exits 0, and return its stdout."""
+    src = os.path.dirname(os.path.dirname(biriordan.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "biriordan", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=_limit_memory, env=env)
+    assert time.perf_counter() - start < budget, argv
+    assert (done.returncode, done.stderr) == (0, ""), argv
+    return done.stdout
+
+
+def test_large_powers_inside_the_budget_are_fast():
+    # Miller's recurrence for an exact base, one walk over the columns
+    out = _run_limited("series", "pow", "--a", "1+x", "--n", "10000", budget=2.0)
+    text, side = out.splitlines()
+    assert side == "side: finite"
+    terms = text.split(" + ")
+    assert len(terms) == 10001
+    assert terms[:3] == ["1", "10000x", "49995000x^2"] and terms[-1] == "x^10000"
+    binomial = 1  # math.comb(10000, i) row by row; comb itself takes seconds
+    for i, term in enumerate(terms[:-1]):
+        if i >= 2:
+            assert term == f"{binomial}x^{i}"
+        binomial = binomial * (10000 - i) // (i + 1)
+    assert terms[5000] == f"{math.comb(10000, 5000)}x^5000"
+    out = _run_limited("matrix", "window", "--omega", "x+x^2",
+                       "--rows", "0..2", "--cols", "5000..5001", budget=2.0)
+    assert out == " 0  0\n 0  0\n 0  0\n"
+
+
+def test_monomial_omega_substitutes_exponents():
+    out = _run_limited("series", "compose", "--chi", "1/(1-x)",
+                       "--omega", "x^100000000", "--prec", "2", budget=1.0)
+    assert out == "1 + O(x^2)\nside: bounded-below\n"
+    out = _run_limited("series", "compose", "--chi", "1/(1-x)", "--omega",
+                       "x^100000000", "--prec", "2", "--format", "json", budget=1.0)
+    assert json.loads(out)["terms"] == [[0, "1"], [100000000, "1"]]
+
+
+def test_matrix_inv_expands_on_the_matrix_side(capsys):
+    code, out, _ = run(capsys, "matrix", "inv", "--alpha", "1+x", "--omega", "x",
+                       "--side", "above", "--prec", "4")
+    assert code == 0
+    assert out.splitlines()[:2] == ["alpha: x^-1 - x^-2 + x^-3 + O(x^-4)",
+                                    "omega: x"]

@@ -1,11 +1,12 @@
 """The dense kernels against the scalar loops they replaced.
 
-`recip`, `_compose_kernel` and `_reversion` run on the dense working form
-of `biriordan.dense` (Newton iteration, Horner's rule and Lagrange
-inversion over packed integer products).  The functions prefixed `ref_`
-below are the earlier coefficientwise versions, kept here as references:
-the O(n^2) reciprocal recurrence, the compose loop accumulating
-chi_k * omega^k with `mul`/`add`, and reversion by back-substitution.
+`recip`, `_compose_kernel`, `_reversion` and `power` run on the dense
+working form of `biriordan.dense` (Newton iteration, Horner's rule,
+Lagrange inversion over packed integer products, and Miller's recurrence
+for exact bases over Q).  The functions prefixed `ref_` below are the
+earlier versions, kept here as references: the O(n^2) reciprocal
+recurrence, the compose loop accumulating chi_k * omega^k with `mul`/`add`,
+reversion by back-substitution, and powering by repeated squaring.
 Results must be equal with `==`, which compares side, exactness, window
 and every coefficient.
 """
@@ -33,6 +34,7 @@ from biriordan.series import (
     mul,
     parse,
     power,
+    powers,
     recip,
 )
 
@@ -64,6 +66,22 @@ def ref_power(a: LaurentSeries, j: int, precision: int | None) -> LaurentSeries:
     if j >= 0 or (a.exact and len(a.coeffs) == 1):
         return power(a, j, Side.BELOW, precision)
     return power(ref_recip(a, precision), -j)
+
+
+def ref_binary_power(a: LaurentSeries, j: int, side=None,
+                     precision: int | None = None) -> LaurentSeries:
+    """a ** j by repeated squaring, after recip for j < 0 (j != 0)."""
+    base = a if j > 0 else recip(a, side, precision)
+    n = abs(j)
+    result = None
+    sq = base
+    while n:
+        if n & 1:
+            result = sq if result is None else mul(result, sq)
+        n >>= 1
+        if n:
+            sq = mul(sq, sq)
+    return result
 
 
 def ref_compose_kernel(chi: LaurentSeries, omega: LaurentSeries,
@@ -143,6 +161,14 @@ def below(rng: random.Random, field, order: int, count: int,
     if exact:
         return LaurentSeries.from_terms(terms)
     return LaurentSeries.truncated(terms, Side.BELOW, order, order + count - 1)
+
+
+def outcome(call):
+    """The value of call(), or the type and message of what it raised."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 def same(got_fn, want_fn):
@@ -321,3 +347,110 @@ def test_reversion_order_minus_one_and_above_sides_match():
         assert got.side is Side.ABOVE
         assert {-e: c for e, c in got.coeffs.items()} == want.coeffs
         assert (-got.hi, -got.lo) == (want.lo, want.hi)
+
+
+# -- powers ------------------------------------------------------------------------
+
+
+def test_power_matches_repeated_squaring_on_exact_bases():
+    # whichever route power takes (Miller's recurrence for exact Q bases of
+    # several terms), it must agree with repeated squaring
+    rng = random.Random(108)
+    for _ in range(300):
+        field = "q" if rng.random() < 0.8 else 7
+        kind = rng.random()
+        if kind < 0.1:
+            a = monomial(nonzero(rng, field), rng.randint(-4, 4))
+        else:
+            a = below(rng, field, rng.randint(-4, 4), rng.randint(2, 12),
+                      exact=kind < 0.85)
+        j = rng.choice([-1, 1]) * rng.choice([1, 2, 3, 5, 8, 13, 40])
+        side = rng.choice([None, Side.BELOW, Side.ABOVE, Side.FINITE])
+        prec = rng.choice([None, 1, 4, 9, 30])
+        assert outcome(lambda: power(a, j, side, prec)) == outcome(
+            lambda: ref_binary_power(a, j, side, prec))
+
+
+def test_power_by_miller_on_large_exponents_and_sparse_bases():
+    cases = [
+        (parse("1+x"), 300),
+        (parse("3 - 2x + 5x^2 + 7x^3"), 60),
+        (LaurentSeries.from_terms({0: Fraction(1, 2), 1: Fraction(10**15)}), 25),
+        (parse("x^-2 + 3/7x + x^3"), 9),
+        (parse("1 + x^40 + x^90"), 7),  # a span of gaps
+        (LaurentSeries.from_terms({0: Fraction(-4, 9), 1: Fraction(10**18, 7),
+                                   2: Fraction(-1, 3)}), 17),
+    ]
+    for a, n in cases:
+        for j in (n, -n, 2, -2, -1):
+            for side in (Side.BELOW, Side.ABOVE):
+                for prec in (None, 1, 7, 40):
+                    assert power(a, j, side, prec) == ref_binary_power(a, j, side, prec)
+
+
+def test_power_edge_bases():
+    gf7 = PrimeField(7)
+    # GF(7) past n = 7 keeps repeated squaring: Miller's division by n fails
+    a = LaurentSeries.from_terms({0: gf7(3), 1: gf7(1), 2: gf7(5)})
+    for j in (7, 8, 15, -7, -15):
+        assert power(a, j, None, 20) == ref_binary_power(a, j, None, 20)
+    # the zero series, an empty window and monomials
+    zero = LaurentSeries.zero()
+    assert power(zero, 3) == ref_binary_power(zero, 3)
+    empty = LaurentSeries.truncated({}, Side.BELOW, 2, 6)
+    assert power(empty, 4) == ref_binary_power(empty, 4)
+    for j in (-3, 3):
+        assert outcome(lambda: power(empty, j)) == outcome(
+            lambda: ref_binary_power(empty, j))
+        mono = monomial(Fraction(-2, 3), 5)
+        assert power(mono, j) == ref_binary_power(mono, j)
+    # precision below 1 is refused by the recurrence as by recip
+    assert outcome(lambda: power(parse("1+x"), -3, None, 0)) == outcome(
+        lambda: ref_binary_power(parse("1+x"), -3, None, 0))
+
+
+def test_powers_walk_matches_power_per_exponent():
+    rng = random.Random(109)
+    for _ in range(120):
+        field = "q" if rng.random() < 0.7 else 7
+        kind = rng.random()
+        if kind < 0.15:
+            a = monomial(nonzero(rng, field), rng.randint(-3, 3))
+        else:
+            a = below(rng, field, rng.randint(-3, 3), rng.randint(1, 6),
+                      exact=kind < 0.6)
+        if not a.exact and rng.random() < 0.3:
+            a = LaurentSeries.truncated({-e: c for e, c in a.coeffs.items()},
+                                        Side.ABOVE, -a.hi, -a.lo)
+        exps = {rng.randint(-9, 12) for _ in range(rng.randint(1, 6))}
+        side = rng.choice([None, Side.BELOW, Side.ABOVE])
+        prec = rng.choice([None, 1, 5])
+        walked = {}
+        try:
+            for j, pw in powers(a, exps, side, prec):
+                walked[j] = pw
+        except Exception as exc:  # the first exponent to raise, raises
+            walked["raised"] = (type(exc), str(exc))
+        want = {}
+        for j in sorted(exps):
+            want[j] = outcome(lambda: ref_binary_power(a, j, side, prec) if j
+                              else power(a, 0))
+            if isinstance(want[j], tuple):
+                want["raised"] = want.pop(j)
+                break
+        assert walked == want
+
+
+def test_compose_kernel_substitutes_a_monomial_omega():
+    rng = random.Random(110)
+    for _ in range(80):
+        field = rng.choice(FIELDS)
+        chi = below(rng, field, rng.randint(-4, 4), rng.randint(1, 10))
+        omega = monomial(nonzero(rng, field), rng.randint(1, 5))
+        prec = rng.choice([None, 2, 9])
+        assert _compose_kernel(chi, omega, prec) == ref_compose_kernel(chi, omega, prec)
+    # a huge exponent allocates nothing per exponent in between
+    chi = parse("1/(1-x)", precision=3)
+    got = _compose_kernel(chi, monomial(Fraction(2), 10**8), 3)
+    assert got.coeffs == {0: 1, 10**8: 2, 2 * 10**8: 4}
+    assert (got.lo, got.hi) == (0, 3 * 10**8 - 1)

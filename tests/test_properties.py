@@ -2,7 +2,10 @@
 
 Column j of R(alpha, omega) is the image of x^j, so `column` and `apply`
 must agree on every matrix, and the exponent budget of `power` must hold on
-every route that reaches omega^j.  Skipped when hypothesis is not installed.
+every route that reaches omega^j.  `extract` and `compose` walk the powers
+of omega (`series.powers`), so a block must hold the entries of each
+`column` in turn, and a composition with an exact chi must be the sum of
+its terms.  Skipped when hypothesis is not installed.
 """
 
 from __future__ import annotations
@@ -17,10 +20,13 @@ from biriordan.riordan import apply, riordan  # noqa: E402
 from biriordan.series import (  # noqa: E402
     LaurentSeries,
     Side,
+    add,
     compose,
     monomial,
+    mul,
     power,
 )
+from biriordan.window import extract  # noqa: E402
 
 _COEFF = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
@@ -58,6 +64,14 @@ def _outcome(call):
         return type(exc)
 
 
+def _raised(call):
+    """(type, message) of what call() raises, or None with its value."""
+    try:
+        return None, call()
+    except Exception as exc:
+        return (type(exc), str(exc)), None
+
+
 @settings(max_examples=300, deadline=None)
 @given(m=_matrix(), j=st.integers(-4, 4))
 def test_column_is_the_image_of_a_monomial(m, j):
@@ -75,3 +89,50 @@ def test_exponent_budget_holds_on_every_route(base, j, sign):
                  lambda: riordan(LaurentSeries.one(), base).column(j)):
         with pytest.raises(ValueError, match="at most 10000"):
             call()
+
+
+_COLS = st.one_of(
+    st.tuples(st.integers(-6, 4), st.integers(0, 6)),
+    st.tuples(st.sampled_from([-10_003, -10_001, 9_998, 9_999]), st.integers(0, 3)),
+).map(lambda t: (t[0], t[0] + t[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=_matrix(), cols=_COLS, row_lo=st.integers(-8, 8), rows=st.integers(0, 5))
+def test_extract_holds_each_column_in_turn(m, cols, row_lo, rows):
+    # the 9998th power of an exact omega of several terms has about 40000
+    # coefficients of thousands of bits: too slow to draw often
+    assume(cols[0] < 9_000 or not m.omega.exact or len(m.omega.coeffs) == 1)
+    rows = (row_lo, row_lo + rows)
+
+    def by_columns():
+        # every column first, in ascending j; then the entries row by row
+        columns = {j: m.column(j) for j in range(cols[0], cols[1] + 1)}
+        return [[columns[j][i] for j in sorted(columns)]
+                for i in range(rows[0], rows[1] + 1)]
+
+    got_exc, got = _raised(lambda: extract(m, rows, cols))
+    want_exc, want = _raised(by_columns)
+    assert got_exc == want_exc
+    if got_exc is None:
+        assert [list(r) for r in got.entries] == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(omega=st.sampled_from([None, Side.BELOW, Side.ABOVE]).flatmap(_series),
+       chi=st.dictionaries(st.integers(-6, 9), _COEFF, max_size=4),
+       side=st.sampled_from([Side.BELOW, Side.ABOVE]),
+       precision=st.sampled_from([None, 1, 4]))
+def test_exact_chi_composes_term_by_term(omega, chi, side, precision):
+    assume(not omega.is_zero())
+    chi = LaurentSeries.from_terms(chi)
+    work = side if omega.exact else omega.side
+
+    def by_terms():
+        total = LaurentSeries.zero()
+        for e in sorted(chi.coeffs):
+            term = mul(monomial(chi.coeffs[e]), power(omega, e, work, precision))
+            total = term if e == min(chi.coeffs) else add(total, term)
+        return total
+
+    assert _raised(lambda: compose(chi, omega, precision, side)) == _raised(by_terms)

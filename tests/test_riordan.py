@@ -276,6 +276,21 @@ def test_inverse_needs_invertible_omega():
         inverse(lagrange(parse("x^2")))
 
 
+def test_inverse_of_an_exact_pair_on_either_side():
+    block = (-3, 3)
+    for omega in ("x", "2x", "x^-1", "-3x^-1", "x+x^2", "x+x^-1"):
+        for side in (Side.BELOW, Side.ABOVE):
+            m = riordan(parse("1+x"), parse(omega), side, _P)
+            prod = matmul(m, inverse(m))
+            assert extract(prod, block, block) == extract(identity(), block, block)
+    # alpha o winv = 1 + x^(+-1) is exact: its reciprocal expands on the
+    # matrix's side for omega of order +1, on the other side for order -1
+    got = inverse(riordan(parse("1+x"), parse("x"), Side.ABOVE, 4)).alpha
+    assert got == recip(parse("1+x"), Side.ABOVE, 4)
+    got = inverse(riordan(parse("1+x"), parse("x^-1"), Side.BELOW, 4)).alpha
+    assert got == recip(parse("1+x^-1"), Side.ABOVE, 4)
+
+
 # -- J conjugation -----------------------------------------------------------------
 
 
@@ -321,6 +336,21 @@ def test_j_conjugate_matches_explicit_products():
     direct = matmul(m, j)
     rows, cols = (0, 5), (-6, 0)
     assert extract(right, rows, cols) == extract(direct, rows, cols)
+
+
+def test_j_conjugate_of_an_exact_omega_reflects_the_columns():
+    # entry (i, j) of the right reflection is m_(i, -j), of both m_(-i, -j):
+    # the reciprocal of an exact omega expands on the side the columns use
+    rows, cols = (-4, 4), (-3, 3)
+    for side in (Side.BELOW, Side.ABOVE):
+        m = riordan(parse("2 - x^2"), parse("1 + x"), side, _P)
+        w = extract(m, rows, cols)
+        right = extract(j_conjugate(m, "right"), rows, cols)
+        both = extract(j_conjugate(m, "both"), rows, cols)
+        for i in range(rows[0], rows[1] + 1):
+            for j in range(cols[0], cols[1] + 1):
+                assert right.entry(i, j) == w.entry(i, -j)
+                assert both.entry(i, j) == w.entry(-i, -j)
 
 
 def test_j_conjugate_rejects_unknown_side():
