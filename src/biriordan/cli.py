@@ -51,6 +51,10 @@ _MAX_SPAN = 64
 _MAX_PREC = 10_000
 _MAX_EXPRESSION = 4096
 _MAX_ENTRIES = 64
+# CPython 3.10.7 and later convert an int of more than 4300 digits to text
+# only after sys.set_int_max_str_digits; every int below 2^14284 has at most
+# 4300 digits, so a rule on bits refuses the same results on every version
+_MAX_PRINT_BITS = 14_284
 # options whose value may start with "-" (an expression such as -1+x, a range
 # such as -3..0, an f-vector); argparse would read such a value as an option
 _SIGNED_VALUES = ("--expr", "--a", "--b", "--alpha", "--omega", "--chi",
@@ -115,21 +119,32 @@ def _attach_signed_values(argv: list) -> list:
     return out
 
 
+def _check_printable(values) -> None:
+    """Refuse (exit 2), before anything is printed, a rational among values
+    too long to print."""
+    for c in values:
+        if max(c.numerator.bit_length(), c.denominator.bit_length()) > _MAX_PRINT_BITS:
+            raise ValueError(f"a coefficient has more than {_MAX_PRINT_BITS} bits "
+                             "in its numerator or denominator, too long to print")
+
+
 def _display_text(chi: LaurentSeries, prec: int) -> str:
     """Canonical text, truncating an inexact window to |exponent| < prec; a
     bounded-above window is trimmed through the flip x -> 1/x."""
     flip = chi.side is Side.ABOVE
     below = substitute_reciprocal(chi) if flip else chi
     hi = min(below.hi, prec - 1)
-    if chi.exact or hi < below.lo:
-        return format_series(chi)
-    trimmed = LaurentSeries.truncated(
-        {e: c for e, c in below.coeffs.items() if e <= hi}, Side.BELOW, below.lo, hi)
-    return format_series(substitute_reciprocal(trimmed) if flip else trimmed)
+    if not (chi.exact or hi < below.lo):
+        trimmed = LaurentSeries.truncated(
+            {e: c for e, c in below.coeffs.items() if e <= hi}, Side.BELOW, below.lo, hi)
+        chi = substitute_reciprocal(trimmed) if flip else trimmed
+    _check_printable(chi.coeffs.values())
+    return format_series(chi)
 
 
 def _print_series(chi: LaurentSeries, args) -> int:
     if args.format == "json":
+        _check_printable(chi.coeffs.values())
         print(json.dumps(chi.to_json_dict()))
     else:
         print(_display_text(chi, args.prec))
@@ -261,7 +276,10 @@ def _run_series(args) -> int:
 
 def _print_matrix(m, args) -> int:
     window = extract(m, args.rows, args.cols) if args.rows else None
+    if window is not None:
+        _check_printable([c for row in window.entries for c in row])
     if args.format == "json":
+        _check_printable([*m.alpha.coeffs.values(), *m.omega.coeffs.values()])
         payload = {
             "alpha": m.alpha.to_json_dict(),
             "omega": m.omega.to_json_dict(),
@@ -270,10 +288,11 @@ def _print_matrix(m, args) -> int:
             payload["window"] = json.loads(render(window, "json"))
         print(json.dumps(payload))
     else:
-        print(f"alpha: {_display_text(m.alpha, args.prec)}")
-        print(f"omega: {_display_text(m.omega, args.prec)}")
+        lines = [f"alpha: {_display_text(m.alpha, args.prec)}",
+                 f"omega: {_display_text(m.omega, args.prec)}"]
         if window is not None:
-            print(render(window))
+            lines.append(render(window))
+        print("\n".join(lines))
     return 0
 
 
@@ -286,6 +305,7 @@ def _run_matrix(args) -> int:
     m = riordan(alpha, omega, side, args.prec)
     if args.op == "window":
         w = extract(m, args.rows, args.cols)
+        _check_printable([c for row in w.entries for c in row])
         print(render(w, args.format))
         return 0
     if args.op == "classify":
@@ -313,6 +333,7 @@ def _run_ds(args) -> int:
     residuals = dehn_sommerville_residuals(fv)
     palindromic = is_palindromic(hv)
     trace = verify_theorem_chain(fv.d) if args.trace else None
+    _check_printable([*fv.f, *hv.h, *residuals])
     if args.json:
         payload = {
             "d": fv.d,

@@ -75,6 +75,22 @@ def mul(a: tuple, b: tuple, n: int, p: int) -> tuple:
     return _normal(product(a[0], b[0], n), a[1] * b[1], p)
 
 
+def combine(terms: list, n: int, p: int) -> tuple:
+    """The sum over (c, s, u) in terms of c x^s u to n coefficients, for a
+    Fraction or residue c, a shift s >= 0 and a working form u."""
+    if p:
+        den, scaled = 1, [(c.n, s, xs) for c, s, (xs, _) in terms]
+    else:
+        den = math.lcm(*[c.denominator * d for c, _, (_, d) in terms])
+        scaled = [(c.numerator * (den // (c.denominator * d)), s, xs)
+                  for c, s, (xs, d) in terms]
+    acc = [0] * n
+    for f, s, xs in scaled:
+        for i, x in enumerate(xs[:max(n - s, 0)], s):
+            acc[i] += f * x
+    return _normal(acc, den, p)
+
+
 def join(a: tuple, b: tuple, p: int) -> tuple:
     """The working form whose coefficients are a's followed by b's."""
     (xa, da), (xb, db) = a, b

@@ -101,10 +101,10 @@ class RiordanMatrix:
 
     def columns(self, js) -> dict:
         """{j: column(j)} for the exponents js, from one walk over the powers
-        of omega (series.powers), so omega^(j+1) is omega^j times omega; the
-        first column to raise, in ascending j, raises."""
-        return {j: mul(self.alpha, pw)
-                for j, pw in powers(self.omega, js, self.side, self.precision)}
+        of omega (series.powers with alpha as its factor), so column j+1 is
+        column j times omega; the first column to raise, in ascending j,
+        raises."""
+        return dict(powers(self.omega, js, self.side, self.precision, self.alpha))
 
     def entry(self, i: int, j: int):
         return self.column(j)[i]

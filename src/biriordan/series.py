@@ -14,6 +14,7 @@ prove.
 from __future__ import annotations
 
 import enum
+import functools
 from fractions import Fraction
 
 from .errors import (
@@ -33,6 +34,7 @@ from .field import PrimeFieldElement
 DEFAULT_PRECISION = 16
 MAX_NESTING = 100  # parenthesis depth the recursive-descent parser accepts
 MAX_EXPONENT = 10_000  # largest |j| in a power of a base with several terms
+_ZERO = Fraction(0)  # a known gap; Fractions are immutable, so one serves all
 
 
 class Side(enum.Enum):
@@ -126,7 +128,7 @@ class LaurentSeries:
                 f"coefficient of x^{e} lies outside the known window "
                 f"[{self.lo}, {self.hi}]"
             )
-        return self.coeffs.get(e, Fraction(0))
+        return self.coeffs.get(e, _ZERO)
 
     def order(self, side: Side | None = None):
         """Least (below) or greatest (above) exponent with nonzero coefficient.
@@ -303,6 +305,14 @@ def _convolve(ca: dict, cb: dict, hi: int | None = None) -> dict:
         cb = {e: c for e, c in cb.items() if e + a_min <= hi}
         if not (ca and cb):
             return {}
+    # a one-term factor is a shift and a scale of the other (inside the
+    # window, as the other's terms beyond it are dropped above)
+    if len(ca) == 1:
+        (i, ci), = ca.items()
+        return {i + j: ci * cj for j, cj in cb.items()}
+    if len(cb) == 1:
+        (j, cj), = cb.items()
+        return {i + j: ci * cj for i, ci in ca.items()}
     # a handful of term pairs, or a support mostly made of gaps, is cheaper
     # term by term
     if len(ca) * len(cb) > 8 and _dense_enough(ca) and _dense_enough(cb):
@@ -323,8 +333,12 @@ def _convolve_terms(ca: dict, cb: dict, hi: int | None) -> dict:
 
 
 def _dense_enough(c: dict) -> bool:
+    return _worth_packing(max(c) - min(c), len(c))
+
+
+def _worth_packing(span: int, terms: int) -> bool:
     # packing costs a slot per exponent in the span, the loop a step per term
-    return max(c) - min(c) < 4 * len(c) + 64
+    return span < 4 * terms + 64
 
 
 def _convolve_packed(ca: dict, cb: dict, hi: int | None) -> dict | None:
@@ -449,34 +463,190 @@ def _miller_power(a: LaurentSeries, j: int, side: Side | None,
 
 
 def powers(a: LaurentSeries, exponents, side: Side | None = None,
-           precision: int | None = None):
+           precision: int | None = None, factor: LaurentSeries | None = None):
     """Yield (j, a ** j) for the distinct exponents in ascending order, each
     power built from the one before it on the same side of 0: upward from
     the first exponent > 0 by power(a, gap), downward from -1 by powers of
     one recip(a, side, precision).  Values, windows and exceptions are those
-    of power(a, j, side, precision) taken for each j in turn."""
+    of power(a, j, side, precision) taken for each j in turn.  With a factor
+    f, yield (j, f * a ** j) instead, the values of mul(f, power(...)): f
+    goes into the first power on each side of 0 and each later one is the
+    one before it times a power of a (the window rule of mul is
+    associative).  Each value leaves the walk's working form once."""
+    inputs = (a,) if factor is None else (a, factor)
+    form = _form(next((s.side for s in inputs if not s.exact), side), *inputs)
+    lifted = None if factor is None else form.lift(factor)
+    for j, pw in _walk(a, exponents, side, precision, form, lifted):
+        yield j, form.out(pw)
+
+
+def _walk(a: LaurentSeries, exponents, side: Side | None,
+          precision: int | None, form, factor=None):
+    # the walk of powers with each power kept in the working form `form`;
+    # with a factor (a value in that form), the walk of factor * a^j, which
+    # takes the factor into the first power on each side of 0 (the window
+    # rule of mul is associative: lo adds up and the fewest known binds).
+    # The first power on each side comes as a series, which a form converts
+    # only when a product or a sum reads it.
+    def first(s):
+        return s if factor is None else form.mul(factor, s)
+
     exps = sorted(set(exponents))
     negative = [j for j in exps if j < 0]
     if negative:
         _check_exponent(a, negative[0])
         r = recip(a, side, precision)
+        # power(r, gap) in the working form, converted once per gap
+        step = functools.cache(lambda gap: form.lift(power(r, gap)))
         down = []
         prev, pw = 0, None
         for j in reversed(negative):
-            step = power(r, prev - j)
-            pw = step if pw is None else mul(pw, step)
+            pw = first(power(r, -j)) if pw is None else form.mul(pw, step(prev - j))
             down.append(pw)
             prev = j
         yield from zip(negative, reversed(down))
+    step = functools.cache(lambda gap: form.lift(power(a, gap)))
     prev = pw = None
     for j in exps[len(negative):]:
         _check_exponent(a, j)
         if j == 0:
-            yield j, _one_like(a)
+            yield j, first(_one_like(a))
             continue
-        pw = power(a, j, side, precision) if pw is None else mul(pw, power(a, j - prev))
+        pw = (first(power(a, j, side, precision)) if pw is None
+              else form.mul(pw, step(j - prev)))
         prev = j
         yield j, pw
+
+
+def _form(side: Side | None, *series: LaurentSeries):
+    """The working form of a walk over these series whose one-sided values
+    live on `side`: the dense form of the field of their coefficients, or
+    the series form when they share no field (so what a scalar loop raised
+    is raised) or have no known coefficient."""
+    values = [c for s in series for c in s.coeffs.values()]
+    p = dense.field_of(values) if values else None
+    if p is None:
+        return _SeriesForm
+    return _DenseForm(p, side is Side.ABOVE)
+
+
+class _SeriesForm:
+    """Values are series, multiplied by mul."""
+
+    @staticmethod
+    def lift(s: LaurentSeries) -> LaurentSeries:
+        return s
+
+    out = lift
+    mul = staticmethod(mul)
+
+    @staticmethod
+    def sum(terms) -> LaurentSeries:
+        """The sum of c * v over the pairs (c, v), known where every inexact
+        v is known (all are on one side)."""
+        acc: dict = {}
+        inexact = []
+        for c, v in terms:
+            # every product of a term before its sum, as mul then add raised
+            for e, y in [(e, c * x) for e, x in v.coeffs.items()]:
+                acc[e] = acc[e] + y if e in acc else y
+            if not v.exact:
+                inexact.append(v)
+        if not inexact:
+            return LaurentSeries.from_terms(acc)
+        if inexact[0].side is Side.BELOW:
+            hi = min(v.hi for v in inexact)
+            acc = {e: c for e, c in acc.items() if e <= hi}
+            return LaurentSeries.truncated(acc, Side.BELOW, min(acc, default=hi + 1), hi)
+        lo = max(v.lo for v in inexact)
+        acc = {e: c for e, c in acc.items() if e >= lo}
+        return LaurentSeries.truncated(acc, Side.ABOVE, lo, max(acc, default=lo - 1))
+
+
+class _DenseForm:
+    """The dense working form over GF(p), or Q when p = 0, on the bounded
+    below side: a value (xs, den, lo, n) holds the coefficients xs[i] / den
+    of x^(lo+i), known through x^(lo+n-1), or exact when n is None (xs then
+    spans the support).  A walk on the bounded-above side runs on the flip
+    x -> 1/x, taken once as a series comes in and once as it goes out.  A
+    series also stands for its own value until a product or a sum reads it,
+    so one that is never multiplied is never converted.  Each product and
+    sum keeps the rule _convolve applies to each product: a value whose
+    span is mostly gaps, or that has no known coefficient, stays a series
+    and takes series arithmetic, and so does an inexact series on the other
+    side (whose product raises)."""
+
+    __slots__ = ("p", "flip", "side")
+
+    def __init__(self, p: int, flip: bool):
+        self.p = p
+        self.flip = flip
+        self.side = Side.ABOVE if flip else Side.BELOW
+
+    def fits(self, v) -> bool:
+        # the density test on what the form packs: the support of an exact
+        # value, the whole window of an inexact one
+        if type(v) is LaurentSeries:
+            if not v.coeffs or not (v.exact or v.side is self.side):
+                return False
+            span = max(v.coeffs) - min(v.coeffs) if v.exact else v.hi - v.lo
+            return _worth_packing(span, len(v.coeffs))
+        xs = v[0]
+        return _worth_packing(len(xs) - 1, len(xs) - xs.count(0))
+
+    def lift(self, s: LaurentSeries):
+        """s in the dense form, or s itself when it does not fit."""
+        return self._enter(s) if self.fits(s) else s
+
+    def _enter(self, s: LaurentSeries) -> tuple:
+        lo, hi = (min(s.coeffs), max(s.coeffs)) if s.exact else (s.lo, s.hi)
+        xs, den = dense.from_coeffs(s.coeffs, lo, hi - lo + 1, self.p)
+        n = None if s.exact else hi - lo + 1
+        if self.flip:
+            return xs[::-1], den, -hi, n
+        return xs, den, lo, n
+
+    def read(self, v) -> tuple:
+        # a value that fits, as a tuple
+        return self._enter(v) if type(v) is LaurentSeries else v
+
+    def mul(self, u, v):
+        if not (self.fits(u) and self.fits(v)):
+            return mul(self.out(u), self.out(v))
+        # the window rule of mul: exact times exact is exact, else the
+        # fewest known coefficients of an inexact factor bind
+        (xu, du, lu, nu), (xv, dv, lv, nv) = self.read(u), self.read(v)
+        if nu is None and nv is None:
+            n, count = None, len(xu) + len(xv) - 1
+        else:
+            n = count = min(k for k in (nu, nv) if k is not None)
+        xs, den = dense.mul((xu, du), (xv, dv), count, self.p)
+        return xs, den, lu + lv, n
+
+    def out(self, v) -> LaurentSeries:
+        if type(v) is LaurentSeries:
+            return v
+        xs, den, lo, n = v
+        if self.flip:
+            xs, lo = xs[::-1], -(lo + len(xs) - 1)
+        terms = dense.to_coeffs(xs, den, lo, self.p)
+        if n is None:
+            return LaurentSeries.from_terms(terms)
+        return LaurentSeries.truncated(terms, self.side, lo, lo + n - 1)
+
+    def sum(self, terms) -> LaurentSeries:
+        """The sum of c * v over the pairs (c, v), known through the least
+        bound of an inexact v, as one series."""
+        terms = list(terms)
+        if not all(self.fits(v) for _, v in terms):
+            return _SeriesForm.sum((c, self.out(v)) for c, v in terms)
+        terms = [(c, self.read(v)) for c, v in terms]
+        lo = min(l for _, (_, _, l, _) in terms)
+        caps = [l + n - 1 for _, (_, _, l, n) in terms if n is not None]
+        hi = min(caps) if caps else max(l + len(xs) - 1 for _, (xs, _, l, _) in terms)
+        xs, den = dense.combine([(c, l - lo, (xs, d)) for c, (xs, d, l, _) in terms],
+                                hi - lo + 1, self.p)
+        return self.out((xs, den, lo, hi - lo + 1 if caps else None))
 
 
 def substitute_reciprocal(a: LaurentSeries) -> LaurentSeries:
@@ -516,11 +686,11 @@ def compose(chi: LaurentSeries, omega: LaurentSeries,
         if chi.is_zero():
             return LaurentSeries.zero()
         work = omega.side if omega.side is not Side.FINITE else (side or Side.BELOW)
-        result = None
-        for e, pw in powers(omega, chi.coeffs, work, precision):
-            term = mul(monomial(chi.coeffs[e]), pw)
-            result = term if result is None else add(result, term)
-        return result
+        # a single term scales one power, which the walk yields as a series;
+        # chi's coefficients are scalars of the sum and only fix the field
+        form = _form(work, omega, chi) if len(chi.coeffs) > 1 else _SeriesForm
+        return form.sum((chi.coeffs[e], pw)
+                        for e, pw in _walk(omega, chi.coeffs, work, precision, form))
     bo = _side_order(omega, Side.BELOW)
     ao = _side_order(omega, Side.ABOVE)
     if chi.side is Side.BELOW:

@@ -13,6 +13,8 @@ than truncate silently.
 from __future__ import annotations
 
 import json
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -235,17 +237,11 @@ def oracle_matmul(a: MatrixWindow, b: MatrixWindow, guard) -> MatrixWindow:
             f"windows cover [{a.col_lo}, {a.col_hi}] but the certified "
             f"summation range is [{g_lo}, {g_hi}]"
         )
-    grid = []
-    for r, row in enumerate(a.entries):
-        i = a.row_lo + r
-        out = []
-        for j in range(b.col_lo, b.col_hi + 1):
-            acc = Fraction(0)
-            for k in range(g_lo, g_hi + 1):
-                acc += row[k - a.col_lo] * b.entry(k, j)
-            out.append(acc)
-        grid.append(tuple(out))
-    return MatrixWindow(a.row_lo, b.col_lo, tuple(grid))
+    rows = [row[g_lo - a.col_lo:g_hi + 1 - a.col_lo] for row in a.entries]
+    cols = [[b.entry(k, j) for k in range(g_lo, g_hi + 1)]
+            for j in range(b.col_lo, b.col_hi + 1)]
+    return MatrixWindow(a.row_lo, b.col_lo,
+                        tuple(map(tuple, _products(rows, cols))))
 
 
 def oracle_apply(a: MatrixWindow, v: VectorWindow, guard) -> VectorWindow:
@@ -258,13 +254,42 @@ def oracle_apply(a: MatrixWindow, v: VectorWindow, guard) -> VectorWindow:
             f"windows cover [{v.lo}, {v.hi}] but the certified summation "
             f"range is [{g_lo}, {g_hi}]"
         )
+    rows = [row[g_lo - a.col_lo:g_hi + 1 - a.col_lo] for row in a.entries]
+    col = [v.entry(k) for k in range(g_lo, g_hi + 1)]
+    return VectorWindow(a.row_lo, tuple(out for [out] in _products(rows, [col])))
+
+
+def _products(rows: list, cols: list) -> list:
+    """[[sum of row[k] * col[k] from Fraction(0) for col in cols] for row in
+    rows].  When every entry is a Fraction, each row and each column is
+    brought to its common denominator once, the sums are of integer
+    products, and each output is one Fraction."""
+    ints = [_over_common_denominator(v) for v in (rows, cols)]
+    if None in ints:
+        grid = []
+        for row in rows:
+            out = []
+            for col in cols:
+                acc = Fraction(0)
+                for x, y in zip(row, col):
+                    acc += x * y
+                out.append(acc)
+            grid.append(out)
+        return grid
+    return [[Fraction(sum(map(operator.mul, xr, xc)), dr * dc) for xc, dc in ints[1]]
+            for xr, dr in ints[0]]
+
+
+def _over_common_denominator(vectors: list):
+    # [(ints, den)] with vector[k] == ints[k] / den, or None unless every
+    # entry is a Fraction
+    if not all(type(c) is Fraction for v in vectors for c in v):
+        return None
     out = []
-    for row in a.entries:
-        acc = Fraction(0)
-        for k in range(g_lo, g_hi + 1):
-            acc += row[k - a.col_lo] * v.entry(k)
-        out.append(acc)
-    return VectorWindow(a.row_lo, tuple(out))
+    for v in vectors:
+        den = math.lcm(*[c.denominator for c in v])
+        out.append(([c.numerator * (den // c.denominator) for c in v], den))
+    return out
 
 
 # -- rendering -------------------------------------------------------------------

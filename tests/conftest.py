@@ -41,12 +41,13 @@ def random_polynomial(rng: random.Random, lo: int, hi: int) -> LaurentSeries:
 
 
 def convolve_dicts(a: dict, b: dict) -> dict:
-    """Brute-force product of finitely supported coefficient dicts."""
+    """Brute-force product of finitely supported coefficient dicts over Q or
+    GF(p) (a sum starts from the int 0, which both fields take)."""
     out = {}
     for ea, ca in a.items():
         if not ca:
             continue
         for eb, cb in b.items():
             if cb:
-                out[ea + eb] = out.get(ea + eb, Fraction(0)) + ca * cb
+                out[ea + eb] = out.get(ea + eb, 0) + ca * cb
     return {e: c for e, c in out.items() if c}

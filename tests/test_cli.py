@@ -301,6 +301,36 @@ def test_expression_budgets_fail_fast():
         assert done.stdout == "" and message in done.stderr
 
 
+def test_coefficients_too_long_to_print_are_refused_before_printing():
+    src = os.path.dirname(os.path.dirname(biriordan.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    big = "(1+2x+3x^2)^10000"  # computed in well under a second
+    for argv in (("series", "eval", "--expr", big),
+                 ("series", "eval", "--expr", big, "--format", "json"),
+                 ("matrix", "window", "--alpha", big, "--omega", "x",
+                  "--rows", "10000..10000", "--cols", "0..0"),
+                 ("matrix", "mul", "--alpha", big, "--omega", "x", "--chi", "x")):
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-m", "biriordan", *argv],
+                              capture_output=True, text=True, timeout=20,
+                              preexec_fn=_limit_memory, env=env)
+        assert time.perf_counter() - start < 1.0
+        assert done.returncode == 2
+        assert done.stdout == "" and "too long to print" in done.stderr
+        assert "sys.set_int_max_str_digits" not in done.stderr
+
+
+def test_print_limit_is_on_bits(capsys):
+    # 2^14283 has 14284 bits and 4300 digits; one more bit is refused
+    code, out, _ = run(capsys, "series", "eval", "--expr", "2^14283")
+    assert code == 0 and out == f"{2**14283}\nside: finite\n"
+    code, out, err = run(capsys, "series", "eval", "--expr", "2^14284")
+    assert (code, out) == (2, "")
+    assert "more than 14284 bits" in err
+    code, out, err = run(capsys, "series", "eval", "--expr", "(1/2)^14284*x")
+    assert (code, out) == (2, "") and "more than 14284 bits" in err
+
+
 def test_expression_budgets_leave_small_inputs_alone(capsys):
     # a monomial base takes any exponent, and 4096 characters still parse
     code, out, _ = run(capsys, "series", "eval", "--expr", "(-x)^30001")
@@ -551,6 +581,15 @@ def test_large_powers_inside_the_budget_are_fast():
     out = _run_limited("matrix", "window", "--omega", "x+x^2",
                        "--rows", "0..2", "--cols", "5000..5001", budget=2.0)
     assert out == " 0  0\n 0  0\n 0  0\n"
+
+
+def test_sparse_powers_of_a_dense_omega_stay_in_memory():
+    # x + x^60 is dense enough to pack, (x + x^60)^9998 is not: 9999 terms
+    # over 589883 exponents, which packed at its widest coefficient would
+    # take most of the 1 GiB
+    out = _run_limited("matrix", "window", "--omega", "x+x^60",
+                       "--rows", "10058..10059", "--cols", "9998..10000", budget=2.0)
+    assert out == " 0  9999      0\n 0     0  10000\n"
 
 
 def test_monomial_omega_substitutes_exponents():

@@ -3,12 +3,15 @@
 `recip`, `_compose_kernel`, `_reversion` and `power` run on the dense
 working form of `biriordan.dense` (Newton iteration, Horner's rule,
 Lagrange inversion over packed integer products, and Miller's recurrence
-for exact bases over Q).  The functions prefixed `ref_` below are the
-earlier versions, kept here as references: the O(n^2) reciprocal
-recurrence, the compose loop accumulating chi_k * omega^k with `mul`/`add`,
-reversion by back-substitution, and powering by repeated squaring.
-Results must be equal with `==`, which compares side, exactness, window
-and every coefficient.
+for exact bases over Q), and so do the walks over the powers of omega
+behind matrix columns and compositions with an exact chi.  The functions
+prefixed `ref_` below are the earlier versions, kept here as references:
+the O(n^2) reciprocal recurrence, the compose loop accumulating chi_k *
+omega^k with `mul`/`add` (for an inexact chi over its window, and for an
+exact chi over its support), reversion by back-substitution, powering by
+repeated squaring, and matrix columns as alpha times each power.  Results
+must be equal with `==`, which compares side, exactness, window and every
+coefficient.
 """
 
 from __future__ import annotations
@@ -20,12 +23,15 @@ from fractions import Fraction
 import pytest
 
 from biriordan.field import PrimeField
+from biriordan.riordan import riordan
 from biriordan.series import (
     DEFAULT_PRECISION,
+    MAX_EXPONENT,
     LaurentSeries,
     Side,
     _compose_kernel,
     _convolve,
+    _DenseForm,
     _reversion,
     add,
     compose,
@@ -36,7 +42,10 @@ from biriordan.series import (
     power,
     powers,
     recip,
+    substitute_reciprocal,
 )
+from biriordan.window import extract
+from conftest import convolve_dicts
 
 FIELDS = ("q", 7, 2**31 - 1)
 
@@ -105,6 +114,36 @@ def ref_compose_kernel(chi: LaurentSeries, omega: LaurentSeries,
     cap = chi_cap if acc.exact else min(chi_cap, acc.hi)
     terms = {e: c for e, c in acc.coeffs.items() if e <= cap}
     return LaurentSeries.truncated(terms, Side.BELOW, m * w, cap)
+
+
+def ref_power_at(a: LaurentSeries, j: int, side=None,
+                 precision: int | None = None) -> LaurentSeries:
+    """a ** j by repeated squaring, after the exponent budget of power."""
+    if abs(j) > MAX_EXPONENT and len(a.coeffs) > 1:
+        raise ValueError(f"exponent must be at most {MAX_EXPONENT} in absolute value")
+    if j == 0:
+        return power(a, 0)
+    return ref_binary_power(a, j, side, precision)
+
+
+def ref_columns(alpha: LaurentSeries, omega: LaurentSeries, js, side,
+                precision: int | None) -> dict:
+    """Column j as alpha times its own power of omega, in ascending j."""
+    return {j: mul(alpha, ref_power_at(omega, j, side, precision))
+            for j in sorted(set(js))}
+
+
+def ref_compose_exact(chi: LaurentSeries, omega: LaurentSeries,
+                      precision: int | None = None, side=None) -> LaurentSeries:
+    """chi exact and nonzero: the sum of chi_k * omega^k with mul/add over
+    chi's support in ascending k, each power expanded on the side compose
+    expands it on."""
+    work = omega.side if omega.side is not Side.FINITE else (side or Side.BELOW)
+    result = None
+    for e in sorted(chi.coeffs):
+        term = mul(monomial(chi.coeffs[e]), ref_power_at(omega, e, work, precision))
+        result = term if result is None else add(result, term)
+    return result
 
 
 def ref_reversion(omega: LaurentSeries, precision: int | None) -> LaurentSeries:
@@ -454,3 +493,204 @@ def test_compose_kernel_substitutes_a_monomial_omega():
     got = _compose_kernel(chi, monomial(Fraction(2), 10**8), 3)
     assert got.coeffs == {0: 1, 10**8: 2, 2 * 10**8: 4}
     assert (got.lo, got.hi) == (0, 3 * 10**8 - 1)
+
+
+# -- one-term factors ------------------------------------------------------------------
+
+
+def test_one_term_factor_is_a_shift_and_a_scale():
+    rng = random.Random(111)
+    for _ in range(200):
+        field = rng.choice(FIELDS)
+        e = rng.randint(-5, 5)
+        one = {e: nonzero(rng, field)}
+        other = {rng.randint(-8, 40): scalar(rng, field)
+                 for _ in range(rng.randint(1, 30))}
+        other = {k: c for k, c in other.items() if c} or {0: nonzero(rng, field)}
+        hi = rng.choice([None, e + min(other) - 1, e + min(other),
+                         e + max(other) - 3, 100])
+        want = {k: c for k, c in convolve_dicts(one, other).items()
+                if hi is None or k <= hi}
+        assert _convolve(one, other, hi) == want
+        assert _convolve(other, one, hi) == want
+
+
+def test_one_term_factor_keeps_the_window_of_mul():
+    rng = random.Random(112)
+    for _ in range(150):
+        field = rng.choice(FIELDS)
+        lo = rng.randint(-4, 4)
+        if rng.random() < 0.5:
+            one = monomial(nonzero(rng, field), lo)
+        else:
+            one = LaurentSeries.truncated({lo: nonzero(rng, field)}, Side.BELOW,
+                                          lo, lo + rng.randint(0, 12))
+        other = below(rng, field, rng.randint(-4, 4), rng.randint(2, 30),
+                      exact=rng.random() < 0.4)
+        for a, b in ((one, other), (other, one)):
+            got = mul(a, b)
+            caps = [s.hi + t.lo for s, t in ((a, b), (b, a)) if not s.exact]
+            hi = min(caps) if caps else None
+            want = convolve_dicts(a.coeffs, b.coeffs)
+            assert got.coeffs == {k: c for k, c in want.items() if hi is None or k <= hi}
+            if hi is None:
+                assert got.exact
+            else:
+                assert (got.side, got.lo, got.hi) == (Side.BELOW, a.lo + b.lo, hi)
+            # the bounded-above side, through the flip
+            assert mul(substitute_reciprocal(a), substitute_reciprocal(b)) == \
+                substitute_reciprocal(got)
+
+
+# -- the power walk behind columns and compositions --------------------------------------
+
+
+def walk_operand(rng: random.Random, field, kind: str, side: Side) -> LaurentSeries:
+    """An exact, inexact, one-coefficient, monomial or sparse series."""
+    if kind == "monomial":
+        s = monomial(nonzero(rng, field), rng.choice([-2, -1, 1, 2]))
+    elif kind == "sparse":
+        s = LaurentSeries.from_terms({0: nonzero(rng, field), 1000: nonzero(rng, field)})
+    elif kind == "one":
+        o = rng.randint(-2, 2)
+        s = LaurentSeries.truncated({o: nonzero(rng, field)}, Side.BELOW, o, o)
+    else:
+        s = below(rng, field, rng.choice([-2, -1, 1, 2]), rng.randint(2, 6),
+                  exact=kind == "exact")
+    if side is Side.ABOVE and not s.exact:
+        s = LaurentSeries.truncated({-e: c for e, c in s.coeffs.items()},
+                                    Side.ABOVE, -s.hi, -s.lo)
+    return s
+
+
+KINDS = ("exact", "inexact", "one", "monomial", "sparse")
+
+
+def test_columns_match_alpha_times_each_power():
+    rng = random.Random(113)
+    for _ in range(250):
+        field = rng.choice(["q", "q", 7])
+        side = rng.choice([Side.BELOW, Side.ABOVE])
+        alpha = walk_operand(rng, field, rng.choice(KINDS), side)
+        omega = walk_operand(rng, field, rng.choice(KINDS), side)
+        prec = rng.choice([None, 1, 4])
+        m = riordan(alpha, omega, side, prec)
+        lo = rng.randint(-6, 3)
+        js = range(lo, lo + rng.randint(1, 7))
+        want = outcome(lambda: ref_columns(alpha, omega, js, m.side, prec))
+        assert outcome(lambda: m.columns(js)) == want
+        if not isinstance(want, tuple):
+            assert all(m.column(j) == want[j] for j in js)
+            rows = (rng.randint(-8, 8), rng.randint(-8, 8))
+            rows = (min(rows), max(rows))
+            # entry by entry, row by row: the first unknown one raises
+            assert outcome(lambda: extract(m, rows, (js[0], js[-1])).entries) == outcome(
+                lambda: tuple(tuple(want[j][i] for j in js)
+                              for i in range(rows[0], rows[1] + 1)))
+
+
+def test_columns_raise_the_exponent_budget_at_the_same_column():
+    omega = LaurentSeries.truncated({1: Fraction(2), 2: Fraction(-1, 3)},
+                                    Side.BELOW, 1, 3)
+    for side in (Side.BELOW, Side.ABOVE):
+        w = omega if side is Side.BELOW else LaurentSeries.truncated(
+            {-e: c for e, c in omega.coeffs.items()}, Side.ABOVE, -3, -1)
+        m = riordan(parse("1+x"), w, side, 3)
+        for js in (range(9_997, 10_003), range(-10_002, -9_998), [-10_001, 2, 10_001]):
+            with pytest.raises(ValueError, match="at most 10000"):
+                m.columns(js)
+            # the walk yields every column below the first exponent to raise
+            walked = []
+            with pytest.raises(ValueError, match="at most 10000"):
+                for j, pw in powers(w, js, side, 3):
+                    walked.append(j)
+                    assert pw == ref_binary_power(w, j, side, 3)
+            first_raising = min(k for k in js if abs(k) > 10_000)
+            assert walked == [j for j in sorted(js) if j < first_raising]
+        want = ref_columns(parse("1+x"), w, range(9_995, 10_001), side, 3)
+        assert m.columns(range(9_995, 10_001)) == want
+
+
+def test_walk_packs_no_sparse_power(monkeypatch):
+    # x + x^60 passes the density test but its powers from the square on do
+    # not (j + 1 terms over a span of 59 j): from there each product takes
+    # series arithmetic, as _convolve chooses for each product
+    packed = []
+    real = _DenseForm.read
+
+    def spy(form, v):
+        value = real(form, v)
+        packed.append(value[0])
+        return value
+
+    monkeypatch.setattr(_DenseForm, "read", spy)
+    gf7 = PrimeField(7)
+    for one, omega in ((Fraction(1), parse("x + x^60")),
+                       (gf7(1), LaurentSeries.from_terms({1: gf7(3), 60: gf7(2)})),
+                       (Fraction(1), LaurentSeries.truncated(
+                           {1: Fraction(1), 60: Fraction(-2)}, Side.BELOW, 1, 400))):
+        alpha = LaurentSeries.from_terms({0: one, 1: 2 * one})
+        chi = LaurentSeries.from_terms({e: (e + 2) * one for e in range(-2, 7)})
+        for w in (omega, substitute_reciprocal(omega)):
+            side = Side.BELOW if w.lo > 0 else Side.ABOVE
+            js = range(-3, 9)
+            assert riordan(alpha, w, side, 4).columns(js) == \
+                ref_columns(alpha, w, js, side, 4)
+            assert compose(chi, w, 4, side) == ref_compose_exact(chi, w, 4, side)
+    assert packed
+    for xs in packed:
+        assert len(xs) - 1 < 4 * sum(1 for x in xs if x) + 64
+
+
+def test_powers_with_a_factor_match_the_factor_times_each_power():
+    a, js = parse("1 + x - 2x^2"), [-2, -1, 0, 1, 3]
+    for f in (parse("1/(1-x)", precision=4), parse("2 + x"),
+              LaurentSeries.truncated({1: Fraction(1), 90: Fraction(3)}, Side.BELOW, 1, 95)):
+        for factor in (f, substitute_reciprocal(f)):
+            for side in (None, Side.BELOW, Side.ABOVE):
+                # a factor on the other side than the negative powers raises
+                assert outcome(lambda: list(powers(a, js, side, 4, factor))) == outcome(
+                    lambda: [(j, mul(factor, ref_power_at(a, j, side, 4))) for j in js])
+
+
+def test_exact_chi_compose_matches_mul_add_loop():
+    rng = random.Random(114)
+    for _ in range(250):
+        field = rng.choice(["q", "q", 7])
+        side = rng.choice([Side.BELOW, Side.ABOVE])
+        omega = walk_operand(rng, field, rng.choice(KINDS), side)
+        lo = rng.randint(-5, 4)
+        chi = LaurentSeries.from_terms({e: scalar(rng, field)
+                                        for e in range(lo, lo + rng.randint(1, 7))})
+        if chi.is_zero():
+            continue
+        prec = rng.choice([None, 1, 5])
+        given = side if omega.exact else rng.choice([None, side])
+        assert outcome(lambda: compose(chi, omega, prec, given)) == outcome(
+            lambda: ref_compose_exact(chi, omega, prec, given))
+
+
+def test_exact_chi_compose_edge_cases():
+    gf7 = PrimeField(7)
+    omega = parse("x/(1-x)", precision=6)
+    cases = [
+        # cancellation: 1 - (1 + O(x^4)) runs empty, (1+x) - 1 is x
+        (parse("1 - x"), LaurentSeries.truncated({0: Fraction(1)}, Side.BELOW, 0, 3)),
+        (parse("x - 1"), parse("1 + x")),
+        # sparse chis and omegas, whose inexact terms bind at different
+        # exponents, and a chi over GF(7)
+        (parse("1 + x^40"), omega),
+        (parse("x + x^100"), omega),
+        (parse("2 + x"), parse("1 + x^1000")),
+        (parse("1 + x + x^2"), LaurentSeries.truncated(
+            {1: Fraction(1), 500: Fraction(2)}, Side.BELOW, 1, 600)),
+        (LaurentSeries.from_terms({0: gf7(3), 2: gf7(5)}),
+         LaurentSeries.truncated({1: gf7(1), 2: gf7(6)}, Side.BELOW, 1, 4)),
+        # an omega with no known coefficient
+        (parse("1 + x"), LaurentSeries.truncated({}, Side.BELOW, 1, 3)),
+    ]
+    for chi, w in cases + [(chi, substitute_reciprocal(w)) for chi, w in cases]:
+        for prec in (None, 3):
+            for side in (Side.BELOW, Side.ABOVE):
+                assert outcome(lambda: compose(chi, w, prec, side)) == outcome(
+                    lambda: ref_compose_exact(chi, w, prec, side))

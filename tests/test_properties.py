@@ -5,7 +5,8 @@ must agree on every matrix, and the exponent budget of `power` must hold on
 every route that reaches omega^j.  `extract` and `compose` walk the powers
 of omega (`series.powers`), so a block must hold the entries of each
 `column` in turn, and a composition with an exact chi must be the sum of
-its terms.  Skipped when hypothesis is not installed.
+its terms.  The columns of a walk equal alpha times each power by repeated
+squaring.  Skipped when hypothesis is not installed.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from biriordan.series import (  # noqa: E402
     power,
 )
 from biriordan.window import extract  # noqa: E402
+from test_dense_kernels import ref_columns  # noqa: E402
 
 _COEFF = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
@@ -136,3 +138,10 @@ def test_exact_chi_composes_term_by_term(omega, chi, side, precision):
         return total
 
     assert _raised(lambda: compose(chi, omega, precision, side)) == _raised(by_terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=_matrix(), js=st.lists(st.integers(-7, 9), min_size=1, max_size=7))
+def test_columns_equal_alpha_times_repeated_squaring(m, js):
+    assert _raised(lambda: m.columns(js)) == _raised(
+        lambda: ref_columns(m.alpha, m.omega, js, m.side, m.precision))

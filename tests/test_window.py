@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from biriordan.errors import GuardViolationError, PrecisionError
+from biriordan.field import PrimeField
 from biriordan.riordan import identity, j_matrix, lagrange, matmul, riordan, toeplitz
 from biriordan.series import LaurentSeries, Side, mul, parse
 from biriordan.window import (
@@ -204,3 +205,105 @@ def test_guard_handles_negative_order_columns():
     got = oracle_matmul(extract(m, (0, 3), guard),
                         extract(n, guard, (-3, 0)), guard)
     assert got == extract(matmul(m, n), (0, 3), (-3, 0))
+
+
+# -- the oracles against their triple loops ----------------------------------------
+
+
+def ref_oracle_matmul(a, b, guard):
+    """The triple loop over Fraction sums that oracle_matmul ran before it
+    summed integer products over common denominators."""
+    if a.col_lo != b.row_lo or a.col_hi != b.row_hi:
+        raise ValueError("inner index ranges of the factors differ")
+    g_lo, g_hi = guard
+    if g_lo <= g_hi and (g_lo < a.col_lo or g_hi > a.col_hi):
+        raise GuardViolationError(
+            f"windows cover [{a.col_lo}, {a.col_hi}] but the certified "
+            f"summation range is [{g_lo}, {g_hi}]"
+        )
+    grid = []
+    for row in a.entries:
+        out = []
+        for j in range(b.col_lo, b.col_hi + 1):
+            acc = Fraction(0)
+            for k in range(g_lo, g_hi + 1):
+                acc += row[k - a.col_lo] * b.entry(k, j)
+            out.append(acc)
+        grid.append(tuple(out))
+    return MatrixWindow(a.row_lo, b.col_lo, tuple(grid))
+
+
+def ref_oracle_apply(a, v, guard):
+    """The double loop oracle_apply ran before."""
+    if a.col_lo != v.lo or a.col_hi != v.hi:
+        raise ValueError("inner index ranges of matrix and vector differ")
+    g_lo, g_hi = guard
+    if g_lo <= g_hi and (g_lo < v.lo or g_hi > v.hi):
+        raise GuardViolationError(
+            f"windows cover [{v.lo}, {v.hi}] but the certified summation "
+            f"range is [{g_lo}, {g_hi}]"
+        )
+    out = []
+    for row in a.entries:
+        acc = Fraction(0)
+        for k in range(g_lo, g_hi + 1):
+            acc += row[k - a.col_lo] * v.entry(k)
+        out.append(acc)
+    return VectorWindow(a.row_lo, tuple(out))
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _entry(rng, kind):
+    if kind == "q":
+        big = rng.random() < 0.1
+        num = rng.randint(-10**20, 10**20) if big else rng.randint(-6, 6)
+        return Fraction(num, rng.randint(1, 12))
+    if kind == "int":
+        return rng.randint(-5, 5)
+    return PrimeField(7)(rng.randrange(7))
+
+
+def _block(rng, row_lo, col_lo, rows, cols, kinds):
+    return MatrixWindow(row_lo, col_lo, tuple(
+        tuple(_entry(rng, rng.choice(kinds)) for _ in range(cols)) for _ in range(rows)))
+
+
+def test_oracles_match_the_triple_loop():
+    rng = make_rng(21)
+    for _ in range(300):
+        kinds = rng.choice([("q",), ("q",), ("q", "int"), ("int",), ("gf",), ("q", "gf")])
+        inner_lo, inner = rng.randint(-4, 4), rng.randint(1, 6)
+        a = _block(rng, rng.randint(-3, 3), inner_lo, rng.randint(1, 4), inner, kinds)
+        b = _block(rng, inner_lo, rng.randint(-3, 3), inner, rng.randint(1, 4), kinds)
+        v = VectorWindow(inner_lo, b.entries[0] if rng.random() < 0.5 else
+                         tuple(row[0] for row in b.entries))
+        g_lo = rng.randint(inner_lo - 1, inner_lo + inner)
+        guard = rng.choice([(g_lo, rng.randint(g_lo - 2, inner_lo + inner)), (0, -1),
+                            (inner_lo, inner_lo + inner - 1)])
+        if rng.random() < 0.1:  # mismatched inner ranges
+            b = _block(rng, inner_lo + 1, 0, inner, 2, kinds)
+            v = VectorWindow(inner_lo - 1, v.values)
+        got = _outcome(lambda: oracle_matmul(a, b, guard))
+        assert got == _outcome(lambda: ref_oracle_matmul(a, b, guard))
+        if isinstance(got, MatrixWindow):
+            assert [type(x) for row in got.entries for x in row] == [
+                type(x) for row in ref_oracle_matmul(a, b, guard).entries for x in row]
+        got = _outcome(lambda: oracle_apply(a, v, guard))
+        assert got == _outcome(lambda: ref_oracle_apply(a, v, guard))
+
+
+def test_oracle_with_an_empty_guard_gives_fraction_zeros():
+    gf7 = PrimeField(7)
+    for entry in (Fraction(3, 4), 2, gf7(3)):
+        a = MatrixWindow(0, 0, ((entry, entry),))
+        got = oracle_matmul(a, MatrixWindow(0, 0, ((entry,), (entry,))), (1, 0))
+        assert got.entries == ((Fraction(0),),)
+        assert type(got.entries[0][0]) is Fraction
+        vec = oracle_apply(a, VectorWindow(0, (entry, entry)), (1, 0))
+        assert vec.values == (Fraction(0),) and type(vec.values[0]) is Fraction
