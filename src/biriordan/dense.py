@@ -9,7 +9,9 @@ the result needs, and the values are converted back once at the end.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .field import PrimeFieldElement
@@ -106,6 +108,10 @@ def product(xa: list, xb: list, n: int) -> list:
     at once."""
     if n <= 0 or not (xa and xb):
         return []
+    if len(xb) == 1:
+        xa, xb = xb, xa
+    if len(xa) == 1:  # a one-term factor scales the other, packing nothing
+        return [xa[0] * x for x in xb[:n]]
     xa, xb = xa[:n], xb[:n]
     # a coefficient of the product sums at most min(len) products: size the
     # slots so that it fits with a sign bit to spare
@@ -169,9 +175,57 @@ def power(u: tuple, k: int, count: int) -> tuple:
     return b, out
 
 
+# the reciprocal takes long division up to this many coefficients, or up to
+# this many nonzero terms among them (measured: long division takes a step
+# per term for each coefficient, Newton a few packed products of n
+# coefficients, whose fixed costs outweigh the steps at every term count up
+# to n = 64; beyond, Newton wins from about 24 terms over GF(2^31-1), and
+# from more than 48 over Q)
+_SHORT_COUNT = 64
+_SHORT_DIVISOR = 20
+
+
 def recip(u: tuple, n: int, p: int) -> tuple:
-    """1/u to n coefficients (u[0] != 0) by Newton iteration: when v is right
-    to k coefficients, u*v = 1 + x^k*e and v - x^k*(v*e) is right to 2k."""
+    """1/u to n coefficients (u[0] != 0): by long division for n <=
+    _SHORT_COUNT or for at most _SHORT_DIVISOR nonzero terms among the first
+    n coefficients of u, else by Newton iteration."""
+    xs = u[0][:n]
+    if n <= _SHORT_COUNT or len(xs) - xs.count(0) <= _SHORT_DIVISOR:
+        return _divide(u, n, p)
+    return _newton(u, n, p)
+
+
+def _divide(u: tuple, n: int, p: int) -> tuple:
+    # b_k = -(sum over i >= 1 of u_i b_(k-i)) / u_0.  Over Q the start value
+    # keeps every b_k an integer, as in power: [x^k] 1/xs has a denominator
+    # dividing u_0^(k+1), so b_0 = u_0^(n-1) den over u_0^n; over GF(p) each
+    # step is times u_0^-1
+    xs, den = u
+    x0 = xs[0]
+    steps = [(i, x) for i, x in enumerate(xs[:n]) if i and x]
+    if p:
+        inv = pow(x0, -1, p)
+        b = [inv]
+    else:
+        b = [x0 ** (n - 1) * den]
+    for k in range(1, n):
+        s = 0
+        for i, x in steps:
+            if i > k:
+                break
+            s += x * b[k - i]
+        b.append(-s * inv % p if p else -s // x0)  # exact over Q
+    if p:
+        return b, 1
+    out = x0 ** n
+    if out < 0:
+        b, out = [-x for x in b], -out
+    return _normal(b, out, p)
+
+
+def _newton(u: tuple, n: int, p: int) -> tuple:
+    # when v is right to k coefficients, u*v = 1 + x^k*e and v - x^k*(v*e)
+    # is right to 2k
     xs, den = u
     if p:
         v = ([pow(xs[0], -1, p)], 1)
@@ -185,3 +239,74 @@ def recip(u: tuple, n: int, p: int) -> tuple:
         v = join(v, ([-x for x in vx], vd), p)
         k = k2
     return v
+
+
+def reversion(u: tuple, n: int, p: int) -> list:
+    """The coefficients of x^1 .. x^n of the compositional inverse of x*u
+    (u[0] != 0, n coefficients of u), as (numerator, denominator) pairs.
+
+    Lagrange inversion in the form that never divides by k (so it also holds
+    in characteristic p <= n): with psi = 1/u, [x^(k+1)] is [x^k] psi^k
+    (psi - x psi').  Baby steps and giant steps (Brent and Kung): with s =
+    ceil(sqrt(n)) and k = a s + b, that coefficient is the dot product of the
+    giant step psi^(a s) (psi - x psi') with the baby step psi^b, so about
+    2 sqrt(n) products of n coefficients serve all n coefficients."""
+    psi = recip(u, n, p)
+    s = math.isqrt(n - 1) + 1
+    babies = [([1] + [0] * (n - 1), 1), psi]
+    while len(babies) <= s:
+        babies.append(mul(babies[-1], psi, n, p))
+    giant = babies.pop()  # psi^s
+    g = ([(1 - i) * x for i, x in enumerate(psi[0])], psi[1])
+    out = []
+    for k in range(n):
+        a, b = divmod(k, s)
+        if a and not b:
+            g = mul(g, giant, n, p)
+        (gx, gd), (bx, bd) = g, babies[b]
+        dot = sum(map(operator.mul, gx[:k + 1], bx[k::-1]))
+        out.append((dot % p, 1) if p else (dot, gd * bd))
+    return out
+
+
+def compose(c: tuple, t: tuple, w: int, n: int, p: int) -> tuple:
+    """The sum over k of c_k y^k to n coefficients, for y = x^w t (w >= 1)
+    and a c whose every term reaches x^(n-1): (len(c) - 1) w < n.
+
+    Paterson and Stockmeyer's baby steps and giant steps: with s =
+    ceil(sqrt(len(c))), the baby powers y^0 .. y^(s-1); each block sum over
+    b of c_(as+b) y^b as n dot products against them, with the c_(as+b)
+    scaled to one common denominator of the y^b; the blocks by Horner's rule
+    in y^s, each product truncated to the coefficients that still reach
+    x^(n-1).  That is about 2 sqrt(len(c)) products of n coefficients, not
+    len(c)."""
+    cs, dc = c
+    s = math.isqrt(len(cs) - 1) + 1
+    rows, dens = [[1] + [0] * (n - 1)], [1]  # y^b as n coefficients over dens[b]
+    for b in range(1, s + 1 if len(cs) > s else s):
+        # t^b to the n - b w coefficients that y^b keeps
+        tb = t if b == 1 else mul(tb, t, n - b * w, p)
+        if b < s:
+            row = [0] * (b * w) + tb[0][:n - b * w]
+            rows.append(row + [0] * (n - len(row)))
+            dens.append(tb[1])
+    d = math.lcm(*dens)
+    scale = [d // db for db in dens]
+    acc = None
+    for a in reversed(range(0, len(cs), s)):
+        count = n - a * w  # coefficients that still reach x^(n-1)
+        ca = list(map(operator.mul, cs[a:a + s], scale))
+        block = [sum(map(operator.mul, ca, col))
+                 for col in itertools.islice(zip(*rows), count)]
+        if acc is None:
+            acc = _normal(block, dc * d, p)
+            continue
+        # acc <- block + y^s acc, with tb = t^s
+        px, pd = mul(acc, tb, count - s * w, p)
+        den = math.lcm(dc * d, pd)
+        xs = [x * (den // (dc * d)) for x in block]
+        f = den // pd
+        for i, x in enumerate(px, s * w):
+            xs[i] += f * x
+        acc = _normal(xs, den, p)
+    return acc

@@ -719,7 +719,7 @@ def _compose_kernel(chi: LaurentSeries, omega: LaurentSeries,
                     precision: int | None) -> LaurentSeries:
     # chi inexact bounded below of order m; omega viewable below with order
     # w >= 1.  chi(omega) = omega^m * sum over k of chi_k omega^(k-m), the sum
-    # by Horner's rule on the dense working form.
+    # by Paterson and Stockmeyer's scheme on the dense working form.
     w = omega.lo
     m = chi.lo
     cap = (chi.hi + 1) * w - 1  # chi's own truncation
@@ -750,14 +750,9 @@ def _compose_kernel(chi: LaurentSeries, omega: LaurentSeries,
                 terms[k * w] = chi.coeffs[k] * ck
             ck = ck * c
         return LaurentSeries.truncated(terms, Side.BELOW, m * w, cap)
-    cs, dc = dense.from_coeffs(chi.coeffs, m, top - m + 1, p)
+    cs = dense.from_coeffs(chi.coeffs, m, top - m + 1, p)
     tail = dense.from_coeffs(omega.coeffs, w, n - w, p)  # omega / x^w
-    acc = ([cs[-1]], dc)
-    for k in range(top - 1, m - 1, -1):
-        # acc <- chi_k + omega * acc, to the n - (k - m) w coefficients that
-        # still reach x^cap after the remaining multiplications by omega
-        prod = dense.mul(acc, tail, n - (k + 1 - m) * w, p)
-        acc = dense.join(([cs[k - m]] + [0] * (w - 1), dc), prod, p)
+    acc = dense.compose(cs, tail, w, n, p)
     xs, den = dense.mul(dense.from_coeffs(head.coeffs, m * w, n, p), acc, n, p)
     return LaurentSeries.truncated(dense.to_coeffs(xs, den, m * w, p),
                                    Side.BELOW, m * w, cap)
@@ -800,18 +795,9 @@ def _reversion(omega: LaurentSeries, precision: int | None) -> LaurentSeries:
     cap = _known_count(omega, precision)  # omega's order is 1
     p = dense.require_field(
         [omega.coeffs[e] for e in sorted(omega.coeffs) if e <= cap])
-    # Lagrange inversion in the form that never divides by n (so it also
-    # holds in characteristic p <= cap): with psi = x/omega,
-    # [x^n] omega^-1 = [x^(n-1)] psi^(n-1) (psi - x psi'), and each
-    # q = psi^(n-1) (psi - x psi') is the previous one times psi
-    psi = dense.recip(dense.from_coeffs(omega.coeffs, 1, cap, p), cap, p)
-    q = ([(1 - i) * x for i, x in enumerate(psi[0])], psi[1])
-    inv = {}
-    for n in range(1, cap + 1):
-        x, den = q[0][n - 1], q[1]
-        inv[n] = PrimeFieldElement(x, p) if p else Fraction(x, den)
-        if n < cap:
-            q = dense.mul(q, psi, cap, p)
+    pairs = dense.reversion(dense.from_coeffs(omega.coeffs, 1, cap, p), cap, p)
+    inv = {n: PrimeFieldElement(x, p) if p else Fraction(x, d)
+           for n, (x, d) in enumerate(pairs, 1)}
     return LaurentSeries.truncated(inv, Side.BELOW, 1, cap)
 
 

@@ -12,6 +12,8 @@ import time
 
 import biriordan
 from biriordan.cli import main
+from biriordan.series import parse
+from test_dense_kernels import ref_reversion
 
 
 def run(capsys, *argv):
@@ -590,6 +592,16 @@ def test_sparse_powers_of_a_dense_omega_stay_in_memory():
     out = _run_limited("matrix", "window", "--omega", "x+x^60",
                        "--rows", "10058..10059", "--cols", "9998..10000", budget=2.0)
     assert out == " 0  9999      0\n 0     0  10000\n"
+
+
+def test_large_inversion_takes_few_products():
+    # baby steps and giant steps: about 2 sqrt(n) packed products; with one
+    # product per coefficient this took about 13 s (2-core AMD EPYC VM)
+    out = _run_limited("series", "invert", "--omega", "x-x^2-x^3", "--prec", "500",
+                       "--format", "json", budget=4.0)
+    want = ref_reversion(parse("x-x^2-x^3"), 500)
+    assert json.loads(out) == json.loads(json.dumps(want.to_json_dict()))
+    assert len(want.coeffs) == 500
 
 
 def test_monomial_omega_substitutes_exponents():

@@ -1,28 +1,33 @@
 """The dense kernels against the scalar loops they replaced.
 
 `recip`, `_compose_kernel`, `_reversion` and `power` run on the dense
-working form of `biriordan.dense` (Newton iteration, Horner's rule,
-Lagrange inversion over packed integer products, and Miller's recurrence
-for exact bases over Q), and so do the walks over the powers of omega
-behind matrix columns and compositions with an exact chi.  The functions
-prefixed `ref_` below are the earlier versions, kept here as references:
-the O(n^2) reciprocal recurrence, the compose loop accumulating chi_k *
-omega^k with `mul`/`add` (for an inexact chi over its window, and for an
-exact chi over its support), reversion by back-substitution, powering by
-repeated squaring, and matrix columns as alpha times each power.  Results
-must be equal with `==`, which compares side, exactness, window and every
-coefficient.
+working form of `biriordan.dense` (long division for short divisors and
+Newton iteration otherwise, Paterson and Stockmeyer's composition and
+baby-step giant-step Lagrange inversion over packed integer products, and
+Miller's recurrence for exact bases over Q), and so do the walks over the
+powers of omega behind matrix columns and compositions with an exact chi.
+The functions prefixed `ref_` below are the earlier versions, kept here as
+references: the O(n^2) reciprocal recurrence, the compose loop accumulating
+chi_k * omega^k with `mul`/`add` (for an inexact chi over its window, and
+for an exact chi over its support), reversion by back-substitution,
+powering by repeated squaring, matrix columns as alpha times each power,
+and the packed kernels they were replaced by first: Newton iteration for
+every divisor, Horner's rule and Lagrange inversion with one product per
+coefficient.  Results must be equal with `==`, which compares side,
+exactness, window and every coefficient.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from biriordan.field import PrimeField
+from biriordan import dense
+from biriordan.field import PrimeField, PrimeFieldElement
 from biriordan.riordan import riordan
 from biriordan.series import (
     DEFAULT_PRECISION,
@@ -32,6 +37,7 @@ from biriordan.series import (
     _compose_kernel,
     _convolve,
     _DenseForm,
+    _known_count,
     _reversion,
     add,
     compose,
@@ -174,6 +180,94 @@ def ref_reversion(omega: LaurentSeries, precision: int | None) -> LaurentSeries:
     return LaurentSeries.truncated(inv, Side.BELOW, 1, cap)
 
 
+def ref_newton(u: tuple, n: int, p: int) -> tuple:
+    """dense.recip by Newton iteration for every divisor: when v is right to
+    k coefficients, u*v = 1 + x^k*e and v - x^k*(v*e) is right to 2k."""
+    xs, den = u
+    if p:
+        v = ([pow(xs[0], -1, p)], 1)
+    else:
+        v = ([den], xs[0]) if xs[0] > 0 else ([-den], -xs[0])
+    k = 1
+    while k < n:
+        k2 = min(2 * k, n)
+        ex, ed = dense.mul(u, v, k2, p)
+        vx, vd = dense.mul(v, (ex[k:], ed), k2 - k, p)
+        v = dense.join(v, ([-x for x in vx], vd), p)
+        k = k2
+    return v
+
+
+def ref_newton_recip(a: LaurentSeries, precision: int | None) -> LaurentSeries:
+    """The bounded-below reciprocal of a non-monomial series by ref_newton."""
+    m = a.order(Side.BELOW)
+    count = _known_count(a, precision)
+    p = dense.require_field([a.coeffs[e] for e in sorted(a.coeffs) if e < m + count])
+    xs, den = ref_newton(dense.from_coeffs(a.coeffs, m, count, p), count, p)
+    return LaurentSeries.truncated(dense.to_coeffs(xs, den, -m, p), Side.BELOW,
+                                   -m, -m + count - 1)
+
+
+def ref_horner_compose_kernel(chi: LaurentSeries, omega: LaurentSeries,
+                              precision: int | None) -> LaurentSeries:
+    """_compose_kernel with the sum by Horner's rule: one packed product per
+    coefficient of chi, each truncated to what still reaches x^cap."""
+    w = omega.lo
+    m = chi.lo
+    cap = (chi.hi + 1) * w - 1
+    if not chi.coeffs:
+        return LaurentSeries.truncated({}, Side.BELOW, m * w, cap)
+    head = power(omega, m, Side.BELOW, precision)
+    if not head.exact:
+        cap = min(cap, head.hi)
+    elif not omega.exact:
+        later = [k for k in chi.coeffs if k > 0]
+        if later:
+            cap = min(cap, omega.hi + (min(later) - 1) * w)
+    n = cap - m * w + 1
+    top = min(chi.hi, m + (n - 1) // w)
+    p = dense.require_field([*omega.coeffs.values(),
+                             *[chi.coeffs[k] for k in sorted(chi.coeffs)]])
+    if omega.exact and len(omega.coeffs) == 1:
+        c, ck = omega.coeffs[w], head.coeffs[m * w]
+        terms = {}
+        for k in range(m, top + 1):
+            if k in chi.coeffs:
+                terms[k * w] = chi.coeffs[k] * ck
+            ck = ck * c
+        return LaurentSeries.truncated(terms, Side.BELOW, m * w, cap)
+    cs, dc = dense.from_coeffs(chi.coeffs, m, top - m + 1, p)
+    tail = dense.from_coeffs(omega.coeffs, w, n - w, p)
+    acc = ([cs[-1]], dc)
+    for k in range(top - 1, m - 1, -1):
+        prod = dense.mul(acc, tail, n - (k + 1 - m) * w, p)
+        acc = dense.join(([cs[k - m]] + [0] * (w - 1), dc), prod, p)
+    xs, den = dense.mul(dense.from_coeffs(head.coeffs, m * w, n, p), acc, n, p)
+    return LaurentSeries.truncated(dense.to_coeffs(xs, den, m * w, p),
+                                   Side.BELOW, m * w, cap)
+
+
+def ref_lagrange_reversion(omega: LaurentSeries,
+                           precision: int | None) -> LaurentSeries:
+    """_reversion with one packed product per coefficient: with psi =
+    x/omega, [x^n] omega^-1 = [x^(n-1)] psi^(n-1) (psi - x psi'), each
+    q = psi^(n-1) (psi - x psi') the previous one times psi."""
+    if omega.exact and len(omega.coeffs) == 1:
+        return monomial(1 / omega.coeffs[1], 1)
+    cap = _known_count(omega, precision)
+    p = dense.require_field(
+        [omega.coeffs[e] for e in sorted(omega.coeffs) if e <= cap])
+    psi = ref_newton(dense.from_coeffs(omega.coeffs, 1, cap, p), cap, p)
+    q = ([(1 - i) * x for i, x in enumerate(psi[0])], psi[1])
+    inv = {}
+    for n in range(1, cap + 1):
+        x, den = q[0][n - 1], q[1]
+        inv[n] = PrimeFieldElement(x, p) if p else Fraction(x, den)
+        if n < cap:
+            q = dense.mul(q, psi, cap, p)
+    return LaurentSeries.truncated(inv, Side.BELOW, 1, cap)
+
+
 # -- random operands -------------------------------------------------------------------
 
 
@@ -181,7 +275,11 @@ def scalar(rng: random.Random, field):
     if field == "q":
         num = rng.randint(-6, 6) if rng.random() < 0.9 else rng.randint(-10**15, 10**15)
         return Fraction(num, rng.randint(1, 5))
-    return PrimeField(field)(rng.randrange(field))
+    # PrimeField tests primality by trial division: build each field once
+    return prime_field(field)(rng.randrange(field))
+
+
+prime_field = functools.cache(PrimeField)
 
 
 def nonzero(rng: random.Random, field):
@@ -542,6 +640,18 @@ def test_one_term_factor_keeps_the_window_of_mul():
                 substitute_reciprocal(got)
 
 
+def test_packed_product_by_one_term_is_a_scale():
+    rng = random.Random(120)
+    for _ in range(100):
+        xs = [rng.randint(-10**20, 10**20) for _ in range(rng.randint(1, 30))]
+        c = rng.choice([0, 1, -1, rng.randint(-10**9, 10**9)])
+        n = rng.randint(1, 40)
+        want = [0] * min(n, len(xs))
+        for i, x in enumerate(xs[:n]):
+            want[i] += c * x
+        assert dense.product([c], xs, n) == dense.product(xs, [c], n) == want
+
+
 # -- the power walk behind columns and compositions --------------------------------------
 
 
@@ -694,3 +804,159 @@ def test_exact_chi_compose_edge_cases():
             for side in (Side.BELOW, Side.ABOVE):
                 assert outcome(lambda: compose(chi, w, prec, side)) == outcome(
                     lambda: ref_compose_exact(chi, w, prec, side))
+
+
+# -- short divisors, baby steps and giant steps ------------------------------------------
+
+# counts around each square s^2, where the baby-step count s = ceil(sqrt(n))
+# of the compositions and inversions steps up, and around the length at
+# which the reciprocal stops taking long division for every divisor
+AROUND_SQUARES = (1, 2, 3, 4, 5, 8, 9, 10, 15, 16, 17, 24, 25, 26, 63, 64, 65)
+
+
+def test_long_division_and_newton_agree_on_the_integer_form():
+    rng = random.Random(115)
+    for _ in range(300):
+        p = rng.choice([0, 7, 2**31 - 1])
+        n = rng.randint(1, 90)
+        t = rng.randint(1, n)
+        xs = [0] * n
+        for i in [0, *rng.sample(range(1, n), t - 1)]:
+            if p:
+                xs[i] = rng.randrange(1, p)
+            else:
+                xs[i] = rng.choice([-1, 1]) * rng.choice([1, 2, 3, 10**20 + 1])
+        u = (xs, 1 if p else rng.choice([1, 6, 10**15]))
+        want = ref_newton(u, n, p)
+        assert dense._divide(u, n, p) == want
+        assert dense.recip(u, n, p) == want
+
+
+def test_recip_of_short_divisors_matches_newton_and_the_recurrence():
+    gf7, gfm = PrimeField(7), PrimeField(2**31 - 1)
+    divisors = [
+        parse("3-x"), parse("-2+x^5"), parse("1-x^50"), parse("-3 + 2x - 5x^2 + x^3"),
+        parse("-7/2 + 1/3x^2"), parse("x^-3 + 4x^9"),
+        LaurentSeries.from_terms({0: gf7(3), 1: gf7(6)}),
+        LaurentSeries.from_terms({0: gf7(5), 5: gf7(1), 6: gf7(2)}),
+        LaurentSeries.from_terms({0: gfm(3), 1: gfm(2**31 - 2)}),
+        # inexact divisors with few nonzero known terms
+        LaurentSeries.truncated({0: Fraction(-2, 3), 7: Fraction(5)}, Side.BELOW, 0, 40),
+        LaurentSeries.truncated({2: gf7(4), 9: gf7(1)}, Side.BELOW, 2, 30),
+        LaurentSeries.truncated({-1: gfm(5), 60: gfm(7)}, Side.BELOW, -1, 120),
+        LaurentSeries.truncated({1: Fraction(3)}, Side.BELOW, 1, 70),
+    ]
+    for a in divisors:
+        for prec in (1, 2, 7, 8, 64, 65, 200):
+            want = ref_newton_recip(a, prec)
+            assert recip(a, Side.BELOW, prec) == want
+            assert want == ref_recip(a, prec)
+            # the bounded-above side, through the flip
+            assert recip(substitute_reciprocal(a), Side.ABOVE, prec) == \
+                substitute_reciprocal(want)
+
+
+def test_recip_route_depends_on_term_count_and_length(monkeypatch):
+    # long division through 20 nonzero terms among the first n coefficients,
+    # or for every divisor when n <= 64; Newton iteration otherwise
+    routes = []
+    for name in ("_divide", "_newton"):
+        def spy(u, n, p, real=getattr(dense, name), name=name):
+            routes.append(name)
+            return real(u, n, p)
+        monkeypatch.setattr(dense, name, spy)
+    rng = random.Random(116)
+    cases = [(64, 64, "_divide"), (64, 21, "_divide"), (65, 19, "_divide"),
+             (65, 20, "_divide"), (65, 21, "_newton"), (100, 21, "_newton"),
+             (100, 100, "_newton"), (200, 2, "_divide")]
+    for n, t, route in cases:
+        for field in FIELDS:
+            terms = {e: nonzero(rng, field) for e in [0, *rng.sample(range(1, n), t - 1)]}
+            # terms from x^n on are not among the first n coefficients
+            terms.update({e: nonzero(rng, field) for e in range(n, n + 5)})
+            a = LaurentSeries.from_terms(terms)
+            routes.clear()
+            got = recip(a, Side.BELOW, n)
+            assert routes == [route], (n, t)
+            assert got == ref_newton_recip(a, n)
+
+
+def test_compose_kernel_matches_horner_around_each_square():
+    rng = random.Random(117)
+    for field in FIELDS:
+        for count in AROUND_SQUARES:
+            for w, kind in ((1, "inexact"), (1, "exact"), (2, "inexact"),
+                            (3, "exact"), (2, "sparse"), (1, "monomial")):
+                chi = below(rng, field, rng.randint(-2, 2), count)
+                if kind == "monomial":
+                    omega = monomial(nonzero(rng, field), w)
+                elif kind == "sparse":
+                    omega = LaurentSeries.truncated(
+                        {w: nonzero(rng, field), w + 40: nonzero(rng, field)},
+                        Side.BELOW, w, w + count * w + 50)
+                else:
+                    omega = below(rng, field, w, count + rng.randint(0, 3),
+                                  exact=kind == "exact")
+                want = ref_horner_compose_kernel(chi, omega, count)
+                assert _compose_kernel(chi, omega, count) == want
+                if count <= 26:
+                    assert want == ref_compose_kernel(chi, omega, count)
+                # omega bounded above of order -w, through the flip
+                assert compose(chi, substitute_reciprocal(omega), count) == \
+                    substitute_reciprocal(want)
+
+
+def test_compose_kernel_edge_chis_match_horner():
+    rng = random.Random(118)
+    for field in FIELDS:
+        for count in (1, 4, 9, 16, 65):
+            omega = below(rng, field, 1, count + 2)
+            exact_omega = below(rng, field, 2, 5, exact=True)
+            one = nonzero(rng, field)
+            chis = [
+                # a single coefficient, and an empty window
+                LaurentSeries.truncated({2: one}, Side.BELOW, 2, 2),
+                LaurentSeries.truncated({-1: one}, Side.BELOW, -1, count),
+                LaurentSeries.truncated({}, Side.BELOW, 1, count),
+                # order 0 with an inexact omega: a later nonzero chi_k binds
+                LaurentSeries.truncated({0: one, count: one}, Side.BELOW, 0, 2 * count),
+                below(rng, field, 0, count),
+            ]
+            for chi in chis:
+                for w in (omega, exact_omega):
+                    assert _compose_kernel(chi, w, count) == \
+                        ref_horner_compose_kernel(chi, w, count) == \
+                        ref_compose_kernel(chi, w, count)
+
+
+def test_reversion_matches_lagrange_products_around_each_square():
+    rng = random.Random(119)
+    for field in FIELDS:
+        for count in AROUND_SQUARES + (80,):
+            for kind in ("exact", "inexact", "sparse"):
+                if kind == "sparse":
+                    omega = LaurentSeries.from_terms(
+                        {1: nonzero(rng, field), 40: nonzero(rng, field)})
+                else:
+                    omega = below(rng, field, 1, count, exact=kind == "exact")
+                want = ref_lagrange_reversion(omega, count)
+                assert _reversion(omega, count) == want
+                if count <= 26:
+                    assert want == ref_reversion(omega, count)
+                # order -1 below lands above, and bounded-above inputs go
+                # through the flip
+                down = below(rng, field, -1, count)
+                assert compositional_inverse(down, count) == substitute_reciprocal(
+                    ref_lagrange_reversion(ref_newton_recip(down, count), count))
+                assert compositional_inverse(substitute_reciprocal(omega), count) == \
+                    recip(want, None, count)
+
+
+def test_reversion_in_characteristic_seven_past_each_square():
+    # n = 7, 14, ... are 0 in GF(7): the baby and giant steps never divide
+    gf7 = PrimeField(7)
+    omega = LaurentSeries.from_terms({1: gf7(3), 2: gf7(1), 5: gf7(6)})
+    for prec in (7, 8, 48, 49, 50, 99):
+        got = _reversion(omega, prec)
+        assert got == ref_lagrange_reversion(omega, prec)
+        assert got.hi == prec

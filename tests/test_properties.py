@@ -6,7 +6,9 @@ every route that reaches omega^j.  `extract` and `compose` walk the powers
 of omega (`series.powers`), so a block must hold the entries of each
 `column` in turn, and a composition with an exact chi must be the sum of
 its terms.  The columns of a walk equal alpha times each power by repeated
-squaring.  Skipped when hypothesis is not installed.
+squaring.  A compositional inverse composes back to x, and inverts back to
+omega, on the windows it certifies.  Skipped when hypothesis is not
+installed.
 """
 
 from __future__ import annotations
@@ -17,15 +19,19 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
+from biriordan.field import PrimeFieldElement  # noqa: E402
 from biriordan.riordan import apply, riordan  # noqa: E402
 from biriordan.series import (  # noqa: E402
     LaurentSeries,
     Side,
     add,
     compose,
+    compositional_inverse,
+    eq_to_precision,
     monomial,
     mul,
     power,
+    substitute_reciprocal,
 )
 from biriordan.window import extract  # noqa: E402
 from test_dense_kernels import ref_columns  # noqa: E402
@@ -145,3 +151,32 @@ def test_exact_chi_composes_term_by_term(omega, chi, side, precision):
 def test_columns_equal_alpha_times_repeated_squaring(m, js):
     assert _raised(lambda: m.columns(js)) == _raised(
         lambda: ref_columns(m.alpha, m.omega, js, m.side, m.precision))
+
+
+@st.composite
+def _invertible(draw):
+    """A series of order +1 or -1 on its side, over Q or GF(7): exact, or
+    known on a window of the side it is bounded on."""
+    p = draw(st.sampled_from([0, 7]))
+    coeff = _COEFF if not p else st.integers(0, 6).map(lambda n: PrimeFieldElement(n, 7))
+    order = draw(st.sampled_from([1, -1]))
+    count = draw(st.integers(1, 30))
+    terms = {order + i: draw(coeff) for i in range(1, count)}
+    terms[order] = draw(coeff.filter(bool))
+    if draw(st.booleans()):
+        omega = LaurentSeries.from_terms(terms)
+    else:
+        omega = LaurentSeries.truncated(terms, Side.BELOW, order, order + count - 1)
+    # the bounded-above side: the order is the greatest exponent there
+    return substitute_reciprocal(omega) if draw(st.booleans()) else omega
+
+
+@settings(max_examples=300, deadline=None)
+@given(omega=_invertible(), precision=st.sampled_from([None, 1, 2, 9, 17, 40]))
+def test_inverse_round_trips(omega, precision):
+    inv = compositional_inverse(omega, precision)
+    c = next(iter(omega.coeffs.values()))
+    x = monomial(c / c, 1)  # x over omega's field
+    back = compose(omega, inv, precision)
+    assert back.known(1) and eq_to_precision(back, x)
+    assert eq_to_precision(compositional_inverse(inv, precision), omega)
