@@ -59,6 +59,8 @@ def to_coeffs(xs: list, den: int, lo: int, p: int) -> dict:
     """Coefficient dict {lo + i: xs[i] / den}, zeros dropped."""
     if p:
         return {lo + i: PrimeFieldElement(x, p) for i, x in enumerate(xs) if x % p}
+    if den == 1:  # the same value, without a gcd per coefficient
+        return {lo + i: Fraction(x) for i, x in enumerate(xs) if x}
     return {lo + i: Fraction(x, den) for i, x in enumerate(xs) if x}
 
 

@@ -34,6 +34,7 @@ from .field import PrimeFieldElement
 DEFAULT_PRECISION = 16
 MAX_NESTING = 100  # parenthesis depth the recursive-descent parser accepts
 MAX_EXPONENT = 10_000  # largest |j| in a power of a base with several terms
+MAX_COMPOSE_LENGTH = 100_000  # most dense coefficients a composition works on
 _ZERO = Fraction(0)  # a known gap; Fractions are immutable, so one serves all
 
 
@@ -520,47 +521,33 @@ def _walk(a: LaurentSeries, exponents, side: Side | None,
 
 def _form(side: Side | None, *series: LaurentSeries):
     """The working form of a walk over these series whose one-sided values
-    live on `side`: the dense form of the field of their coefficients, or
-    the series form when they share no field (so what a scalar loop raised
-    is raised) or have no known coefficient."""
+    live on `side`: the dense form of the field of their coefficients, which
+    packs nothing when they share no field (so what a scalar loop raised is
+    raised) or have no known coefficient."""
     values = [c for s in series for c in s.coeffs.values()]
-    p = dense.field_of(values) if values else None
-    if p is None:
-        return _SeriesForm
-    return _DenseForm(p, side is Side.ABOVE)
+    return _DenseForm(dense.field_of(values) if values else None, side is Side.ABOVE)
 
 
-class _SeriesForm:
-    """Values are series, multiplied by mul."""
-
-    @staticmethod
-    def lift(s: LaurentSeries) -> LaurentSeries:
-        return s
-
-    out = lift
-    mul = staticmethod(mul)
-
-    @staticmethod
-    def sum(terms) -> LaurentSeries:
-        """The sum of c * v over the pairs (c, v), known where every inexact
-        v is known (all are on one side)."""
-        acc: dict = {}
-        inexact = []
-        for c, v in terms:
-            # every product of a term before its sum, as mul then add raised
-            for e, y in [(e, c * x) for e, x in v.coeffs.items()]:
-                acc[e] = acc[e] + y if e in acc else y
-            if not v.exact:
-                inexact.append(v)
-        if not inexact:
-            return LaurentSeries.from_terms(acc)
-        if inexact[0].side is Side.BELOW:
-            hi = min(v.hi for v in inexact)
-            acc = {e: c for e, c in acc.items() if e <= hi}
-            return LaurentSeries.truncated(acc, Side.BELOW, min(acc, default=hi + 1), hi)
-        lo = max(v.lo for v in inexact)
-        acc = {e: c for e, c in acc.items() if e >= lo}
-        return LaurentSeries.truncated(acc, Side.ABOVE, lo, max(acc, default=lo - 1))
+def _sum(terms) -> LaurentSeries:
+    """The sum of c * v over the pairs (c, v) of a scalar and a series, known
+    where every inexact v is known (all are on one side)."""
+    acc: dict = {}
+    inexact = []
+    for c, v in terms:
+        # every product of a term before its sum, as mul then add raised
+        for e, y in [(e, c * x) for e, x in v.coeffs.items()]:
+            acc[e] = acc[e] + y if e in acc else y
+        if not v.exact:
+            inexact.append(v)
+    if not inexact:
+        return LaurentSeries.from_terms(acc)
+    if inexact[0].side is Side.BELOW:
+        hi = min(v.hi for v in inexact)
+        acc = {e: c for e, c in acc.items() if e <= hi}
+        return LaurentSeries.truncated(acc, Side.BELOW, min(acc, default=hi + 1), hi)
+    lo = max(v.lo for v in inexact)
+    acc = {e: c for e, c in acc.items() if e >= lo}
+    return LaurentSeries.truncated(acc, Side.ABOVE, lo, max(acc, default=lo - 1))
 
 
 class _DenseForm:
@@ -574,7 +561,7 @@ class _DenseForm:
     sum keeps the rule _convolve applies to each product: a value whose
     span is mostly gaps, or that has no known coefficient, stays a series
     and takes series arithmetic, and so does an inexact series on the other
-    side (whose product raises)."""
+    side (whose product raises) and every value when p is None."""
 
     __slots__ = ("p", "flip", "side")
 
@@ -587,7 +574,7 @@ class _DenseForm:
         # the density test on what the form packs: the support of an exact
         # value, the whole window of an inexact one
         if type(v) is LaurentSeries:
-            if not v.coeffs or not (v.exact or v.side is self.side):
+            if self.p is None or not v.coeffs or not (v.exact or v.side is self.side):
                 return False
             span = max(v.coeffs) - min(v.coeffs) if v.exact else v.hi - v.lo
             return _worth_packing(span, len(v.coeffs))
@@ -637,9 +624,12 @@ class _DenseForm:
     def sum(self, terms) -> LaurentSeries:
         """The sum of c * v over the pairs (c, v), known through the least
         bound of an inexact v, as one series."""
+        if self.p is None:
+            # term by term as the walk yields them, so what raises first raises
+            return _sum(terms)
         terms = list(terms)
         if not all(self.fits(v) for _, v in terms):
-            return _SeriesForm.sum((c, self.out(v)) for c, v in terms)
+            return _sum((c, self.out(v)) for c, v in terms)
         terms = [(c, self.read(v)) for c, v in terms]
         lo = min(l for _, (_, _, l, _) in terms)
         caps = [l + n - 1 for _, (_, _, l, n) in terms if n is not None]
@@ -686,9 +676,11 @@ def compose(chi: LaurentSeries, omega: LaurentSeries,
         if chi.is_zero():
             return LaurentSeries.zero()
         work = omega.side if omega.side is not Side.FINITE else (side or Side.BELOW)
-        # a single term scales one power, which the walk yields as a series;
+        if len(chi.coeffs) == 1:  # c x^e is c times one power
+            (e, c), = chi.coeffs.items()
+            return mul(monomial(c), power(omega, e, work, precision))
         # chi's coefficients are scalars of the sum and only fix the field
-        form = _form(work, omega, chi) if len(chi.coeffs) > 1 else _SeriesForm
+        form = _form(work, omega, chi)
         return form.sum((chi.coeffs[e], pw)
                         for e, pw in _walk(omega, chi.coeffs, work, precision, form))
     bo = _side_order(omega, Side.BELOW)
@@ -701,10 +693,12 @@ def compose(chi: LaurentSeries, omega: LaurentSeries,
                 _compose_kernel(chi, substitute_reciprocal(omega), precision)
             )
     else:
-        # a bounded-above chi is (J chi)(1/x), so chi(omega) = (J chi)(1/omega)
-        inner_side = (Side.BELOW if bo is not None and bo <= -1 else
-                      Side.ABOVE if ao is not None and ao >= 1 else None)
-        if inner_side is not None:
+        # a bounded-above chi is (J chi)(1/x), so chi(omega) = (J chi)(1/omega),
+        # with 1/omega expanded on `side` when a finite omega allows both
+        sides = [s for s, ok in ((Side.BELOW, bo is not None and bo <= -1),
+                                 (Side.ABOVE, ao is not None and ao >= 1)) if ok]
+        if sides:
+            inner_side = side if side in sides else sides[0]
             return compose(substitute_reciprocal(chi),
                            recip(omega, inner_side, precision), precision)
     raise CompositionUndefinedError(
@@ -750,6 +744,9 @@ def _compose_kernel(chi: LaurentSeries, omega: LaurentSeries,
                 terms[k * w] = chi.coeffs[k] * ck
             ck = ck * c
         return LaurentSeries.truncated(terms, Side.BELOW, m * w, cap)
+    if n > MAX_COMPOSE_LENGTH:
+        raise ValueError(f"composition needs {n} dense coefficients, more than "
+                         f"{MAX_COMPOSE_LENGTH}")
     cs = dense.from_coeffs(chi.coeffs, m, top - m + 1, p)
     tail = dense.from_coeffs(omega.coeffs, w, n - w, p)  # omega / x^w
     acc = dense.compose(cs, tail, w, n, p)

@@ -12,6 +12,7 @@ connects palindromic h-vectors to vanishing residuals.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -93,9 +94,11 @@ class HVector:
         return LaurentSeries.from_terms({t: c for t, c in enumerate(self.h)})
 
 
+@functools.cache
 def _transform(text: str, d: int, precision: int) -> RiordanMatrix:
     """R(b^{d+1}, x/b) for b = parse(text): with b = 1-x it sends the embedded
-    f-polynomial to h, with b = 1+x it is the inverse transform."""
+    f-polynomial to h, with b = 1+x it is the inverse transform.  Built once
+    per argument triple; matrices are immutable, so callers share them."""
     b = parse(text)
     omega = mul(parse("x"), recip(b, Side.BELOW, precision))
     return riordan(power(b, d + 1), omega, precision=precision)

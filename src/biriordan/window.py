@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import GuardViolationError
 from .field import format_scalar, parse_scalar
-from .riordan import RiordanMatrix
+from .riordan import RiordanMatrix, toeplitz
 from .series import LaurentSeries, Side, _side_order
 
 
@@ -158,16 +158,6 @@ def _right_bounds(n: RiordanMatrix, j: int):
     return lowers, uppers, False
 
 
-def _vector_bounds(chi: LaurentSeries):
-    lowers: list = []
-    uppers: list = []
-    if chi.exact or chi.side is Side.BELOW:
-        lowers.append(chi.lo)
-    if chi.exact or chi.side is Side.ABOVE:
-        uppers.append(chi.hi)
-    return lowers, uppers
-
-
 def _merge(i, j, left, right):
     """Certified inner-index interval for one entry, or None when the entry
     is certified zero.  Raises when no finite interval exists."""
@@ -210,9 +200,9 @@ def product_guard(m: RiordanMatrix, n: RiordanMatrix, rows, cols):
 
 
 def apply_guard(m: RiordanMatrix, chi: LaurentSeries, rows):
-    """Same certification for the matrix-vector product m * chi."""
+    """Same certification for m * chi, where chi is column 0 of toeplitz(chi)."""
     _check_range(rows, "row")
-    vec = (*_vector_bounds(chi), False)
+    vec = _right_bounds(toeplitz(chi), 0)
     spans = [
         _merge(i, "-", _left_bounds(m, i), vec)
         for i in range(rows[0], rows[1] + 1)
@@ -245,18 +235,11 @@ def oracle_matmul(a: MatrixWindow, b: MatrixWindow, guard) -> MatrixWindow:
 
 
 def oracle_apply(a: MatrixWindow, v: VectorWindow, guard) -> VectorWindow:
-    """One-dimensional analogue of oracle_matmul."""
+    """oracle_matmul with v as a one-column window."""
     if a.col_lo != v.lo or a.col_hi != v.hi:
         raise ValueError("inner index ranges of matrix and vector differ")
-    g_lo, g_hi = guard
-    if g_lo <= g_hi and (g_lo < v.lo or g_hi > v.hi):
-        raise GuardViolationError(
-            f"windows cover [{v.lo}, {v.hi}] but the certified summation "
-            f"range is [{g_lo}, {g_hi}]"
-        )
-    rows = [row[g_lo - a.col_lo:g_hi + 1 - a.col_lo] for row in a.entries]
-    col = [v.entry(k) for k in range(g_lo, g_hi + 1)]
-    return VectorWindow(a.row_lo, tuple(out for [out] in _products(rows, [col])))
+    product = oracle_matmul(a, MatrixWindow(v.lo, 0, tuple(zip(v.values))), guard)
+    return VectorWindow(a.row_lo, tuple(out for [out] in product.entries))
 
 
 def _products(rows: list, cols: list) -> list:

@@ -619,3 +619,27 @@ def test_matrix_inv_expands_on_the_matrix_side(capsys):
     assert code == 0
     assert out.splitlines()[:2] == ["alpha: x^-1 - x^-2 + x^-3 + O(x^-4)",
                                     "omega: x"]
+
+
+def test_oversized_compositions_are_refused_before_they_allocate():
+    # 1000 known coefficients of chi on omega of order 1000: 10^6 dense
+    # coefficients, which ran out of the 1 GiB after about a minute
+    src = os.path.dirname(os.path.dirname(biriordan.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "biriordan", "series", "compose",
+                           "--chi", "1/(1-x)", "--omega", "x^1000+x^1001",
+                           "--prec", "1000"],
+                          capture_output=True, text=True, timeout=20,
+                          preexec_fn=_limit_memory, env=env)
+    assert time.perf_counter() - start < 1.0
+    assert done.returncode == 2
+    assert done.stdout == "" and "more than 100000" in done.stderr
+
+
+def test_compose_side_picks_where_one_over_a_finite_omega_expands(capsys):
+    # x^-1 + x^2 has nonzero order on both sides; --side above expands chi
+    # and 1/omega in powers of 1/x
+    code, out, _ = run(capsys, "series", "compose", "--chi", "1/(1-x^-1)",
+                       "--omega", "x^-1+x^2", "--side", "above", "--prec", "6")
+    assert (code, out) == (0, "1 + x^-2 + x^-4 - x^-5 + O(x^-6)\nside: bounded-above\n")

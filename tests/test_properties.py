@@ -7,8 +7,9 @@ of omega (`series.powers`), so a block must hold the entries of each
 `column` in turn, and a composition with an exact chi must be the sum of
 its terms.  The columns of a walk equal alpha times each power by repeated
 squaring.  A compositional inverse composes back to x, and inverts back to
-omega, on the windows it certifies.  Skipped when hypothesis is not
-installed.
+omega, on the windows it certifies.  Every operation commutes with the flip
+J (x -> 1/x) once its side argument flips too.  Skipped when hypothesis is
+not installed.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from biriordan.field import PrimeFieldElement  # noqa: E402
 from biriordan.riordan import apply, riordan  # noqa: E402
@@ -31,6 +32,7 @@ from biriordan.series import (  # noqa: E402
     monomial,
     mul,
     power,
+    recip,
     substitute_reciprocal,
 )
 from biriordan.window import extract  # noqa: E402
@@ -180,3 +182,100 @@ def test_inverse_round_trips(omega, precision):
     back = compose(omega, inv, precision)
     assert back.known(1) and eq_to_precision(back, x)
     assert eq_to_precision(compositional_inverse(inv, precision), omega)
+
+
+@st.composite
+def _operands(draw, count):
+    """count series over one field, Q or GF(7): each exact or known on a
+    window of a drawn side, and dense, sparse (too many gaps to pack) or of
+    one term."""
+    p = draw(st.sampled_from([0, 7]))
+    coeff = _COEFF if not p else st.integers(0, 6).map(lambda n: PrimeFieldElement(n, 7))
+    out = []
+    for _ in range(count):
+        shape = draw(st.sampled_from(["dense", "sparse", "one-term"]))
+        lo = draw(st.integers(-3, 3))
+        n = {"dense": draw(st.integers(2, 5)), "sparse": draw(st.integers(2, 3)),
+             "one-term": 1}[shape]
+        step = 80 if shape == "sparse" else 1
+        terms = {lo + i * step: draw(coeff) for i in range(n)}
+        side = draw(st.sampled_from([None, Side.BELOW, Side.ABOVE]))
+        if side is None:
+            out.append(LaurentSeries.from_terms(terms))
+        else:
+            hi = lo + (n - 1) * step + draw(st.integers(0, 2))
+            out.append(LaurentSeries.truncated(terms, side, lo, hi))
+    return out
+
+
+_SIDES = st.sampled_from([None, Side.BELOW, Side.ABOVE])
+_PRECISIONS = st.sampled_from([None, 1, 3, 8])
+
+
+def _flip_side(side, exact: bool):
+    # the side argument on flipped inputs: a given side flips, and so does
+    # the bounded-below default of exact inputs
+    if side is None:
+        return Side.ABOVE if exact else None
+    return side.flipped()
+
+
+def _assert_j_equivariant(call, flipped_call):
+    """J of call()'s value equals flipped_call()'s value (a series or a dict
+    of series), or both raise the same exception type (the messages name the
+    side, so they mirror rather than match)."""
+    exc, got = _raised(call)
+    exc_j, want = _raised(flipped_call)
+    assert (exc and exc[0]) == (exc_j and exc_j[0])
+    if exc is None:
+        if isinstance(got, dict):
+            got = {k: substitute_reciprocal(v) for k, v in got.items()}
+        else:
+            got = substitute_reciprocal(got)
+        assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_operands(2))
+def test_add_and_mul_commute_with_j(ops):
+    (a, b), (ja, jb) = ops, [substitute_reciprocal(s) for s in ops]
+    _assert_j_equivariant(lambda: add(a, b), lambda: add(ja, jb))
+    _assert_j_equivariant(lambda: mul(a, b), lambda: mul(ja, jb))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_operands(1), j=st.integers(-4, 4), side=_SIDES, precision=_PRECISIONS)
+def test_recip_and_power_commute_with_j(ops, j, side, precision):
+    a, = ops
+    ja, js = substitute_reciprocal(a), _flip_side(side, a.exact)
+    _assert_j_equivariant(lambda: recip(a, side, precision),
+                          lambda: recip(ja, js, precision))
+    _assert_j_equivariant(lambda: power(a, j, side, precision),
+                          lambda: power(ja, j, js, precision))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=_operands(2), side=_SIDES, precision=_PRECISIONS)
+@example(ops=[LaurentSeries.truncated({0: 1, -1: 1}, Side.ABOVE, -1, 0),
+              LaurentSeries.from_terms({-1: 1, 2: 1})], side=None, precision=None)
+def test_compose_commutes_with_j_of_the_inner_series(ops, side, precision):
+    # chi(J omega) = J (chi(omega)), chi unflipped: exact of one term or
+    # several, or known on a window of either side.  The example: 1/omega
+    # has an expansion of nonzero order on both sides, and `side` picks it
+    chi, omega = ops
+    _assert_j_equivariant(
+        lambda: compose(chi, omega, precision, side),
+        lambda: compose(chi, substitute_reciprocal(omega), precision,
+                        _flip_side(side, omega.exact)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_operands(2), side=_SIDES, precision=_PRECISIONS,
+       js=st.lists(st.integers(-5, 6), min_size=1, max_size=5))
+def test_columns_commute_with_j(ops, side, precision, js):
+    alpha, omega = ops
+    flipped = _flip_side(side, alpha.exact and omega.exact)
+    _assert_j_equivariant(
+        lambda: riordan(alpha, omega, side, precision).columns(js),
+        lambda: riordan(substitute_reciprocal(alpha), substitute_reciprocal(omega),
+                        flipped, precision).columns(js))

@@ -39,7 +39,14 @@ from biriordan.series import (
     recip,
     substitute_reciprocal,
 )
-from biriordan.window import extract, oracle_matmul, product_guard
+from biriordan.window import (
+    apply_guard,
+    extract,
+    oracle_apply,
+    oracle_matmul,
+    product_guard,
+    vector_from_series,
+)
 from conftest import make_rng, random_truncated
 
 _P = 12
@@ -379,3 +386,27 @@ def test_matrix_columns_obey_the_exponent_budget_and_precision():
     for precision in (0, -3):
         with pytest.raises(ValueError, match="precision must be at least 1"):
             riordan(one, parse("1+x"), precision=precision).column(-1)
+
+
+def test_upper_cell_product_with_a_finite_omega_of_both_sides():
+    # omega = x^-1 + x^2 is L- and U+; an inexact bounded-above alpha leaves
+    # m only U+, so m * n takes the (U+, U+) cell and composes on the
+    # bounded-above side (which raised SideMismatchError when the
+    # composition expanded 1/omega below)
+    above = Side.ABOVE
+    m = riordan(parse("1/(1-x^-1)", above, 6), parse("x^-1+x^2"))
+    n = riordan(LaurentSeries.one(), parse("x/(1-x^-1)", above, 6))
+    assert product_cell(m, n) == (EchelonClass.U_PLUS, EchelonClass.U_PLUS)
+    p = matmul(m, n)
+    assert p.side is above and classify(p) == {EchelonClass.U_PLUS}
+    rows, cols = (-1, 4), (0, 2)
+    guard = product_guard(m, n, rows, cols)
+    want = oracle_matmul(extract(m, rows, guard), extract(n, guard, cols), guard)
+    assert extract(p, rows, cols) == want
+    # and m * chi is the sum of m's columns, which expand on m's side
+    chi = parse("1/(1-x^-1)", above, 6)
+    got = apply(m, chi)
+    assert got.side is above and (got.lo, got.hi) == (-5, 0)
+    guard = apply_guard(m, chi, (-5, 0))
+    want = oracle_apply(extract(m, (-5, 0), guard), vector_from_series(chi, *guard), guard)
+    assert [got[i] for i in range(-5, 1)] == list(want.values)

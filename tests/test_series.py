@@ -708,3 +708,28 @@ def test_precision_below_one_is_a_value_error():
                 call()
         with pytest.raises(ValueError, match="precision must be at least 1"):
             parse("1/(1-x)", precision=precision)
+
+
+def test_composition_budget_is_on_the_dense_length():
+    # chi known through x^1 on omega of order 50000: 2 x 50000 dense
+    # coefficients, at the limit; through x^2 it would take 150000
+    omega = parse("x^50000+x^50001")
+    assert compose(parse("1/(1-x)", precision=2), omega) == LaurentSeries.truncated(
+        {0: 1, 50000: 1, 50001: 1}, Side.BELOW, 0, 99999)
+    with pytest.raises(ValueError, match="150000 dense coefficients, more than 100000"):
+        compose(parse("1/(1-x)", precision=3), omega)
+
+
+def test_bounded_above_chi_expands_one_over_a_finite_omega_on_the_given_side():
+    # x^-1 + x^2 has order -1 below and 2 above, so 1/omega has an expansion
+    # of nonzero order on either side; `side` picks it, bounded below by default
+    chi, omega = parse("1/(1-x^-1)", Side.ABOVE, 6), parse("x^-1+x^2")
+    below = parse("1+x+x^2+x^3-x^5")
+    assert compose(chi, omega, 6) == compose(chi, omega, 6, Side.BELOW)
+    assert eq_to_precision(compose(chi, omega, 6), below)
+    above = compose(chi, omega, 6, Side.ABOVE)
+    assert above.side is Side.ABOVE and above.lo == -7
+    assert eq_to_precision(above, substitute_reciprocal(
+        parse("1+x^2+x^4-x^5+x^6-2x^7")))
+    assert above == substitute_reciprocal(
+        compose(chi, substitute_reciprocal(omega), 6, Side.BELOW))

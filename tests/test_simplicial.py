@@ -13,6 +13,7 @@ from biriordan.simplicial import (
     FVector,
     HVector,
     ProofTrace,
+    _transform,
     binomial,
     cross_polytope,
     dehn_sommerville_residuals,
@@ -201,3 +202,8 @@ def test_chain_needs_enough_precision():
     # extracted; the chain must fail loudly instead of passing vacuously
     with pytest.raises((CheckFailedError, PrecisionError)):
         verify_theorem_chain(4, precision=2)
+
+
+def test_transform_matrices_are_built_once():
+    assert _transform("1-x", 5, 9) is _transform("1-x", 5, 9)
+    assert _transform("1-x", 5, 9) is not _transform("1+x", 5, 9)
