@@ -1,16 +1,17 @@
 """Command-line frontend for series arithmetic, matrix windows and products,
 and the Dehn-Sommerville checker.
 
-Exit codes: 0 success, 1 mathematically undefined operation, 2 parse or
-usage error, 3 Dehn-Sommerville residuals nonzero.  Inexact series are
-displayed truncated to exponents of magnitude below --prec (the JSON output
-always carries the full computed window).
+Exit codes: 0 success, 1 mathematically undefined operation or a stdout
+closed early, 2 parse or usage error, 3 Dehn-Sommerville residuals nonzero.
+Inexact series are displayed truncated to exponents of magnitude below
+--prec (the JSON output always carries the full computed window).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 
@@ -380,7 +381,14 @@ def main(argv=None) -> int:
 
 
 def console_main():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # a reader closed stdout (`| head`); the flush at exit must not raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

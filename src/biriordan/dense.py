@@ -1,10 +1,10 @@
 """Dense working form of truncated power series over Q or GF(p).
 
-The series kernels convert their operands once into a working form
-(xs, den): over Q (p = 0) a list of integers over one common denominator,
-over GF(p) the residues over 1.  Every product in between is one packed
-integer product (Kronecker substitution), truncated to the coefficients
-the result needs, and the values are converted back once at the end.
+A working form (xs, den) is, over Q (p = 0), a list of integers over one
+common denominator, over GF(p) the residues over 1.  A series keeps the form
+its kernel returned (series.LaurentSeries): each operand is converted in
+once, and out once when first read.  Every product is one packed integer
+product (Kronecker substitution), truncated to the coefficients needed.
 """
 
 from __future__ import annotations
@@ -55,13 +55,14 @@ def from_coeffs(coeffs: dict, lo: int, n: int, p: int) -> tuple:
     return [c.numerator * (den // c.denominator) for c in cs], den
 
 
-def to_coeffs(xs: list, den: int, lo: int, p: int) -> dict:
-    """Coefficient dict {lo + i: xs[i] / den}, zeros dropped."""
+def to_coeffs(xs: list, den: int, lo: int, p: int, step: int = 1) -> dict:
+    """Coefficient dict {lo + step * i: xs[i] / den}, zeros dropped."""
+    es = range(lo, lo + step * len(xs), step)
     if p:
-        return {lo + i: PrimeFieldElement(x, p) for i, x in enumerate(xs) if x % p}
+        return {e: PrimeFieldElement(x, p) for e, x in zip(es, xs) if x % p}
     if den == 1:  # the same value, without a gcd per coefficient
-        return {lo + i: Fraction(x) for i, x in enumerate(xs) if x}
-    return {lo + i: Fraction(x, den) for i, x in enumerate(xs) if x}
+        return {e: Fraction(x) for e, x in zip(es, xs) if x}
+    return {e: Fraction(x, den) for e, x in zip(es, xs) if x}
 
 
 def _normal(xs: list, den: int, p: int) -> tuple:
@@ -173,8 +174,8 @@ def power(u: tuple, k: int, count: int) -> tuple:
             s += (a - n * x) * b[n - i]
         b.append(s // (n * x0))  # exact: the sum is n x0 b_n
     if out < 0:
-        return [-x for x in b], -out
-    return b, out
+        b, out = [-x for x in b], -out
+    return _normal(b, out, 0)
 
 
 # the reciprocal takes long division up to this many coefficients, or up to
@@ -243,9 +244,9 @@ def _newton(u: tuple, n: int, p: int) -> tuple:
     return v
 
 
-def reversion(u: tuple, n: int, p: int) -> list:
+def reversion(u: tuple, n: int, p: int) -> tuple:
     """The coefficients of x^1 .. x^n of the compositional inverse of x*u
-    (u[0] != 0, n coefficients of u), as (numerator, denominator) pairs.
+    (u[0] != 0, n coefficients of u), in the working form.
 
     Lagrange inversion in the form that never divides by k (so it also holds
     in characteristic p <= n): with psi = 1/u, [x^(k+1)] is [x^k] psi^k
@@ -268,7 +269,8 @@ def reversion(u: tuple, n: int, p: int) -> list:
         (gx, gd), (bx, bd) = g, babies[b]
         dot = sum(map(operator.mul, gx[:k + 1], bx[k::-1]))
         out.append((dot % p, 1) if p else (dot, gd * bd))
-    return out
+    den = math.lcm(*{d for _, d in out})
+    return _normal([x * (den // d) for x, d in out], den, p)
 
 
 def compose(c: tuple, t: tuple, w: int, n: int, p: int) -> tuple:

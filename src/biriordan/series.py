@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from fractions import Fraction
 
 from .errors import (
@@ -52,9 +53,14 @@ class Side(enum.Enum):
 
 
 class LaurentSeries:
-    """Immutable series value; construct via from_terms/truncated/parse."""
+    """Immutable series value; construct via from_terms/truncated/parse.
 
-    __slots__ = ("side", "coeffs", "lo", "hi", "exact")
+    A series over Q or one GF(p) with a dense window may carry the working
+    form (xs, den, p) of biriordan.dense: xs[i] / den is the coefficient of
+    x^(lo+i), or of x^(hi-i) when bounded above (the form of its flip).  A
+    kernel's output has only the form, and builds `coeffs` on first read."""
+
+    __slots__ = ("side", "coeffs", "lo", "hi", "exact", "_form")
 
     def __init__(self, side: Side, coeffs: dict, lo: int, hi: int):
         # exactness is the finite side; a slot, not a property, as the
@@ -76,11 +82,18 @@ class LaurentSeries:
             lo = hi + 1
         else:
             hi = lo - 1
-        object.__setattr__(self, "side", side)
+        _set(self, side, lo, hi, None)
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "exact", exact)
+
+    def __getattr__(self, name):
+        # only an unset `coeffs` gets here: build it from the form, once
+        if name != "coeffs":
+            raise AttributeError(name)
+        (xs, den, p), above = self._form, self.side is Side.ABOVE
+        coeffs = dense.to_coeffs(xs, den, self.hi if above else self.lo, p,
+                                 -1 if above else 1)
+        object.__setattr__(self, "coeffs", coeffs)
+        return coeffs
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentSeries is immutable")
@@ -110,7 +123,7 @@ class LaurentSeries:
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.exact and not self.coeffs
+        return self.exact and self._form is None and not self.coeffs
 
     def support(self) -> list:
         return sorted(self.coeffs)
@@ -129,7 +142,12 @@ class LaurentSeries:
                 f"coefficient of x^{e} lies outside the known window "
                 f"[{self.lo}, {self.hi}]"
             )
-        return self.coeffs.get(e, _ZERO)
+        if self._form is None:
+            return self.coeffs.get(e, _ZERO)
+        xs, den, p = self._form
+        i = self.hi - e if self.side is Side.ABOVE else e - self.lo
+        x = xs[i] if 0 <= i < len(xs) else 0
+        return _ZERO if not x else PrimeFieldElement(x, p) if p else Fraction(x, den)
 
     def order(self, side: Side | None = None):
         """Least (below) or greatest (above) exponent with nonzero coefficient.
@@ -145,7 +163,7 @@ class LaurentSeries:
             raise ValueError("order needs a one-sided convention")
         if self.side not in (side, Side.FINITE):
             raise SideMismatchError(f"{self.side.value} series has no {side.value} order")
-        if not self.coeffs:
+        if not _nterms(self):
             raise OrderIndeterminateError(
                 "no nonzero coefficient inside the known window"
             )
@@ -224,9 +242,87 @@ def monomial(coeff, exp: int = 0) -> LaurentSeries:
 
 def _one_like(a: LaurentSeries) -> LaurentSeries:
     # multiplicative identity with coefficients from a's field
+    if a._form is not None:
+        return _packed([1], 1, a._form[2], 0, True)
     for c in a.coeffs.values():
         return LaurentSeries.from_terms({0: c / c})
     return LaurentSeries.one()
+
+
+# -- the working form ----------------------------------------------------------
+
+
+def _set(s: LaurentSeries, side: Side, lo: int, hi: int, form) -> None:
+    for name, value in (("side", side), ("lo", lo), ("hi", hi),
+                        ("exact", side is Side.FINITE), ("_form", form)):
+        object.__setattr__(s, name, value)
+
+
+def _packed(xs: list, den: int, p: int, base: int, exact: bool,
+            flip: bool = False) -> LaurentSeries:
+    """Kernel output, its dict built on first read: xs[i] / den at x^(base+i)
+    of the value or, when flip, of its flip; exact, or else known through the
+    last entry.  lo and hi are read from the first and last nonzero entries."""
+    i, k = 0, len(xs)
+    while i < k and not xs[i]:
+        i += 1
+    while exact and k > i and not xs[k - 1]:
+        k -= 1
+    lo, hi = base + i, base + (k if exact else len(xs)) - 1
+    xs = xs[i:k] if i or k < len(xs) else xs
+    side = Side.FINITE if exact else Side.ABOVE if flip else Side.BELOW
+    window = (-hi, -lo) if flip else (lo, hi)
+    if not xs or len(xs) > 64 and not _worth_packing(len(xs) - 1, len(xs) - xs.count(0)):
+        # no term, or a span mostly made of gaps, which _view would not pack
+        terms = dense.to_coeffs(xs, den, -lo if flip else lo, p, -1 if flip else 1)
+        return LaurentSeries(side, terms, *window)
+    s = LaurentSeries.__new__(LaurentSeries)
+    _set(s, side, *window, (xs[::-1] if exact and flip else xs, den, p))
+    return s
+
+
+def _nterms(s: LaurentSeries) -> int:
+    # nonzero coefficients inside the known window
+    return len(s.coeffs) if s._form is None else len(s._form[0]) - s._form[0].count(0)
+
+
+def _field(*series: LaurentSeries) -> int | None:
+    # the one field (dense.field_of) of all their coefficients, else None
+    fields = {s._form[2] if s._form else dense.field_of(list(s.coeffs.values()))
+              for s in series if _nterms(s)}
+    return fields.pop() if len(fields) == 1 else None
+
+
+def _view(s: LaurentSeries, flip: bool = False):
+    """(xs, den, p, base), xs[i] / den at x^(base+i) of s or, when flip, of its
+    flip; a dict is packed on first read, unless its coefficients share no
+    field or its span is mostly gaps (then None)."""
+    f = s._form
+    if f is None and s.coeffs and _worth_packing(s.hi - s.lo, len(s.coeffs)):
+        p = dense.field_of(list(s.coeffs.values()))
+        if p is not None:
+            xs, den = dense.from_coeffs(s.coeffs, s.lo, s.hi - s.lo + 1, p)
+            f = (xs[::-1] if s.side is Side.ABOVE else xs), den, p
+            object.__setattr__(s, "_form", f)
+    if f is None:
+        return None
+    xs, den, p = f
+    return (xs[::-1] if flip and s.exact else xs), den, p, -s.hi if flip else s.lo
+
+
+def _window(s: LaurentSeries, n: int, p: int | None = None,
+            flip: bool = False) -> tuple:
+    """((xs, den), p): n coefficients of s (of its flip when flip) from its
+    order over p, by default their field, or what a scalar loop raises."""
+    v = _view(s, flip)
+    if v is None:
+        lo = -s.hi if flip else s.lo
+        cs = {-e: c for e, c in s.coeffs.items()} if flip else s.coeffs
+        if p is None:
+            p = dense.require_field([cs[e] for e in sorted(cs) if e < lo + n])
+        return dense.from_coeffs(cs, lo, n, p), p
+    xs, den, p, _ = v
+    return (xs if len(xs) == n else xs[:n] + [0] * (n - len(xs)), den), p
 
 
 # -- addition ----------------------------------------------------------------
@@ -270,26 +366,48 @@ def neg(a: LaurentSeries) -> LaurentSeries:
 def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     if a.is_zero() or b.is_zero():
         return LaurentSeries.zero()
-    if a.exact and b.exact:
-        return LaurentSeries.from_terms(_convolve(a.coeffs, b.coeffs))
     sides = {s.side for s in (a, b) if not s.exact}
     if len(sides) == 2:
         raise UndefinedProductError(
             "product of a bounded-below and a bounded-above series is "
             "undefined unless one has finite support"
         )
-    if sides.pop() is Side.ABOVE:
+    # on the bounded-below side (of the flips when flip): exact if both are,
+    # else known through min over inexact factors of (hi + other's order)
+    flip = Side.ABOVE in sides
+    (alo, ahi), (blo, bhi) = [(-s.hi, -s.lo) if flip else (s.lo, s.hi) for s in (a, b)]
+    hi = min((h + lo for s, h, lo in ((a, ahi, blo), (b, bhi, alo)) if not s.exact),
+             default=None)
+    out = _product(a, b, flip, None if hi is None else hi - alo - blo + 1)
+    if out is not None:
+        return out
+    if hi is None:
+        return LaurentSeries.from_terms(_convolve(a.coeffs, b.coeffs))
+    if flip:
         return substitute_reciprocal(
             mul(substitute_reciprocal(a), substitute_reciprocal(b)))
-    # known through min over inexact factors of (hi + other's support bound)
-    caps = []
-    if not a.exact:
-        caps.append(a.hi + b.lo)
-    if not b.exact:
-        caps.append(b.hi + a.lo)
-    hi = min(caps)
     terms = _convolve(a.coeffs, b.coeffs, hi=hi)
-    return LaurentSeries.truncated(terms, Side.BELOW, a.lo + b.lo, hi)
+    return LaurentSeries.truncated(terms, Side.BELOW, alo + blo, hi)
+
+
+def _product(a: LaurentSeries, b: LaurentSeries, flip: bool,
+             count: int | None) -> LaurentSeries | None:
+    """mul as one packed product of count coefficients (all when None), on
+    the flips when flip; None unless both pack over one field and pay for it."""
+    if a._form is None and b._form is None and len(a.coeffs) * len(b.coeffs) <= 8:
+        return None
+    va, vb = _view(a, flip), _view(b, flip)
+    if va is None or vb is None or va[2] != vb[2]:
+        return None
+    (xa, da, p, la), (xb, db, _, lb) = va, vb
+    if count is None:
+        count = len(xa) + len(xb) - 1
+    if ([1], 1) in ((xa, da), (xb, db)):  # the exact 1 shifts the other factor
+        xs, den = (xb, db) if (xa, da) == ([1], 1) else (xa, da)
+        xs = xs if len(xs) <= count else xs[:count]
+    else:
+        xs, den = dense.mul((xa, da), (xb, db), count, p)
+    return _packed(xs, den, p, la + lb, a.exact and b.exact, flip)
 
 
 def _convolve(ca: dict, cb: dict, hi: int | None = None) -> dict:
@@ -307,16 +425,22 @@ def _convolve(ca: dict, cb: dict, hi: int | None = None) -> dict:
         if not (ca and cb):
             return {}
     # a one-term factor is a shift and a scale of the other (inside the
-    # window, as the other's terms beyond it are dropped above)
+    # window, as the other's terms beyond it are dropped above), and the
+    # exact 1 of the other's field only shifts it
     if len(ca) == 1:
         (i, ci), = ca.items()
+        if ci == 1 and dense.field_of([ci, *cb.values()]) is not None:
+            return {i + j: cj for j, cj in cb.items()}
         return {i + j: ci * cj for j, cj in cb.items()}
     if len(cb) == 1:
         (j, cj), = cb.items()
+        if cj == 1 and dense.field_of([cj, *ca.values()]) is not None:
+            return {i + j: ci for i, ci in ca.items()}
         return {i + j: ci * cj for i, ci in ca.items()}
     # a handful of term pairs, or a support mostly made of gaps, is cheaper
     # term by term
-    if len(ca) * len(cb) > 8 and _dense_enough(ca) and _dense_enough(cb):
+    if len(ca) * len(cb) > 8 and all(_worth_packing(max(c) - min(c), len(c))
+                                     for c in (ca, cb)):
         out = _convolve_packed(ca, cb, hi)
         if out is not None:
             return out
@@ -324,17 +448,22 @@ def _convolve(ca: dict, cb: dict, hi: int | None = None) -> dict:
 
 
 def _convolve_terms(ca: dict, cb: dict, hi: int | None) -> dict:
+    # over Q, integer products over one denominator, as window.oracle_matmul
+    q = bool(ca and cb) and dense.field_of([*ca.values(), *cb.values()]) == 0
+    if q:
+        dens = [math.lcm(*[c.denominator for c in d.values()]) for d in (ca, cb)]
+        ca, cb = [{e: c.numerator * (den // c.denominator) for e, c in d.items()}
+                  for d, den in zip((ca, cb), dens)]
     out: dict = {}
     for i, ci in ca.items():
         for j, cj in cb.items():
             k = i + j
             if hi is None or k <= hi:
                 out[k] = out.get(k, 0) + ci * cj
+    if q:
+        den = dens[0] * dens[1]
+        return {k: Fraction(x, den) if den != 1 else Fraction(x) for k, x in out.items()}
     return out
-
-
-def _dense_enough(c: dict) -> bool:
-    return _worth_packing(max(c) - min(c), len(c))
 
 
 def _worth_packing(span: int, terms: int) -> bool:
@@ -343,20 +472,13 @@ def _worth_packing(span: int, terms: int) -> bool:
 
 
 def _convolve_packed(ca: dict, cb: dict, hi: int | None) -> dict | None:
-    """The product of two Q or GF(p) coefficient dicts in the dense working
-    form, as one packed integer product (see dense.product); None unless the
+    """The product of two Q or GF(p) coefficient dicts as one packed product
+    (_product, whatever their size once packed); None unless the
     coefficients are all Fraction or all residues mod one prime."""
-    p = dense.field_of([*ca.values(), *cb.values()])
-    if p is None:
-        return None
-    a0, b0 = min(ca), min(cb)
-    xa, da = dense.from_coeffs(ca, a0, max(ca) - a0 + 1, p)
-    xb, db = dense.from_coeffs(cb, b0, max(cb) - b0 + 1, p)
-    base = a0 + b0
-    count = len(xa) + len(xb) - 1
-    if hi is not None:
-        count = min(count, hi - base + 1)
-    return dense.to_coeffs(dense.product(xa, xb, count), da * db, base, p)
+    a, b = LaurentSeries.from_terms(ca), LaurentSeries.from_terms(cb)
+    _view(a)
+    out = _product(a, b, False, None if hi is None else max(hi - a.lo - b.lo + 1, 0))
+    return None if out is None else out.coeffs
 
 
 # -- reciprocal and powers -----------------------------------------------------
@@ -372,9 +494,9 @@ def recip(a: LaurentSeries, side: Side | None = None,
     """
     if a.is_zero():
         raise ZeroSeriesError("reciprocal of the zero series")
-    if not a.exact and not a.coeffs:
+    if not a.exact and not _nterms(a):
         raise OrderIndeterminateError("reciprocal needs a computable order")
-    if a.exact and len(a.coeffs) == 1:
+    if a.exact and _nterms(a) == 1:
         (e, c), = a.coeffs.items()
         return monomial(1 / c, -e)
     if side is None:
@@ -383,17 +505,12 @@ def recip(a: LaurentSeries, side: Side | None = None,
         raise SideMismatchError(
             f"cannot expand the reciprocal of a {a.side.value} series {side.value}"
         )
-    if side is Side.ABOVE:
-        return substitute_reciprocal(
-            recip(substitute_reciprocal(a), Side.BELOW, precision)
-        )
-    m = a.order(Side.BELOW)
+    flip = side is Side.ABOVE  # then expand the flip bounded below
+    m = -a.hi if flip else a.lo
     count = _known_count(a, precision)
-    p = dense.require_field(
-        [a.coeffs[e] for e in sorted(a.coeffs) if e < m + count])
-    xs, den = dense.recip(dense.from_coeffs(a.coeffs, m, count, p), count, p)
-    return LaurentSeries.truncated(dense.to_coeffs(xs, den, -m, p), Side.BELOW,
-                                   -m, -m + count - 1)
+    u, p = _window(a, count, flip=flip)
+    xs, den = dense.recip(u, count, p)
+    return _packed(xs, den, p, -m, False, flip)
 
 
 def _known_count(a: LaurentSeries, precision: int | None) -> int:
@@ -427,10 +544,10 @@ def power(a: LaurentSeries, j: int, side: Side | None = None,
     _check_exponent(a, j)
     if j == 0:
         return _one_like(a)
-    terms = len(a.coeffs)
+    terms = _nterms(a)
     if (a.exact and terms > 1
-            and (j < 0 or j > 1 and 2 * j >= terms and _dense_enough(a.coeffs))
-            and dense.field_of(list(a.coeffs.values())) == 0):
+            and (j < 0 or j > 1 and 2 * j >= terms and _worth_packing(a.hi - a.lo, terms))
+            and _field(a) == 0):
         return _miller_power(a, j, side, precision)
     base = a if j > 0 else recip(a, side, precision)
     n = abs(j)
@@ -449,18 +566,14 @@ def _miller_power(a: LaurentSeries, j: int, side: Side | None,
                   precision: int | None) -> LaurentSeries:
     # a exact over Q with several terms: the exact polynomial a^j for j > 0,
     # else the expansion that recip and repeated squaring give, on the same
-    # window
-    if j < 0 and side is Side.ABOVE:
-        return substitute_reciprocal(
-            _miller_power(substitute_reciprocal(a), j, Side.BELOW, precision))
-    m = min(a.coeffs)
-    span = max(a.coeffs) - m + 1
+    # window (on the flip for a bounded-above one)
+    flip = j < 0 and side is Side.ABOVE
+    m = -a.hi if flip else a.lo
+    span = a.hi - a.lo + 1
     count = j * (span - 1) + 1 if j > 0 else _known_count(a, precision)
-    xs, den = dense.power(dense.from_coeffs(a.coeffs, m, min(span, count), 0), j, count)
-    terms = dense.to_coeffs(xs, den, j * m, 0)
-    if j > 0:
-        return LaurentSeries.from_terms(terms)
-    return LaurentSeries.truncated(terms, Side.BELOW, j * m, j * m + count - 1)
+    u, _ = _window(a, min(span, count), 0, flip)
+    xs, den = dense.power(u, j, count)
+    return _packed(xs, den, 0, j * m, j > 0, flip)
 
 
 def powers(a: LaurentSeries, exponents, side: Side | None = None,
@@ -473,64 +586,52 @@ def powers(a: LaurentSeries, exponents, side: Side | None = None,
     f, yield (j, f * a ** j) instead, the values of mul(f, power(...)): f
     goes into the first power on each side of 0 and each later one is the
     one before it times a power of a (the window rule of mul is
-    associative).  Each value leaves the walk's working form once."""
-    inputs = (a,) if factor is None else (a, factor)
-    form = _form(next((s.side for s in inputs if not s.exact), side), *inputs)
-    lifted = None if factor is None else form.lift(factor)
-    for j, pw in _walk(a, exponents, side, precision, form, lifted):
-        yield j, form.out(pw)
-
-
-def _walk(a: LaurentSeries, exponents, side: Side | None,
-          precision: int | None, form, factor=None):
-    # the walk of powers with each power kept in the working form `form`;
-    # with a factor (a value in that form), the walk of factor * a^j, which
-    # takes the factor into the first power on each side of 0 (the window
-    # rule of mul is associative: lo adds up and the fewest known binds).
-    # The first power on each side comes as a series, which a form converts
-    # only when a product or a sum reads it.
+    associative: lo adds up and the fewest known binds)."""
     def first(s):
-        return s if factor is None else form.mul(factor, s)
+        return s if factor is None else mul(factor, s)
 
     exps = sorted(set(exponents))
     negative = [j for j in exps if j < 0]
     if negative:
         _check_exponent(a, negative[0])
         r = recip(a, side, precision)
-        # power(r, gap) in the working form, converted once per gap
-        step = functools.cache(lambda gap: form.lift(power(r, gap)))
+        step = functools.cache(lambda gap: power(r, gap))
         down = []
         prev, pw = 0, None
         for j in reversed(negative):
-            pw = first(power(r, -j)) if pw is None else form.mul(pw, step(prev - j))
+            pw = first(power(r, -j)) if pw is None else mul(pw, step(prev - j))
             down.append(pw)
             prev = j
         yield from zip(negative, reversed(down))
-    step = functools.cache(lambda gap: form.lift(power(a, gap)))
+    step = functools.cache(lambda gap: power(a, gap))
     prev = pw = None
     for j in exps[len(negative):]:
         _check_exponent(a, j)
         if j == 0:
             yield j, first(_one_like(a))
             continue
-        pw = (first(power(a, j, side, precision)) if pw is None
-              else form.mul(pw, step(j - prev)))
+        pw = first(power(a, j, side, precision)) if pw is None else mul(pw, step(j - prev))
         prev = j
         yield j, pw
 
 
-def _form(side: Side | None, *series: LaurentSeries):
-    """The working form of a walk over these series whose one-sided values
-    live on `side`: the dense form of the field of their coefficients, which
-    packs nothing when they share no field (so what a scalar loop raised is
-    raised) or have no known coefficient."""
-    values = [c for s in series for c in s.coeffs.values()]
-    return _DenseForm(dense.field_of(values) if values else None, side is Side.ABOVE)
-
-
-def _sum(terms) -> LaurentSeries:
+def _sum(terms, p: int | None = None) -> LaurentSeries:
     """The sum of c * v over the pairs (c, v) of a scalar and a series, known
-    where every inexact v is known (all are on one side)."""
+    where every inexact v is known (all are on one side): one dense.combine
+    when p is the field of every c and every v packs, else term by term as
+    the pairs come, so what raises first raises."""
+    if p is not None:
+        terms = list(terms)
+        flip = any(v.side is Side.ABOVE for _, v in terms)
+        views = [_view(v, flip) for _, v in terms]
+        if None not in views:
+            lo = min(b for *_, b in views)
+            caps = [b + len(xs) - 1 for (_, v), (xs, *_, b) in zip(terms, views)
+                    if not v.exact]
+            hi = min(caps) if caps else max(b + len(xs) - 1 for xs, *_, b in views)
+            xs, den = dense.combine([(c, b - lo, (xs, d)) for (c, _), (xs, d, _, b)
+                                     in zip(terms, views)], hi - lo + 1, p)
+            return _packed(xs, den, p, lo, not caps, flip)
     acc: dict = {}
     inexact = []
     for c, v in terms:
@@ -550,97 +651,10 @@ def _sum(terms) -> LaurentSeries:
     return LaurentSeries.truncated(acc, Side.ABOVE, lo, max(acc, default=lo - 1))
 
 
-class _DenseForm:
-    """The dense working form over GF(p), or Q when p = 0, on the bounded
-    below side: a value (xs, den, lo, n) holds the coefficients xs[i] / den
-    of x^(lo+i), known through x^(lo+n-1), or exact when n is None (xs then
-    spans the support).  A walk on the bounded-above side runs on the flip
-    x -> 1/x, taken once as a series comes in and once as it goes out.  A
-    series also stands for its own value until a product or a sum reads it,
-    so one that is never multiplied is never converted.  Each product and
-    sum keeps the rule _convolve applies to each product: a value whose
-    span is mostly gaps, or that has no known coefficient, stays a series
-    and takes series arithmetic, and so does an inexact series on the other
-    side (whose product raises) and every value when p is None."""
-
-    __slots__ = ("p", "flip", "side")
-
-    def __init__(self, p: int, flip: bool):
-        self.p = p
-        self.flip = flip
-        self.side = Side.ABOVE if flip else Side.BELOW
-
-    def fits(self, v) -> bool:
-        # the density test on what the form packs: the support of an exact
-        # value, the whole window of an inexact one
-        if type(v) is LaurentSeries:
-            if self.p is None or not v.coeffs or not (v.exact or v.side is self.side):
-                return False
-            span = max(v.coeffs) - min(v.coeffs) if v.exact else v.hi - v.lo
-            return _worth_packing(span, len(v.coeffs))
-        xs = v[0]
-        return _worth_packing(len(xs) - 1, len(xs) - xs.count(0))
-
-    def lift(self, s: LaurentSeries):
-        """s in the dense form, or s itself when it does not fit."""
-        return self._enter(s) if self.fits(s) else s
-
-    def _enter(self, s: LaurentSeries) -> tuple:
-        lo, hi = (min(s.coeffs), max(s.coeffs)) if s.exact else (s.lo, s.hi)
-        xs, den = dense.from_coeffs(s.coeffs, lo, hi - lo + 1, self.p)
-        n = None if s.exact else hi - lo + 1
-        if self.flip:
-            return xs[::-1], den, -hi, n
-        return xs, den, lo, n
-
-    def read(self, v) -> tuple:
-        # a value that fits, as a tuple
-        return self._enter(v) if type(v) is LaurentSeries else v
-
-    def mul(self, u, v):
-        if not (self.fits(u) and self.fits(v)):
-            return mul(self.out(u), self.out(v))
-        # the window rule of mul: exact times exact is exact, else the
-        # fewest known coefficients of an inexact factor bind
-        (xu, du, lu, nu), (xv, dv, lv, nv) = self.read(u), self.read(v)
-        if nu is None and nv is None:
-            n, count = None, len(xu) + len(xv) - 1
-        else:
-            n = count = min(k for k in (nu, nv) if k is not None)
-        xs, den = dense.mul((xu, du), (xv, dv), count, self.p)
-        return xs, den, lu + lv, n
-
-    def out(self, v) -> LaurentSeries:
-        if type(v) is LaurentSeries:
-            return v
-        xs, den, lo, n = v
-        if self.flip:
-            xs, lo = xs[::-1], -(lo + len(xs) - 1)
-        terms = dense.to_coeffs(xs, den, lo, self.p)
-        if n is None:
-            return LaurentSeries.from_terms(terms)
-        return LaurentSeries.truncated(terms, self.side, lo, lo + n - 1)
-
-    def sum(self, terms) -> LaurentSeries:
-        """The sum of c * v over the pairs (c, v), known through the least
-        bound of an inexact v, as one series."""
-        if self.p is None:
-            # term by term as the walk yields them, so what raises first raises
-            return _sum(terms)
-        terms = list(terms)
-        if not all(self.fits(v) for _, v in terms):
-            return _sum((c, self.out(v)) for c, v in terms)
-        terms = [(c, self.read(v)) for c, v in terms]
-        lo = min(l for _, (_, _, l, _) in terms)
-        caps = [l + n - 1 for _, (_, _, l, n) in terms if n is not None]
-        hi = min(caps) if caps else max(l + len(xs) - 1 for _, (xs, _, l, _) in terms)
-        xs, den = dense.combine([(c, l - lo, (xs, d)) for c, (xs, d, l, _) in terms],
-                                hi - lo + 1, self.p)
-        return self.out((xs, den, lo, hi - lo + 1 if caps else None))
-
-
 def substitute_reciprocal(a: LaurentSeries) -> LaurentSeries:
     """Exponent negation x -> 1/x; flips the side, preserves exactness."""
+    if a._form is not None:  # an inexact series shares its form with its flip
+        return _packed(*_view(a, a.side is Side.ABOVE), a.exact, a.side is not Side.ABOVE)
     terms = {-e: c for e, c in a.coeffs.items()}
     if a.exact:
         return LaurentSeries.from_terms(terms)
@@ -656,7 +670,7 @@ def _side_order(omega: LaurentSeries, side: Side) -> int | None:
     if not omega.exact:
         if omega.side is not side:
             return None
-        if not omega.coeffs:
+        if not _nterms(omega):
             raise OrderIndeterminateError("inner series has indeterminate order")
     return omega.lo if side is Side.BELOW else omega.hi
 
@@ -676,13 +690,12 @@ def compose(chi: LaurentSeries, omega: LaurentSeries,
         if chi.is_zero():
             return LaurentSeries.zero()
         work = omega.side if omega.side is not Side.FINITE else (side or Side.BELOW)
-        if len(chi.coeffs) == 1:  # c x^e is c times one power
+        if _nterms(chi) == 1:  # c x^e is c times one power
             (e, c), = chi.coeffs.items()
             return mul(monomial(c), power(omega, e, work, precision))
         # chi's coefficients are scalars of the sum and only fix the field
-        form = _form(work, omega, chi)
-        return form.sum((chi.coeffs[e], pw)
-                        for e, pw in _walk(omega, chi.coeffs, work, precision, form))
+        walk = powers(omega, chi.coeffs, work, precision)
+        return _sum(((chi.coeffs[e], pw) for e, pw in walk), _field(omega, chi))
     bo = _side_order(omega, Side.BELOW)
     ao = _side_order(omega, Side.ABOVE)
     if chi.side is Side.BELOW:
@@ -717,7 +730,7 @@ def _compose_kernel(chi: LaurentSeries, omega: LaurentSeries,
     w = omega.lo
     m = chi.lo
     cap = (chi.hi + 1) * w - 1  # chi's own truncation
-    if not chi.coeffs:
+    if not _nterms(chi):
         return LaurentSeries.truncated({}, Side.BELOW, m * w, cap)
     head = power(omega, m, Side.BELOW, precision)
     # chi_k omega^k is known through the hi of omega^k, which grows with k,
@@ -727,32 +740,34 @@ def _compose_kernel(chi: LaurentSeries, omega: LaurentSeries,
     if not head.exact:
         cap = min(cap, head.hi)
     elif not omega.exact:
-        later = [k for k in chi.coeffs if k > 0]
-        if later:
-            cap = min(cap, omega.hi + (min(later) - 1) * w)
+        later = next((k for k in range(1, chi.hi + 1) if chi[k]), None)
+        if later is not None:
+            cap = min(cap, omega.hi + (later - 1) * w)
     n = cap - m * w + 1
-    top = min(chi.hi, m + (n - 1) // w)  # later terms start above x^cap
-    p = dense.require_field([*omega.coeffs.values(),
+    top = min(chi.hi, m + (n - 1) // w)
+    p = _field(omega, chi)
+    if p is None:  # raises
+        dense.require_field([*omega.coeffs.values(),
                              *[chi.coeffs[k] for k in sorted(chi.coeffs)]])
-    if omega.exact and len(omega.coeffs) == 1:
+    if omega.exact and _nterms(omega) == 1:
         # omega = c x^w substitutes exponents: chi_k c^k lands at x^(k w), and
         # nothing is allocated per exponent in between
-        c, ck = omega.coeffs[w], head.coeffs[m * w]
+        c, ck = omega[w], head[m * w]
         terms = {}
         for k in range(m, top + 1):
-            if k in chi.coeffs:
-                terms[k * w] = chi.coeffs[k] * ck
+            if chi[k]:
+                terms[k * w] = chi[k] * ck
             ck = ck * c
         return LaurentSeries.truncated(terms, Side.BELOW, m * w, cap)
     if n > MAX_COMPOSE_LENGTH:
         raise ValueError(f"composition needs {n} dense coefficients, more than "
                          f"{MAX_COMPOSE_LENGTH}")
-    cs = dense.from_coeffs(chi.coeffs, m, top - m + 1, p)
-    tail = dense.from_coeffs(omega.coeffs, w, n - w, p)  # omega / x^w
+    cs, _ = _window(chi, top - m + 1, p)
+    tail, _ = _window(omega, n - w, p)  # omega / x^w
     acc = dense.compose(cs, tail, w, n, p)
-    xs, den = dense.mul(dense.from_coeffs(head.coeffs, m * w, n, p), acc, n, p)
-    return LaurentSeries.truncated(dense.to_coeffs(xs, den, m * w, p),
-                                   Side.BELOW, m * w, cap)
+    if m:
+        acc = dense.mul(_window(head, n, p)[0], acc, n, p)
+    return _packed(*acc, p, m * w, False)
 
 
 # -- compositional inverse ------------------------------------------------------
@@ -767,7 +782,7 @@ def compositional_inverse(omega: LaurentSeries,
     """
     if omega.is_zero():
         raise ZeroSeriesError("compositional inverse of the zero series")
-    if not omega.exact and not omega.coeffs:
+    if not omega.exact and not _nterms(omega):
         raise OrderIndeterminateError("compositional inverse needs a computable order")
     bo = _side_order(omega, Side.BELOW)
     if bo == 1:
@@ -787,15 +802,11 @@ def compositional_inverse(omega: LaurentSeries,
 
 def _reversion(omega: LaurentSeries, precision: int | None) -> LaurentSeries:
     # omega viewable below with order exactly 1
-    if omega.exact and len(omega.coeffs) == 1:
-        return monomial(1 / omega.coeffs[1], 1)
+    if omega.exact and _nterms(omega) == 1:
+        return monomial(1 / omega[1], 1)
     cap = _known_count(omega, precision)  # omega's order is 1
-    p = dense.require_field(
-        [omega.coeffs[e] for e in sorted(omega.coeffs) if e <= cap])
-    pairs = dense.reversion(dense.from_coeffs(omega.coeffs, 1, cap, p), cap, p)
-    inv = {n: PrimeFieldElement(x, p) if p else Fraction(x, d)
-           for n, (x, d) in enumerate(pairs, 1)}
-    return LaurentSeries.truncated(inv, Side.BELOW, 1, cap)
+    u, p = _window(omega, cap)
+    return _packed(*dense.reversion(u, cap, p), p, 1, False)
 
 
 # -- comparison up to precision ---------------------------------------------------

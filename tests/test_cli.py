@@ -643,3 +643,19 @@ def test_compose_side_picks_where_one_over_a_finite_omega_expands(capsys):
     code, out, _ = run(capsys, "series", "compose", "--chi", "1/(1-x^-1)",
                        "--omega", "x^-1+x^2", "--side", "above", "--prec", "6")
     assert (code, out) == (0, "1 + x^-2 + x^-4 - x^-5 + O(x^-6)\nside: bounded-above\n")
+
+
+def test_closed_stdout_exits_without_a_traceback():
+    # the reader stops after 150 of about 10^6 bytes, as `| head -c 150` does
+    src = os.path.dirname(os.path.dirname(biriordan.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "biriordan", "series", "eval", "--expr", "1/(3-x^-1)",
+         "--side", "above", "--prec", "2000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, preexec_fn=_limit_memory,
+        env=dict(os.environ, PYTHONPATH=src))
+    head = proc.stdout.read(150)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert head.startswith(b"1/3 + 1/9x^-1 + 1/27x^-2")
+    assert (proc.wait(timeout=60), err) == (1, b"")

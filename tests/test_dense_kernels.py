@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import pytest
 
-from biriordan import dense
+from biriordan import dense, series
 from biriordan.field import PrimeField, PrimeFieldElement
 from biriordan.riordan import riordan
 from biriordan.series import (
@@ -36,7 +36,6 @@ from biriordan.series import (
     Side,
     _compose_kernel,
     _convolve,
-    _DenseForm,
     _known_count,
     _reversion,
     add,
@@ -726,14 +725,15 @@ def test_walk_packs_no_sparse_power(monkeypatch):
     # not (j + 1 terms over a span of 59 j): from there each product takes
     # series arithmetic, as _convolve chooses for each product
     packed = []
-    real = _DenseForm.read
+    real = series._view
 
-    def spy(form, v):
-        value = real(form, v)
-        packed.append(value[0])
+    def spy(s, flip=False):
+        value = real(s, flip)
+        if value is not None:
+            packed.append(value[0])
         return value
 
-    monkeypatch.setattr(_DenseForm, "read", spy)
+    monkeypatch.setattr(series, "_view", spy)
     gf7 = PrimeField(7)
     for one, omega in ((Fraction(1), parse("x + x^60")),
                        (gf7(1), LaurentSeries.from_terms({1: gf7(3), 60: gf7(2)})),
@@ -750,6 +750,39 @@ def test_walk_packs_no_sparse_power(monkeypatch):
     assert packed
     for xs in packed:
         assert len(xs) - 1 < 4 * sum(1 for x in xs if x) + 64
+
+
+def test_operands_convert_once_and_intermediates_build_no_dict(monkeypatch):
+    # a series keeps the working form its kernel returned: each dict series
+    # is packed at most once, and no value builds its dict until it is read
+    packed, built = [], []
+    real_from, real_to = dense.from_coeffs, dense.to_coeffs
+
+    def from_spy(coeffs, *args):
+        packed.append(coeffs)
+        return real_from(coeffs, *args)
+
+    def to_spy(*args):
+        built.append(args)
+        return real_to(*args)
+
+    monkeypatch.setattr(dense, "from_coeffs", from_spy)
+    monkeypatch.setattr(dense, "to_coeffs", to_spy)
+    for chi, omega, side, prec in (("1/(1-2x)", "x/(1-x-x^2)", Side.BELOW, 40),
+                                   ("(2-x)/(1+3x^2)", "x-x^2/3", Side.BELOW, 24),
+                                   ("1/(1-2x)", "x^-1/(1-x^-1)", Side.ABOVE, 30)):
+        packed.clear()
+        result = compose(parse(chi, precision=prec), parse(omega, side, prec), prec)
+        assert packed and len({id(c) for c in packed}) == len(packed)
+        assert not built
+        assert result.coeffs and len(built) == 1
+        built.clear()
+    packed.clear()
+    m = riordan(parse("1/(1-x)", precision=32), parse("x/(1-x)", precision=32))
+    block = extract(m, (0, 15), (0, 15))
+    assert block.entries[15][1] == 15
+    assert packed and len({id(c) for c in packed}) == len(packed)
+    assert not built
 
 
 def test_powers_with_a_factor_match_the_factor_times_each_power():

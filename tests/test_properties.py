@@ -8,11 +8,15 @@ of omega (`series.powers`), so a block must hold the entries of each
 its terms.  The columns of a walk equal alpha times each power by repeated
 squaring.  A compositional inverse composes back to x, and inverts back to
 omega, on the windows it certifies.  Every operation commutes with the flip
-J (x -> 1/x) once its side argument flips too.  Skipped when hypothesis is
-not installed.
+J (x -> 1/x) once its side argument flips too.  A series a kernel returns
+in its working form is the series the public constructor builds from its
+coefficients, before and after they are first read.  Skipped when
+hypothesis is not installed.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import pytest
 
@@ -25,10 +29,12 @@ from biriordan.riordan import apply, riordan  # noqa: E402
 from biriordan.series import (  # noqa: E402
     LaurentSeries,
     Side,
+    _packed,
     add,
     compose,
     compositional_inverse,
     eq_to_precision,
+    format_series,
     monomial,
     mul,
     power,
@@ -279,3 +285,30 @@ def test_columns_commute_with_j(ops, side, precision, js):
         lambda: riordan(alpha, omega, side, precision).columns(js),
         lambda: riordan(substitute_reciprocal(alpha), substitute_reciprocal(omega),
                         flipped, precision).columns(js))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([0, 7]), st.lists(st.integers(-40, 40), min_size=1, max_size=90),
+       st.integers(1, 12), st.integers(-5, 5), st.booleans(), st.booleans())
+def test_kernel_output_is_the_series_of_its_coefficients(p, xs, den, base, exact, flip):
+    # xs[i] / den at x^(base+i), on the flip when flip; zeros at either end,
+    # a common factor of den and xs, and spans mostly made of gaps included
+    if p:
+        xs, den = [x % p for x in xs], 1
+    terms = {(-1 if flip else 1) * (base + i): PrimeFieldElement(x, p) if p else Fraction(x, den)
+             for i, x in enumerate(xs)}
+    top = base + len(xs) - 1
+    if exact:
+        public = LaurentSeries.from_terms(terms)
+    else:
+        public = (LaurentSeries.truncated(terms, Side.ABOVE, -top, -base) if flip
+                  else LaurentSeries.truncated(terms, Side.BELOW, base, top))
+    read = _packed(list(xs), den, p, base, exact, flip)
+    read.coeffs
+    for view in (lambda s: (s.side, s.lo, s.hi, s.exact), lambda s: s.support(),
+                 lambda s: [s[e] for e in range(s.lo - 2, s.hi + 3) if s.known(e)],
+                 lambda s: s == public and public == s, hash, format_series,
+                 lambda s: s.to_json_dict()):
+        for s in (_packed(list(xs), den, p, base, exact, flip), read):
+            assert view(s) == view(public)
+
