@@ -69,7 +69,7 @@ def _normal(xs: list, den: int, p: int) -> tuple:
     # residues reduced mod p; over Q the common factor of den and xs divided out
     if p:
         return [x % p for x in xs], 1
-    g = math.gcd(den, *xs)
+    g = math.gcd(den, *xs) if den != 1 else 1
     if g == 1:
         return xs, den
     return [x // g for x in xs], den // g
@@ -188,39 +188,43 @@ _SHORT_COUNT = 64
 _SHORT_DIVISOR = 20
 
 
-def recip(u: tuple, n: int, p: int) -> tuple:
-    """1/u to n coefficients (u[0] != 0): by long division for n <=
-    _SHORT_COUNT or for at most _SHORT_DIVISOR nonzero terms among the first
-    n coefficients of u, else by Newton iteration."""
+def recip(u: tuple, n: int, p: int, num: tuple | None = None) -> tuple:
+    """num/u (1/u without num) to n coefficients (u[0] != 0): by long
+    division for n <= _SHORT_COUNT or for at most _SHORT_DIVISOR nonzero
+    terms among the first n coefficients of u, else by Newton iteration and
+    one product with num."""
     xs = u[0][:n]
     if n <= _SHORT_COUNT or len(xs) - xs.count(0) <= _SHORT_DIVISOR:
-        return _divide(u, n, p)
-    return _newton(u, n, p)
+        return _divide(u, n, p) if num is None else _divide(u, n, p, num)
+    v = _newton(u, n, p)
+    return v if num is None else mul(num, v, n, p)
 
 
-def _divide(u: tuple, n: int, p: int) -> tuple:
-    # b_k = -(sum over i >= 1 of u_i b_(k-i)) / u_0.  Over Q the start value
-    # keeps every b_k an integer, as in power: [x^k] 1/xs has a denominator
-    # dividing u_0^(k+1), so b_0 = u_0^(n-1) den over u_0^n; over GF(p) each
-    # step is times u_0^-1
+def _divide(u: tuple, n: int, p: int, num: tuple = ((1,), 1)) -> tuple:
+    # b_k = (a_k - sum over i >= 1 of u_i b_(k-i)) / u_0 for a = num.  Over Q
+    # every b_k stays an integer, as in power: [x^k] a/xs has a denominator
+    # dividing u_0^(k+1), so b is it times u_0^n (a_k enters times u_0^(n-1)
+    # den) over u_0^n times a's den; over GF(p) each step is times u_0^-1
     xs, den = u
     x0 = xs[0]
     steps = [(i, x) for i, x in enumerate(xs[:n]) if i and x]
     if p:
         inv = pow(x0, -1, p)
-        b = [inv]
+        b = [x * inv % p for x in num[0][:n]]
     else:
-        b = [x0 ** (n - 1) * den]
+        scale = x0 ** (n - 1) * den
+        b = [x * scale for x in num[0][:n]]
+    b += [0] * (n - len(b))
     for k in range(1, n):
         s = 0
         for i, x in steps:
             if i > k:
                 break
             s += x * b[k - i]
-        b.append(-s * inv % p if p else -s // x0)  # exact over Q
+        b[k] = (b[k] - s * inv) % p if p else b[k] - s // x0  # exact over Q
     if p:
         return b, 1
-    out = x0 ** n
+    out = x0 ** n * num[1]
     if out < 0:
         b, out = [-x for x in b], -out
     return _normal(b, out, p)

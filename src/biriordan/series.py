@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import re
 from fractions import Fraction
 
 from .errors import (
@@ -329,35 +330,23 @@ def _window(s: LaurentSeries, n: int, p: int | None = None,
 
 
 def add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    if a.exact and b.exact:
-        terms = dict(a.coeffs)
-        for e, c in b.coeffs.items():
-            terms[e] = terms.get(e, 0) + c
-        return LaurentSeries.from_terms(terms)
-    sides = {s.side for s in (a, b) if not s.exact}
-    if len(sides) == 2:
+    if len({s.side for s in (a, b) if not s.exact}) == 2:
         raise SideIndeterminateError(
             "sum of a bounded-below and a bounded-above series cannot be "
             "certified bounded on either side"
         )
-    if sides.pop() is Side.ABOVE:
-        return substitute_reciprocal(
-            add(substitute_reciprocal(a), substitute_reciprocal(b)))
-    hi = min(s.hi for s in (a, b) if not s.exact)
-    lo = min(s.lo for s in (a, b) if not (s.exact and not s.coeffs))
-    terms: dict = {}
-    for s in (a, b):
-        for e, c in s.coeffs.items():
-            if e <= hi:
-                terms[e] = terms.get(e, 0) + c
-    return LaurentSeries.truncated(terms, Side.BELOW, lo, hi)
+    p = _field(a, b)
+    return _sum([(_unit(p), a), (_unit(p), b)], p)
 
 
 def neg(a: LaurentSeries) -> LaurentSeries:
-    terms = {e: -c for e, c in a.coeffs.items()}
-    if a.exact:
-        return LaurentSeries.from_terms(terms)
-    return LaurentSeries.truncated(terms, a.side, a.lo, a.hi)
+    p = _field(a)
+    return _sum([(-_unit(p), a)], p)
+
+
+def _unit(p: int | None):
+    # the 1 of Q (p = 0) or of GF(p), or the int 1 for terms of no one field
+    return 1 if p is None else PrimeFieldElement(1, p) if p else Fraction(1)
 
 
 # -- multiplication -----------------------------------------------------------
@@ -472,13 +461,17 @@ def _worth_packing(span: int, terms: int) -> bool:
 
 
 def _convolve_packed(ca: dict, cb: dict, hi: int | None) -> dict | None:
-    """The product of two Q or GF(p) coefficient dicts as one packed product
-    (_product, whatever their size once packed); None unless the
-    coefficients are all Fraction or all residues mod one prime."""
-    a, b = LaurentSeries.from_terms(ca), LaurentSeries.from_terms(cb)
-    _view(a)
-    out = _product(a, b, False, None if hi is None else max(hi - a.lo - b.lo + 1, 0))
-    return None if out is None else out.coeffs
+    """The product of two Q or GF(p) coefficient dicts as one packed product,
+    whatever their size; None unless the coefficients are all Fraction or
+    all residues mod one prime."""
+    p = dense.field_of([*ca.values(), *cb.values()])
+    if p is None:
+        return None
+    (la, ha), (lb, hb) = [(min(c), max(c)) for c in (ca, cb)]
+    n = ha + hb - la - lb + 1 if hi is None else max(hi - la - lb + 1, 0)
+    xs, den = dense.mul(dense.from_coeffs(ca, la, ha - la + 1, p),
+                        dense.from_coeffs(cb, lb, hb - lb + 1, p), n, p)
+    return dense.to_coeffs(xs, den, la + lb, p)
 
 
 # -- reciprocal and powers -----------------------------------------------------
@@ -513,15 +506,29 @@ def recip(a: LaurentSeries, side: Side | None = None,
     return _packed(xs, den, p, -m, False, flip)
 
 
-def _known_count(a: LaurentSeries, precision: int | None) -> int:
+def _known_count(a: LaurentSeries | None, precision: int | None) -> int:
     """Coefficients known from the order: the window of an inexact series,
-    `precision` (default DEFAULT_PRECISION) for an exact one."""
-    count = a.count_from_order()
+    `precision` (default DEFAULT_PRECISION) for an exact one (or None)."""
+    count = None if a is None else a.count_from_order()
     if count is None:
         count = DEFAULT_PRECISION if precision is None else precision
         if count < 1:
             raise ValueError("precision must be at least 1")
     return count
+
+
+def _quotient(a: dict, b: dict, side: Side, precision: int | None) -> LaurentSeries:
+    """mul(a, recip(b, side, precision)) for the terms a != 0 and b of two
+    exact values over Q, b of several terms: one long division of a by b, on
+    the flips when side is above."""
+    count = _known_count(None, precision)
+    flip = side is Side.ABOVE
+    if flip:
+        a, b = ({-e: c for e, c in t.items()} for t in (a, b))
+    (la, ha), (lb, hb) = [(min(t), max(t)) for t in (a, b)]
+    num = dense.from_coeffs(a, la, min(count, ha - la + 1), 0)
+    u = dense.from_coeffs(b, lb, min(count, hb - lb + 1), 0)
+    return _packed(*dense.recip(u, count, 0, num), 0, la - lb, False, flip)
 
 
 def _check_exponent(a: LaurentSeries, j: int) -> None:
@@ -618,8 +625,8 @@ def powers(a: LaurentSeries, exponents, side: Side | None = None,
 def _sum(terms, p: int | None = None) -> LaurentSeries:
     """The sum of c * v over the pairs (c, v) of a scalar and a series, known
     where every inexact v is known (all are on one side): one dense.combine
-    when p is the field of every c and every v packs, else term by term as
-    the pairs come, so what raises first raises."""
+    when p is the field of every c, every v packs and the sum spans few
+    gaps, else term by term as the pairs come, so what raises first raises."""
     if p is not None:
         terms = list(terms)
         flip = any(v.side is Side.ABOVE for _, v in terms)
@@ -629,9 +636,10 @@ def _sum(terms, p: int | None = None) -> LaurentSeries:
             caps = [b + len(xs) - 1 for (_, v), (xs, *_, b) in zip(terms, views)
                     if not v.exact]
             hi = min(caps) if caps else max(b + len(xs) - 1 for xs, *_, b in views)
-            xs, den = dense.combine([(c, b - lo, (xs, d)) for (c, _), (xs, d, _, b)
-                                     in zip(terms, views)], hi - lo + 1, p)
-            return _packed(xs, den, p, lo, not caps, flip)
+            if _worth_packing(hi - lo, sum(len(xs) for xs, *_ in views)):
+                xs, den = dense.combine([(c, b - lo, (xs, d)) for (c, _), (xs, d, _, b)
+                                         in zip(terms, views)], hi - lo + 1, p)
+                return _packed(xs, den, p, lo, not caps, flip)
     acc: dict = {}
     inexact = []
     for c, v in terms:
@@ -867,129 +875,157 @@ def format_series(a: LaurentSeries) -> str:
 # -- parsing ------------------------------------------------------------------------
 
 
+# a run of the digits int() reads, or one non-space character; compiled on
+# first use (re caches it), not on import
+_TOKEN = r"\d+|\S"
+
+
 class _Parser:
     """Recursive descent over: expr := term (('+'|'-') term)*;
     term := unary (('*'|'/') unary)*; unary := '-' unary | power;
     power := atom ('^' ['-'] INT)?; atom := INT ['x' ...] | 'x' | '(' expr ')'.
-    An integer immediately followed by 'x' is an implicit product (2x^3)."""
+    An integer immediately followed by 'x' is an implicit product (2x^3).
+
+    The text is read once into tokens with their offsets, so 3/4 and 2x^3
+    are tokens at adjacent offsets.  An exact value stays a dict {exponent:
+    Fraction} without zeros, summed in place; a series is built only where
+    it meets an inexact operand or leaves the parser."""
 
     def __init__(self, text: str, side: Side, precision: int):
-        self.text = text
-        self.pos = 0
-        self.side = side
-        self.precision = precision
-        self.depth = 0
+        self.toks = [(m.group(), m.start()) for m in re.finditer(_TOKEN, text)]
+        self.toks.append(("", len(text)))
+        self.i, self.side, self.precision, self.depth = 0, side, precision, 0
 
     def parse(self) -> LaurentSeries:
         value = self.expr()
-        self.skip_ws()
-        if self.pos < len(self.text):
-            raise ParseError(f"unexpected {self.text[self.pos]!r}", self.pos)
-        return value
+        if self.peek():
+            raise ParseError(f"unexpected {self.peek()[0]!r}", self.toks[self.i][1])
+        return _series(value)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def peek(self, at: int | None = None) -> str:
+        # the next token ("" at the end), or "" unless it starts at offset at
+        tok, start = self.toks[self.i]
+        return tok if at in (None, start) else ""
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def take(self) -> str:
+        self.i += 1
+        return self.toks[self.i - 1][0]
 
-    def expr(self) -> LaurentSeries:
+    def expr(self):
         value = self.term()
         while self.peek() in ("+", "-"):
-            op = self.text[self.pos]
-            self.pos += 1
-            rhs = self.term()
-            value = add(value, rhs) if op == "+" else add(value, neg(rhs))
+            minus = self.take() == "-"
+            value = _add(value, self.term(), minus)
         return value
 
-    def term(self) -> LaurentSeries:
+    def term(self):
         value = self.unary()
         while self.peek() in ("*", "/"):
-            op = self.text[self.pos]
-            self.pos += 1
-            rhs = self.unary()
-            if op == "*":
-                value = mul(value, rhs)
-            else:
-                value = mul(value, recip(rhs, self.side, self.precision))
+            op = self.take()
+            value = (_mul if op == "*" else self.divide)(value, self.unary())
         return value
 
-    def unary(self) -> LaurentSeries:
+    def divide(self, a, b):
+        ta, tb = _terms(a), _terms(b)
+        if ta and tb and len(tb) > 1:
+            return _quotient(ta, tb, self.side, self.precision)
+        return mul(_series(a), recip(_series(b), self.side, self.precision))
+
+    def unary(self):
         negate = False
         while self.peek() == "-":
-            self.pos += 1
+            self.i += 1
             negate = not negate
         value = self.power()
-        return neg(value) if negate else value
+        if not negate:
+            return value
+        return {e: -c for e, c in value.items()} if type(value) is dict else neg(value)
 
-    def power(self) -> LaurentSeries:
+    def power(self):
         value = self.atom()
-        if self.peek() == "^":
-            self.pos += 1
-            value = power(value, self.signed_int(), self.side, self.precision)
-        return value
+        if self.peek() != "^":
+            return value
+        self.i += 1
+        j = self.signed_int()
+        if type(value) is dict and len(value) == 1:
+            (e, c), = value.items()
+            return {e * j: c ** j}
+        return power(_series(value), j, self.side, self.precision)
 
     def signed_int(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.peek() == "-":
-            self.pos += 1
-        self.skip_ws()
-        if not (self.pos < len(self.text) and self.text[self.pos].isdigit()):
-            raise ParseError("expected integer exponent", self.pos)
-        num = self.integer()
-        return -num if self.text[start] == "-" else num
+        sign = -1 if self.peek() == "-" else 1
+        self.i += sign < 0
+        if not self.peek().isdecimal():
+            raise ParseError("expected integer exponent", self.toks[self.i][1])
+        return sign * int(self.take())
 
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
-            raise ParseError("expected integer", self.pos)
-        return int(self.text[start:self.pos])
-
-    def atom(self) -> LaurentSeries:
-        ch = self.peek()
-        if ch == "(":
+    def atom(self):
+        tok, at = self.toks[self.i]
+        self.i += 1
+        if tok == "(":
             self.depth += 1
             if self.depth > MAX_NESTING:
                 raise ParseError(
-                    f"parentheses nested deeper than {MAX_NESTING} levels", self.pos)
-            self.pos += 1
+                    f"parentheses nested deeper than {MAX_NESTING} levels", at)
             value = self.expr()
             self.depth -= 1
             if self.peek() != ")":
-                raise ParseError("expected ')'", self.pos)
-            self.pos += 1
+                raise ParseError("expected ')'", self.toks[self.i][1])
+            self.i += 1
             return value
-        if ch == "x":
-            self.pos += 1
-            return monomial(Fraction(1), 1)
-        if ch.isdigit():
-            n = self.integer()
-            c = Fraction(n)
-            # tight fraction is a coefficient: 3/4, 1/2x^3 (whitespace around
-            # '/' leaves it to term() as expansion-triggering division)
-            if (self.pos + 1 < len(self.text) and self.text[self.pos] == "/"
-                    and self.text[self.pos + 1].isdigit()):
-                self.pos += 1
-                q = self.integer()
-                if q == 0:
-                    raise ParseError("zero denominator", self.pos)
-                c = Fraction(n, q)
-            # implicit product: 2x, 2x^3, 1/2x
-            if self.pos < len(self.text) and self.text[self.pos] == "x":
-                self.pos += 1
-                if self.pos < len(self.text) and self.text[self.pos] == "^":
-                    self.pos += 1
-                    return monomial(c, self.signed_int())
-                return monomial(c, 1)
-            return monomial(c)
-        raise ParseError(f"unexpected {ch!r}" if ch else "unexpected end of input",
-                         self.pos)
+        if tok == "x":
+            return {1: Fraction(1)}
+        if not tok.isdecimal():
+            raise ParseError(f"unexpected {tok!r}" if tok else "unexpected end of input",
+                             at)
+        c, end = Fraction(int(tok)), at + len(tok)
+        # tight fraction is a coefficient: 3/4, 1/2x^3 (whitespace around
+        # '/' leaves it to term() as expansion-triggering division)
+        q, start = self.toks[self.i + 1] if self.peek(end) == "/" else ("", None)
+        if start == end + 1 and q.isdecimal():
+            self.i += 2
+            end = start + len(q)
+            if int(q) == 0:
+                raise ParseError("zero denominator", end)
+            c = Fraction(int(tok), int(q))
+        e = 0
+        if self.peek(end) == "x":  # implicit product: 2x, 2x^3, 1/2x
+            self.i += 1
+            e = 1
+            if self.peek(end + 1) == "^":
+                self.i += 1
+                e = self.signed_int()
+        return {e: c} if c else {}
+
+
+def _series(v) -> LaurentSeries:
+    return LaurentSeries(Side.FINITE, v, 0, -1) if type(v) is dict else v
+
+
+def _terms(v) -> dict | None:
+    # the terms of an exact parser value (a dict or an exact series), else None
+    return v if type(v) is dict else v.coeffs if v.exact else None
+
+
+def _add(a, b, minus: bool):
+    # a + b or a - b of parser values; exact ones sum in place in a's dict
+    ta, tb = _terms(a), _terms(b)
+    if ta is None or tb is None:
+        b = _series(b)
+        return add(_series(a), neg(b) if minus else b)
+    acc = a if type(a) is dict else dict(ta)
+    for e, c in tb.items():
+        c = acc.pop(e, 0) + (-c if minus else c)
+        if c:
+            acc[e] = c
+    return acc
+
+
+def _mul(a, b):
+    # a * b of parser values; exact ones by _convolve, without a series
+    if type(a) is dict and type(b) is dict:
+        return {e: c for e, c in _convolve(a, b).items() if c}
+    return mul(_series(a), _series(b))
 
 
 def parse(text: str, side: Side = Side.BELOW,

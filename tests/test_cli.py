@@ -122,6 +122,12 @@ def test_series_parse_error_exits_two(capsys):
     assert "position" in err
 
 
+def test_series_unicode_digit_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "series", "eval", "--expr", "2²x")
+    assert (code, out) == (2, "")
+    assert err == "error: unexpected '²' (at position 1)\n"
+
+
 def test_series_recip_zero_exits_one(capsys):
     code, _, err = run(capsys, "series", "recip", "--a", "0")
     assert code == 1
@@ -635,6 +641,18 @@ def test_oversized_compositions_are_refused_before_they_allocate():
     assert time.perf_counter() - start < 1.0
     assert done.returncode == 2
     assert done.stdout == "" and "more than 100000" in done.stderr
+
+
+def test_sparse_exact_sums_stay_sparse():
+    # chi_0 + chi_1 omega^100000000 with omega = x spans 10^8 exponents and
+    # two terms: summed on one dense list it ran out of the 1 GiB
+    src = os.path.dirname(os.path.dirname(biriordan.__file__))
+    done = subprocess.run([sys.executable, "-m", "biriordan", "series", "compose",
+                           "--chi", "1 + x^100000000", "--omega", "x"],
+                          capture_output=True, text=True, timeout=20,
+                          preexec_fn=_limit_memory, env=dict(os.environ, PYTHONPATH=src))
+    assert (done.returncode, done.stdout, done.stderr) == \
+        (0, "1 + x^100000000\nside: finite\n", "")
 
 
 def test_compose_side_picks_where_one_over_a_finite_omega_expands(capsys):

@@ -1,0 +1,258 @@
+"""The one-pass parser against the parser it replaced.
+
+`series.parse` reads its text as one token list and keeps exact values as
+term dicts, dividing an exact numerator by an exact divisor of several terms
+in one long division.  `RefParser` below is the earlier version, kept here
+as the reference: it walks the text character by character and builds a
+series for every token, sum, product and quotient, dividing by `recip` and
+then one `mul`.  The two must agree on value, side, window and coefficient
+types, or raise the same exception with the same message and position.
+The one intended difference: a character that `str.isdigit` accepts but
+`int()` does not read, such as '²', made the reference raise int()'s
+ValueError; the parser reports it as a ParseError with its position.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+from biriordan import series
+from biriordan.errors import ParseError, ZeroSeriesError
+from biriordan.series import (
+    DEFAULT_PRECISION,
+    MAX_NESTING,
+    LaurentSeries,
+    Side,
+    add,
+    monomial,
+    mul,
+    neg,
+    parse,
+    power,
+    recip,
+)
+
+
+class RefParser:
+    """Recursive descent over: expr := term (('+'|'-') term)*;
+    term := unary (('*'|'/') unary)*; unary := '-' unary | power;
+    power := atom ('^' ['-'] INT)?; atom := INT ['x' ...] | 'x' | '(' expr ')'.
+    An integer immediately followed by 'x' is an implicit product (2x^3)."""
+
+    def __init__(self, text: str, side: Side, precision: int):
+        self.text = text
+        self.pos = 0
+        self.side = side
+        self.precision = precision
+        self.depth = 0
+
+    def parse(self) -> LaurentSeries:
+        value = self.expr()
+        self.skip_ws()
+        if self.pos < len(self.text):
+            raise ParseError(f"unexpected {self.text[self.pos]!r}", self.pos)
+        return value
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def expr(self) -> LaurentSeries:
+        value = self.term()
+        while self.peek() in ("+", "-"):
+            op = self.text[self.pos]
+            self.pos += 1
+            rhs = self.term()
+            value = add(value, rhs) if op == "+" else add(value, neg(rhs))
+        return value
+
+    def term(self) -> LaurentSeries:
+        value = self.unary()
+        while self.peek() in ("*", "/"):
+            op = self.text[self.pos]
+            self.pos += 1
+            rhs = self.unary()
+            if op == "*":
+                value = mul(value, rhs)
+            else:
+                value = mul(value, recip(rhs, self.side, self.precision))
+        return value
+
+    def unary(self) -> LaurentSeries:
+        negate = False
+        while self.peek() == "-":
+            self.pos += 1
+            negate = not negate
+        value = self.power()
+        return neg(value) if negate else value
+
+    def power(self) -> LaurentSeries:
+        value = self.atom()
+        if self.peek() == "^":
+            self.pos += 1
+            value = power(value, self.signed_int(), self.side, self.precision)
+        return value
+
+    def signed_int(self) -> int:
+        self.skip_ws()
+        start = self.pos
+        if self.peek() == "-":
+            self.pos += 1
+        self.skip_ws()
+        if not (self.pos < len(self.text) and self.text[self.pos].isdigit()):
+            raise ParseError("expected integer exponent", self.pos)
+        num = self.integer()
+        return -num if self.text[start] == "-" else num
+
+    def integer(self) -> int:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if start == self.pos:
+            raise ParseError("expected integer", self.pos)
+        return int(self.text[start:self.pos])
+
+    def atom(self) -> LaurentSeries:
+        ch = self.peek()
+        if ch == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING} levels", self.pos)
+            self.pos += 1
+            value = self.expr()
+            self.depth -= 1
+            if self.peek() != ")":
+                raise ParseError("expected ')'", self.pos)
+            self.pos += 1
+            return value
+        if ch == "x":
+            self.pos += 1
+            return monomial(Fraction(1), 1)
+        if ch.isdigit():
+            n = self.integer()
+            c = Fraction(n)
+            # tight fraction is a coefficient: 3/4, 1/2x^3 (whitespace around
+            # '/' leaves it to term() as expansion-triggering division)
+            if (self.pos + 1 < len(self.text) and self.text[self.pos] == "/"
+                    and self.text[self.pos + 1].isdigit()):
+                self.pos += 1
+                q = self.integer()
+                if q == 0:
+                    raise ParseError("zero denominator", self.pos)
+                c = Fraction(n, q)
+            # implicit product: 2x, 2x^3, 1/2x
+            if self.pos < len(self.text) and self.text[self.pos] == "x":
+                self.pos += 1
+                if self.pos < len(self.text) and self.text[self.pos] == "^":
+                    self.pos += 1
+                    return monomial(c, self.signed_int())
+                return monomial(c, 1)
+            return monomial(c)
+        raise ParseError(f"unexpected {ch!r}" if ch else "unexpected end of input",
+                         self.pos)
+
+
+def ref_parse(text: str, side: Side = Side.BELOW,
+              precision: int = DEFAULT_PRECISION) -> LaurentSeries:
+    if side is Side.FINITE:
+        side = Side.BELOW
+    return RefParser(text, side, precision).parse()
+
+
+def outcome(fn, *args):
+    """What a parse gives: the series with its side, window and coefficient
+    types, or the exception with its type, message and position."""
+    try:
+        s = fn(*args)
+    except Exception as exc:  # the exception is part of the outcome
+        return type(exc), str(exc), getattr(exc, "position", None)
+    return s, s.side, s.lo, s.hi, {e: type(c) for e, c in s.coeffs.items()}
+
+
+def assert_same_as_reference(text, side=Side.BELOW, precision=DEFAULT_PRECISION):
+    assert outcome(parse, text, side, precision) == \
+        outcome(ref_parse, text, side, precision), text
+
+
+TEXTS = [
+    "0", "-0", "7", "x", "-x", "--x", "- - -x", "2x", "2 x", "2x^3", "2x ^3",
+    "2x^ -3", "2x^3^2", "x^2^3", "(2x)^3", "3/4", "3/4x^2", "3 /4x", "3/ 4",
+    "3/0", "0/5x", "3/4/5", "1/2x^-3", "x^-1", "x^ - 2", "x^--2", "x^", "x^a",
+    "1++x", "1+ +x", "1+", "1 + ", "", "   ", "(", "(1+x", "(1+x))", "()",
+    "x2", "2x3", "1 2", "1 23", "x*", "*x", "x/", "1/0", "1/(x-x)", "0/(1-x)",
+    "0*(1/(1-x))", "(1/(1-x))^0", "0^0", "0^2", "0^-1", "(1+x)^0",
+    "1/(1-x)", "x/(1-x-x^2)", "x^3*(1/2)/(2 - 2/3x - 1/2x^2)",
+    "(1 + 2x - 3x^2)/(2 - x + x^3)", "x^-2*(1/2 - 3x + 5/3x^2)/(2 + x - 4/3x^2 + x^3)",
+    "(1 + x + x^2 + x^3 + x^4 + x^5)/(3 - x)", "(1+x)^-2", "(1+x)^3 - (1-x)^3",
+    "1/(1-x) + 1/(1-2x)", "1/(1-x) - 1/(1-x)", "1/(1/(1-x) - 1/(1-x))",
+    "1/(1-x) * (1-x)", "(1-x)/(1-x)", "(x^2 + x^5)/(x - x^3)", "1 + x^100000000",
+    "(1 + x^100000000)/(1-x)", "x^100000000/(1-x)", "1/(1 - x^50)",
+    "(1+x)^10001", "(1+x)^-10001", "x^10001", "(2x)^-3", "-(1+x)", "--(1+x)",
+    "x * x^-5", "1/x", "1/(2x^3)", "(1+x)*(1-x)", "2*x*(1+x)^2",
+    "(" * 100 + "1-x" + ")" * 100, "(" * 101 + "x" + ")" * 101,
+    "1 +\tx\n", " 1+x ", "３x^２", "1_000", "x^1_0", "1.5", "x^+2",
+]
+
+
+@pytest.mark.parametrize("side", [Side.BELOW, Side.ABOVE, Side.FINITE])
+def test_hand_written_texts_match_the_reference(side):
+    for text in TEXTS:
+        for precision in (1, 4, 16):
+            assert_same_as_reference(text, side, precision)
+    assert_same_as_reference("1/(1-x)", side, 0)
+    assert_same_as_reference("(1+x)^-1", side, 0)
+    assert_same_as_reference("1/(3-x)", side, 2000)
+    assert_same_as_reference("(1 - 2x + x^5)/(1 - x - x^2 + 3x^40 - x^70)", side, 200)
+    # a divisor of more than 20 terms: Newton iteration, then one product
+    long = " + ".join(f"{k % 4 + 1}/{k % 3 + 1}x^{k}" for k in range(25))
+    assert_same_as_reference(f"(1 - 2x + 3x^90)/({long})", side, 100)
+
+
+def test_an_exact_polynomial_builds_one_series(monkeypatch):
+    built = []
+    init = LaurentSeries.__init__
+
+    def spy(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(LaurentSeries, "__init__", spy)
+    for n in (10, 1000):
+        text = " + ".join(f"{k + 1}/{k + 2}x^{k}" for k in range(n))
+        for whole in (text, f"-({text}) - 3x^{n} * (x - 2)", f"({text}) * ({text})"):
+            built.clear()
+            s = parse(whole)
+            assert len(built) == 1 and s.exact
+        assert len(parse(text).coeffs) == n
+
+
+def test_division_of_exact_values_is_one_long_division(monkeypatch):
+    calls = []
+    real = series.dense.recip
+
+    def spy(u, n, p, num=None):
+        calls.append(num is not None)
+        return real(u, n, p, num)
+
+    monkeypatch.setattr(series.dense, "recip", spy)
+    s = parse("x^3*(1/2)/(2 - 2/3x - 1/2x^2)", Side.ABOVE, 64)
+    assert calls == [True]
+    assert s == ref_parse("x^3*(1/2)/(2 - 2/3x - 1/2x^2)", Side.ABOVE, 64)
+    assert (s.side, s.lo, s.hi) == (Side.ABOVE, -63 + 3 - 2, 3 - 2)
+
+
+def test_zero_and_monomial_divisors_keep_their_errors():
+    with pytest.raises(ZeroSeriesError):
+        parse("(1+x)/(x-x)")
+    with pytest.raises(ValueError, match="precision must be at least 1"):
+        parse("(1+x)/(1-x)", precision=0)
+    assert parse("(1+x)/(2x)", precision=0) == LaurentSeries.from_terms(
+        {-1: Fraction(1, 2), 0: Fraction(1, 2)})

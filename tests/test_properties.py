@@ -10,8 +10,10 @@ squaring.  A compositional inverse composes back to x, and inverts back to
 omega, on the windows it certifies.  Every operation commutes with the flip
 J (x -> 1/x) once its side argument flips too.  A series a kernel returns
 in its working form is the series the public constructor builds from its
-coefficients, before and after they are first read.  Skipped when
-hypothesis is not installed.
+coefficients, before and after they are first read.  The parser agrees
+with the reference parser of test_parser on drawn texts, well formed or not,
+and the quotient of two exact values is the numerator times the reciprocal.
+Skipped when hypothesis is not installed.
 """
 
 from __future__ import annotations
@@ -37,12 +39,14 @@ from biriordan.series import (  # noqa: E402
     format_series,
     monomial,
     mul,
+    parse,
     power,
     recip,
     substitute_reciprocal,
 )
 from biriordan.window import extract  # noqa: E402
 from test_dense_kernels import ref_columns  # noqa: E402
+from test_parser import outcome, ref_parse  # noqa: E402
 
 _COEFF = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
@@ -312,3 +316,68 @@ def test_kernel_output_is_the_series_of_its_coefficients(p, xs, den, base, exact
         for s in (_packed(list(xs), den, p, base, exact, flip), read):
             assert view(s) == view(public)
 
+
+# -- parsing -------------------------------------------------------------------------
+
+_GAP = st.sampled_from(["", "", "", " ", "  ", "\t"])
+
+
+@st.composite
+def _atom_text(draw):
+    """A literal: an integer, x, a tight fraction, an implicit product."""
+    n, q = draw(st.integers(0, 12)), draw(st.integers(0, 5))
+    e = draw(st.integers(-3, 4))
+    return draw(st.sampled_from([
+        str(n), "x", f"{n}/{q}", f"{n}x", f"{n}x^{e}", f"{n}/{q}x^{e}", f"x^{e}",
+        f"{n}x^ {e}", f"{n}x ^{e}", f"{n} x", f"{n} /{q}", f"{n}/ {q}"]))
+
+
+def _compound_text(inner):
+    return st.one_of(
+        st.tuples(inner, _GAP, st.sampled_from(["+", "-", "*", "/"]), _GAP, inner)
+        .map("".join),
+        st.tuples(_GAP, inner, _GAP).map(lambda t: "(" + "".join(t) + ")"),
+        st.tuples(st.integers(1, 3), _GAP, inner).map(lambda t: "-" * t[0] + t[1] + t[2]),
+        st.tuples(inner, st.integers(-3, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+    )
+
+
+@st.composite
+def _text(draw):
+    """An expression text, maybe with one character inserted or deleted."""
+    text = draw(st.recursive(_atom_text(), _compound_text, max_leaves=8))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:i] + draw(st.sampled_from("+-*/^()x0 3")) + text[i:]
+        else:
+            text = text[:i] + text[i + 1:]
+    return text
+
+
+@settings(max_examples=250, deadline=None)
+@given(text=_text(), side=st.sampled_from([Side.BELOW, Side.ABOVE, Side.FINITE]),
+       precision=st.sampled_from([1, 3, 8, 16]))
+@example(text="x^3*(1/2)/(2 - 2/3x - 1/2x^2)", side=Side.ABOVE, precision=64)
+@example(text="(" * 101 + "x" + ")" * 101, side=Side.BELOW, precision=4)
+def test_parse_matches_the_reference_parser(text, side, precision):
+    assert outcome(parse, text, side, precision) == outcome(ref_parse, text, side, precision)
+
+
+_TERMS = st.dictionaries(st.integers(-6, 12), _COEFF.filter(bool), max_size=14)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_TERMS, b=_TERMS, side=st.sampled_from([Side.BELOW, Side.ABOVE]),
+       precision=st.sampled_from([1, 2, 5, 16, 70]))
+@example(a={e: Fraction(e % 5 - 2 or 1) for e in range(30)}, b={0: Fraction(2), 1: Fraction(-1)},
+         side=Side.ABOVE, precision=5)
+def test_quotient_is_the_numerator_times_the_reciprocal(a, b, side, precision):
+    num, den = LaurentSeries.from_terms(a), LaurentSeries.from_terms(b)
+    got = _raised(lambda: parse(f"({format_series(num)})/({format_series(den)})",
+                                side, precision))
+    want = _raised(lambda: mul(num, recip(den, side, precision)))
+    assert got == want
+    if got[1] is not None:
+        assert {e: type(c) for e, c in got[1].coeffs.items()} == \
+            {e: type(c) for e, c in want[1].coeffs.items()}

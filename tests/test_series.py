@@ -17,6 +17,7 @@ from biriordan.errors import (
     SideMismatchError,
     ZeroSeriesError,
 )
+from biriordan import dense
 from biriordan.field import PrimeField
 from biriordan.series import (
     LaurentSeries,
@@ -365,6 +366,19 @@ def test_works_over_prime_field():
 # -- parsing and formatting --------------------------------------------------------
 
 
+def test_sum_and_negation_of_kernel_output_keep_the_dense_form(monkeypatch):
+    built = []
+    real = dense.to_coeffs
+    monkeypatch.setattr(dense, "to_coeffs", lambda *args: built.append(1) or real(*args))
+    below = add(parse("1/(1-x)", precision=64), parse("1/(1-2x)", precision=64))
+    above = add(parse("1/(1-x)", Side.ABOVE, 64), neg(parse("-1/(1-2x)", Side.ABOVE, 64)))
+    assert not built and below._form and above._form
+    assert below == LaurentSeries.truncated(
+        {k: 1 + Fraction(2) ** k for k in range(64)}, Side.BELOW, 0, 63)
+    assert above == LaurentSeries.truncated(
+        {-k: -1 - Fraction(1, 2) ** k for k in range(1, 65)}, Side.ABOVE, -64, -1)
+
+
 def test_parse_canonical_examples():
     assert format_series(parse("1/(1-x)", precision=4)) == "1 + x + x^2 + x^3 + O(x^4)"
     assert format_series(parse("6x")) == "6x"
@@ -413,6 +427,18 @@ def test_parse_errors_carry_position():
         parse("1+ +x")
     except ParseError as exc:
         assert "position" in str(exc)
+
+
+def test_parse_reads_only_the_digits_int_reads():
+    # '²' passes str.isdigit but not int(): a character like any other
+    for text, message in [("x^²", "expected integer exponent (at position 2)"),
+                          ("2²x", "unexpected '²' (at position 1)"),
+                          ("²", "unexpected '²' (at position 0)")]:
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == message
+    # other decimal digits are digits: fullwidth 3 and Arabic-Indic 2
+    assert parse("\uff13x^\u0662") == monomial(3, 2)
 
 
 def test_parse_nesting_is_bounded():
