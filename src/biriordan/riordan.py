@@ -193,12 +193,15 @@ _TABLE = {
 }
 
 
+def _column_sides(m: RiordanMatrix) -> tuple:
+    # the sides m's columns hold on: both when none depends on the side
+    if m.alpha.exact and m.omega.exact and len(m.omega.coeffs) == 1:
+        return Side.BELOW, Side.ABOVE
+    return (m.side,)
+
+
 def _factor_classes(m: RiordanMatrix) -> frozenset:
-    # the columns of an inexact alpha exist on its own side only, so a
-    # product can use the matrix only in the classes of that side
-    if m.alpha.exact:
-        return classify(m)
-    return frozenset(c for c in classify(m) if _SHAPE[c][0] is m.alpha.side)
+    return frozenset(c for c in classify(m) if _SHAPE[c][0] in _column_sides(m))
 
 
 def product_cell(m: RiordanMatrix, n: RiordanMatrix):
@@ -222,23 +225,25 @@ def matmul(m: RiordanMatrix, n: RiordanMatrix) -> RiordanMatrix:
             f"{format_class_set(_factor_classes(n))}"
         )
     prec = m.precision if m.precision is not None else n.precision
-    side_m = _SHAPE[cell[0]][0]
-    new_omega = compose(n.omega, m.omega, prec, side_m)
-    new_alpha = mul(m.alpha, compose(n.alpha, m.omega, prec, side_m))
+    new_omega = compose(n.omega, m.omega, prec, m.side)
+    new_alpha = mul(m.alpha, compose(n.alpha, m.omega, prec, m.side))
     return RiordanMatrix(new_alpha, new_omega, _SHAPE[_TABLE[cell]][0], prec)
 
 
 def inverse(m: RiordanMatrix) -> RiordanMatrix:
-    """Group inverse R(1/(alpha o winv), winv) with winv the compositional
-    inverse of omega; requires alpha != 0 and omega of order +1 or -1."""
+    """Group inverse R(1/(alpha o winv), winv), winv the compositional inverse
+    of omega on the matrix's side; needs alpha != 0, omega of order +-1 there."""
+    if m.side is Side.ABOVE:
+        return j_conjugate(inverse(j_conjugate(m, "left")), "right")  # (J m)^-1 J
     if m.alpha.is_zero():
         raise NotInvertibleError("alpha is zero, so every row is annihilated")
+    # winv and alpha o winv live below for order 1 and above for order -1
+    side = {1: Side.BELOW, -1: Side.ABOVE}.get(_side_order(m.omega, Side.BELOW))
+    if side is None:
+        raise NotInvertibleError(
+            "compositional inverse requires order +1 or -1 on the series' side")
     winv = compositional_inverse(m.omega, m.precision)
-    composed = compose(m.alpha, winv, m.precision, m.side)
-    # an exact alpha o winv expands on the matrix's side, or on the other
-    # side when omega has order -1 there (substituting winv flips the side)
-    side = m.side if _side_order(m.omega, m.side) == 1 else m.side.flipped()
-    new_alpha = recip(composed, side if composed.exact else None, m.precision)
+    new_alpha = recip(compose(m.alpha, winv, m.precision), side, m.precision)
     return RiordanMatrix(new_alpha, winv, precision=m.precision)
 
 
@@ -257,7 +262,6 @@ def j_conjugate(m: RiordanMatrix, side: str = "both") -> RiordanMatrix:
         omega = substitute_reciprocal(omega)
         work = work.flipped()
     if side in ("right", "both"):
-        # column j becomes column -j, whose power of an exact omega expands
-        # on the side the columns work on
-        omega = recip(omega, work if omega.exact else None, m.precision)
-    return RiordanMatrix(alpha, omega, precision=m.precision)
+        # column j becomes column -j, expanded on the side the columns work on
+        omega = recip(omega, work, m.precision)
+    return RiordanMatrix(alpha, omega, work, m.precision)

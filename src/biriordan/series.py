@@ -36,6 +36,7 @@ from .field import PrimeFieldElement
 DEFAULT_PRECISION = 16
 MAX_NESTING = 100  # parenthesis depth the recursive-descent parser accepts
 MAX_EXPONENT = 10_000  # largest |j| in a power of a base with several terms
+MAX_POWER_BITS = 1 << 20  # most bits c^j is sure to have in a power of c x^e
 MAX_COMPOSE_LENGTH = 100_000  # most dense coefficients a composition works on
 _ZERO = Fraction(0)  # a known gap; Fractions are immutable, so one serves all
 
@@ -532,22 +533,27 @@ def _quotient(a: dict, b: dict, side: Side, precision: int | None) -> LaurentSer
 
 
 def _check_exponent(a: LaurentSeries, j: int) -> None:
-    # the one exponent budget, on every route to a power
-    if abs(j) > MAX_EXPONENT and len(a.coeffs) > 1:
+    # the one exponent budget, on every route to a power: |j| on several terms;
+    # c^j over Q has over |j| (b - 1) bits, b the longer of c's num/den bits
+    if abs(j) > MAX_EXPONENT and _nterms(a) > 1:
         raise ValueError(f"exponent must be at most {MAX_EXPONENT} in absolute value")
+    c = next(iter(a.coeffs.values())) if _nterms(a) == 1 else 1
+    if type(c) is Fraction and abs(j) * (max(
+            c.numerator.bit_length(), c.denominator.bit_length()) - 1) >= MAX_POWER_BITS:
+        raise ValueError(f"the power would have more than {MAX_POWER_BITS} bits")
 
 
 def power(a: LaurentSeries, j: int, side: Side | None = None,
           precision: int | None = None) -> LaurentSeries:
     """a ** j for integer j; negative j is expanded on the given side.
 
-    |j| above MAX_EXPONENT is refused on a base of several terms, wherever the
-    power arises (an expression, a composition, a matrix column).  An exact
-    base over Q of several terms is raised by Miller's recurrence
-    (dense.power) where that beats repeated squaring: for every j < 0, and
-    for j >= 2 from half its term count on when its support is dense (the
-    recurrence walks every exponent of the result).  Any other base is
-    squared repeatedly, after recip for j < 0."""
+    The exponent budget of _check_exponent holds wherever the power arises
+    (an expression, a composition, a matrix column).  An exact base over Q
+    of several terms is raised by Miller's recurrence (dense.power) where
+    that beats repeated squaring: for every j < 0, and for j >= 2 from half
+    its term count on when its support is dense (the recurrence walks every
+    exponent of the result).  Any other base is squared repeatedly, after
+    recip for j < 0."""
     _check_exponent(a, j)
     if j == 0:
         return _one_like(a)
@@ -948,6 +954,7 @@ class _Parser:
         self.i += 1
         j = self.signed_int()
         if type(value) is dict and len(value) == 1:
+            _check_exponent(_series(value), j)
             (e, c), = value.items()
             return {e * j: c ** j}
         return power(_series(value), j, self.side, self.precision)

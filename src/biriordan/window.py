@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import GuardViolationError
 from .field import format_scalar, parse_scalar
-from .riordan import RiordanMatrix, toeplitz
+from .riordan import RiordanMatrix, _column_sides, toeplitz
 from .series import LaurentSeries, Side, _side_order
 
 
@@ -104,8 +104,8 @@ def vector_from_series(chi: LaurentSeries, lo: int, hi: int) -> VectorWindow:
 # inside (-inf, alpha.hi + k*ord(omega)] when realized bounded above; solving
 # those for k yields one-sided bounds on the inner index per row i.  Column j
 # of n bounds k directly the same way.  An entry is certifiable when at least
-# one lower and one upper bound exist; monomial/exact components are valid on
-# both sides at once (their columns do not depend on the realization).
+# one lower and one upper bound exist; each bound holds on the sides the
+# matrix's columns hold on (riordan._column_sides).
 
 
 def _ceil_div(p: int, q: int) -> int:
@@ -119,13 +119,11 @@ def _left_bounds(m: RiordanMatrix, i: int):
     uppers: list = []
     if m.alpha.is_zero():
         return lowers, uppers, True
-    two_sided = (m.alpha.exact and m.omega.exact
-                 and len(m.omega.coeffs) == 1)
     dead = False
-    if m.side is Side.BELOW or two_sided:
+    if Side.BELOW in _column_sides(m):
         w = _side_order(m.omega, Side.BELOW)
         dead = _row_bounds(i, m.alpha.lo, w, lowers, uppers)
-    if m.side is Side.ABOVE or two_sided:
+    if Side.ABOVE in _column_sides(m):
         # the bounded-below rule applied to the J-image of row i
         w = _side_order(m.omega, Side.ABOVE)
         dead = _row_bounds(-i, -m.alpha.hi, -w, lowers, uppers) or dead
@@ -149,11 +147,12 @@ def _right_bounds(n: RiordanMatrix, j: int):
     uppers: list = []
     if n.alpha.is_zero():
         return lowers, uppers, True
-    per_column = (n.alpha.exact and n.omega.exact
-                  and (j >= 0 or len(n.omega.coeffs) == 1))
-    if n.side is Side.BELOW or per_column:
+    sides = _column_sides(n)
+    if j >= 0 and n.alpha.exact and n.omega.exact:
+        sides = Side.BELOW, Side.ABOVE  # column j is a polynomial
+    if Side.BELOW in sides:
         lowers.append(n.alpha.lo + j * _side_order(n.omega, Side.BELOW))
-    if n.side is Side.ABOVE or per_column:
+    if Side.ABOVE in sides:
         uppers.append(n.alpha.hi + j * _side_order(n.omega, Side.ABOVE))
     return lowers, uppers, False
 

@@ -627,6 +627,41 @@ def test_matrix_inv_expands_on_the_matrix_side(capsys):
                                     "omega: x"]
 
 
+def test_matrix_mul_by_the_identity_keeps_the_stored_side(capsys):
+    # the columns of x^-1+x^2 depend on the side, and the product realizes
+    # the matrix on its stored side, as matrix window does: M * I = M
+    args = ("--side", "above", "--omega", "x^-1+x^2", "--rows", "-2..1", "--cols", "-2..1")
+    code, window, _ = run(capsys, "matrix", "window", *args)
+    assert code == 0
+    code, out, _ = run(capsys, "matrix", "mul", *args, "--chi", "x")
+    assert code == 0
+    assert out == "alpha: 1\nomega: x^-1 + x^2\n" + window
+
+
+def test_matrix_inv_needs_order_one_on_the_stored_side(capsys):
+    # x+x^2 has order 1 below but 2 above, where the matrix is stored
+    code, out, err = run(capsys, "matrix", "inv", "--side", "above",
+                         "--alpha", "1+x", "--omega", "x+x^2")
+    assert (code, out) == (1, "")
+    assert "order +1 or -1" in err
+
+
+def test_monomial_powers_obey_a_size_budget():
+    # c^j of a one-term base is refused before it is computed when it is
+    # sure to have more than 2^20 bits (3^100000000 ran for minutes)
+    src = os.path.dirname(os.path.dirname(biriordan.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for expr in ("3^100000000", "3^10000000", "(1/3x)^-10000000"):
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-m", "biriordan", "series", "eval",
+                               "--expr", expr],
+                              capture_output=True, text=True, timeout=20,
+                              preexec_fn=_limit_memory, env=env)
+        assert time.perf_counter() - start < 1.0
+        assert done.returncode == 2
+        assert done.stdout == "" and "more than 1048576 bits" in done.stderr, expr
+
+
 def test_oversized_compositions_are_refused_before_they_allocate():
     # 1000 known coefficients of chi on omega of order 1000: 10^6 dense
     # coefficients, which ran out of the 1 GiB after about a minute

@@ -13,6 +13,9 @@ in its working form is the series the public constructor builds from its
 coefficients, before and after they are first read.  The parser agrees
 with the reference parser of test_parser on drawn texts, well formed or not,
 and the quotient of two exact values is the numerator times the reciprocal.
+On drawn pairs stored on either side, `matmul`, `apply`, `inverse` and
+`j_conjugate` agree with the brute-force window oracles over the certified
+guards, so each realizes a matrix on its stored side.
 Skipped when hypothesis is not installed.
 """
 
@@ -26,8 +29,23 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
+from biriordan.errors import (  # noqa: E402
+    CompositionUndefinedError,
+    GuardViolationError,
+    NotInvertibleError,
+    PrecisionError,
+    UndefinedProductError,
+)
 from biriordan.field import PrimeFieldElement  # noqa: E402
-from biriordan.riordan import apply, riordan  # noqa: E402
+from biriordan.riordan import (  # noqa: E402
+    apply,
+    identity,
+    inverse,
+    j_conjugate,
+    j_matrix,
+    matmul,
+    riordan,
+)
 from biriordan.series import (  # noqa: E402
     LaurentSeries,
     Side,
@@ -44,7 +62,15 @@ from biriordan.series import (  # noqa: E402
     recip,
     substitute_reciprocal,
 )
-from biriordan.window import extract  # noqa: E402
+from biriordan.window import (  # noqa: E402
+    MatrixWindow,
+    apply_guard,
+    extract,
+    oracle_apply,
+    oracle_matmul,
+    product_guard,
+    vector_from_series,
+)
 from test_dense_kernels import ref_columns  # noqa: E402
 from test_parser import outcome, ref_parse  # noqa: E402
 
@@ -381,3 +407,115 @@ def test_quotient_is_the_numerator_times_the_reciprocal(a, b, side, precision):
     if got[1] is not None:
         assert {e: type(c) for e, c in got[1].coeffs.items()} == \
             {e: type(c) for e, c in want[1].coeffs.items()}
+
+
+# -- matrices against the window oracles -----------------------------------------------
+
+_BLOCK = (-2, 2)
+
+
+_NONZERO = st.sampled_from([Fraction(c) for c in (-3, -2, -1, 1, 2, 3)]
+                           + [Fraction(1, 2), Fraction(-2, 3)])
+
+
+@st.composite
+def _finite_pair(draw):
+    """R(alpha, omega) stored on a drawn side: alpha of one to three nonzero
+    terms, exact or known six exponents past them on that side; omega of one
+    to three terms in x^-3..x^3 and of nonzero order on at least one side."""
+    side = draw(st.sampled_from([Side.BELOW, Side.ABOVE]))
+    lo, count = draw(st.integers(-2, 2)), draw(st.integers(1, 3))
+    terms = {lo + i: draw(_NONZERO) for i in range(count)}
+    if draw(st.booleans()):
+        alpha = LaurentSeries.from_terms(terms)
+    else:
+        window = (lo, lo + count + 5) if side is Side.BELOW else (lo - 6, lo + count - 1)
+        alpha = LaurentSeries.truncated(terms, side, *window)
+    exps = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3, unique=True))
+    assume(exps != [0])
+    omega = LaurentSeries.from_terms({e: draw(_NONZERO) for e in exps})
+    return riordan(alpha, omega, side, draw(st.sampled_from([None, 4, 8])))
+
+
+_ABOVE_ONE = riordan(LaurentSeries.one(), parse("x^-1+x^2"), Side.ABOVE)
+
+
+def _oracle_product(m, n):
+    """The block _BLOCK of m * n by oracle_matmul over product_guard."""
+    guard = product_guard(m, n, _BLOCK, _BLOCK)
+    if guard[0] > guard[1]:  # every summand is certified zero
+        zero = Fraction(0)
+        return MatrixWindow(_BLOCK[0], _BLOCK[0], ((zero,) * 5,) * 5)
+    return oracle_matmul(extract(m, _BLOCK, guard), extract(n, guard, _BLOCK), guard)
+
+
+_REFUSALS = (GuardViolationError, PrecisionError, UndefinedProductError)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=_finite_pair(), n=_finite_pair())
+@example(m=_ABOVE_ONE, n=identity())
+def test_matmul_matches_the_oracle(m, n):
+    # the example is M * I for a pair whose columns depend on the side: the
+    # product must realize M on its stored side, as extract does
+    try:
+        got = extract(matmul(m, n), _BLOCK, _BLOCK)
+        want = _oracle_product(m, n)
+    except _REFUSALS:
+        return
+    assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=_finite_pair(), chi=_series(None) | _series(Side.BELOW) | _series(Side.ABOVE))
+def test_apply_matches_the_oracle(m, chi):
+    try:
+        value = apply(m, chi)
+        got = [value[i] for i in range(_BLOCK[0], _BLOCK[1] + 1)]
+        lo, hi = apply_guard(m, chi, _BLOCK)
+        if lo > hi:
+            want = [0] * 5
+        else:
+            want = list(oracle_apply(extract(m, _BLOCK, (lo, hi)),
+                                     vector_from_series(chi, lo, hi), (lo, hi)).values)
+    except (CompositionUndefinedError, *_REFUSALS):
+        return
+    assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=_finite_pair())
+@example(m=riordan(parse("1+x"), parse("x+x^2"), Side.ABOVE))
+@example(m=riordan(parse("1+x"), parse("x+x^-2"), Side.BELOW))
+def test_inverse_inverts_on_the_stored_side(m):
+    # omega has order 2 and -2 on the examples' stored sides, and order +-1
+    # on the other: no inverse of the other realization may stand in
+    if m.omega.order(m.side) not in (1, -1):
+        with pytest.raises(NotInvertibleError):
+            inverse(m)
+        return
+    try:
+        got = extract(matmul(m, inverse(m)), _BLOCK, _BLOCK)
+    except PrecisionError:
+        return
+    assert got == extract(identity(), _BLOCK, _BLOCK)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=_finite_pair())
+@example(m=riordan(LaurentSeries.one(), parse("x-x^2"), Side.BELOW))
+def test_j_conjugate_is_the_product_with_j(m):
+    # left is J * m, right is m * J; the flipped realization of m * J
+    # expands 1/omega, so it may know fewer entries
+    for side, want in (("left", lambda: _oracle_product(j_matrix(), m)),
+                       ("right", lambda: _oracle_product(m, j_matrix()))):
+        try:
+            want = want()
+        except PrecisionError:
+            continue
+        try:
+            got = extract(j_conjugate(m, side), _BLOCK, _BLOCK)
+        except PrecisionError:
+            assert side == "right"
+            continue
+        assert got == want

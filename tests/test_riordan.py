@@ -288,6 +288,11 @@ def test_inverse_of_an_exact_pair_on_either_side():
     for omega in ("x", "2x", "x^-1", "-3x^-1", "x+x^2", "x+x^-1"):
         for side in (Side.BELOW, Side.ABOVE):
             m = riordan(parse("1+x"), parse(omega), side, _P)
+            if (omega, side) == ("x+x^2", Side.ABOVE):
+                # omega has order 2 on the stored side
+                with pytest.raises(NotInvertibleError):
+                    inverse(m)
+                continue
             prod = matmul(m, inverse(m))
             assert extract(prod, block, block) == extract(identity(), block, block)
     # alpha o winv = 1 + x^(+-1) is exact: its reciprocal expands on the

@@ -724,6 +724,24 @@ def test_power_owns_the_exponent_budget():
     assert power(parse("-x"), 30001) == monomial(-1, 30001)
 
 
+def test_monomial_powers_obey_the_bit_budget_on_every_route():
+    # 4 and 1/4 have 3 bits, so (4x)^j has more than 2j bits: 524288 is
+    # refused, 524287 is the largest exponent taken
+    for base in (monomial(4, 1), monomial(Fraction(1, 4), 1)):
+        for call in (lambda: power(base, 524_288),
+                     lambda: power(base, -524_288),
+                     lambda: compose(monomial(1, 524_288), base),
+                     lambda: base ** 524_288,
+                     lambda: parse(f"({format_series(base)})^-524288")):
+            with pytest.raises(ValueError, match="more than 1048576 bits"):
+                call()
+    assert power(monomial(4, 1), 524_287) == monomial(1 << 1_048_574, 524_287)
+    # a unit coefficient and a coefficient in GF(p) take any exponent
+    assert power(monomial(-1, 1), -10**8) == monomial(1, -10**8)
+    gf7 = PrimeField(7)
+    assert power(monomial(gf7(3), 0), 10**8) == monomial(gf7(pow(3, 10**8, 7)), 0)
+
+
 def test_precision_below_one_is_a_value_error():
     for precision in (0, -3):
         for call in (lambda: recip(parse("1+x"), precision=precision),
