@@ -21,6 +21,7 @@ from .errors import (
 from .series import (
     LaurentSeries,
     Side,
+    _power_sides,
     _side_order,
     compose,
     compositional_inverse,
@@ -193,11 +194,11 @@ _TABLE = {
 }
 
 
-def _column_sides(m: RiordanMatrix) -> tuple:
-    # the sides m's columns hold on: both when none depends on the side
-    if m.alpha.exact and m.omega.exact and len(m.omega.coeffs) == 1:
-        return Side.BELOW, Side.ABOVE
-    return (m.side,)
+def _column_sides(m: RiordanMatrix, lo: int | None = None) -> tuple:
+    # the sides m's columns j >= lo (all when None) hold on: those of the
+    # powers of omega, the stored side alone when alpha is inexact
+    sides = _power_sides(m.omega, m.side, lo)
+    return sides if m.alpha.exact else sides[:1]
 
 
 def _factor_classes(m: RiordanMatrix) -> frozenset:

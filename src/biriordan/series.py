@@ -493,13 +493,11 @@ def recip(a: LaurentSeries, side: Side | None = None,
     if a.exact and _nterms(a) == 1:
         (e, c), = a.coeffs.items()
         return monomial(1 / c, -e)
-    if side is None:
-        side = Side.BELOW if a.side is Side.FINITE else a.side
-    if a.side not in (side, Side.FINITE):
+    if a.side not in (side or a.side, Side.FINITE):
         raise SideMismatchError(
             f"cannot expand the reciprocal of a {a.side.value} series {side.value}"
         )
-    flip = side is Side.ABOVE  # then expand the flip bounded below
+    flip = (side or a.side) is Side.ABOVE  # then expand the flip bounded below
     m = -a.hi if flip else a.lo
     count = _known_count(a, precision)
     u, p = _window(a, count, flip=flip)
@@ -689,45 +687,48 @@ def _side_order(omega: LaurentSeries, side: Side) -> int | None:
     return omega.lo if side is Side.BELOW else omega.hi
 
 
+def _power_sides(omega: LaurentSeries, side: Side | None, lo: int | None = None):
+    """The sides omega^k holds on for every k >= lo (any k when None), the
+    realization side first: omega's own if inexact, else `side` (None: below).
+    Both when omega is exact and no k < 0 is read or omega is one term."""
+    real = omega.side if not omega.exact else side if side is Side.ABOVE else Side.BELOW
+    if omega.exact and (lo is not None and lo >= 0 or _nterms(omega) == 1):
+        return real, real.flipped()
+    return (real,)
+
+
 def compose(chi: LaurentSeries, omega: LaurentSeries,
             precision: int | None = None, side: Side | None = None) -> LaurentSeries:
     """Substitution chi(omega) = sum over k of chi_k * omega^k.
 
     Defined when chi has finite support (any nonzero omega), or per side/order:
     bounded-below chi needs omega bounded below of order >= 1 or bounded above
-    of order <= -1; bounded-above chi mirrors.  `side` disambiguates the
-    expansion of negative powers when omega has finite support.
+    of order <= -1; bounded-above chi mirrors.  A negative power of a finite
+    omega of several terms is read on `side` alone (None: below).
     """
     if omega.is_zero():
         raise CompositionUndefinedError("inner series is zero")
+    sides = _power_sides(omega, side, chi.lo if chi.side is Side.BELOW else None)
     if chi.exact:
         if chi.is_zero():
             return LaurentSeries.zero()
-        work = omega.side if omega.side is not Side.FINITE else (side or Side.BELOW)
         if _nterms(chi) == 1:  # c x^e is c times one power
             (e, c), = chi.coeffs.items()
-            return mul(monomial(c), power(omega, e, work, precision))
+            return mul(monomial(c), power(omega, e, sides[0], precision))
         # chi's coefficients are scalars of the sum and only fix the field
-        walk = powers(omega, chi.coeffs, work, precision)
+        walk = powers(omega, chi.coeffs, sides[0], precision)
         return _sum(((chi.coeffs[e], pw) for e, pw in walk), _field(omega, chi))
-    bo = _side_order(omega, Side.BELOW)
-    ao = _side_order(omega, Side.ABOVE)
-    if chi.side is Side.BELOW:
-        if bo is not None and bo >= 1:
+    orders = [_side_order(omega, s) for s in sides]  # raises when indeterminate
+    if chi.side is Side.ABOVE:
+        # chi(omega) = (J chi)(1/omega), 1/omega on the realization side
+        return compose(substitute_reciprocal(chi),
+                       recip(omega, sides[0], precision), precision)
+    for s, order in zip(sides, orders):
+        if s is Side.BELOW and order >= 1:
             return _compose_kernel(chi, omega, precision)
-        if ao is not None and ao <= -1:
+        if s is Side.ABOVE and order <= -1:
             return substitute_reciprocal(
-                _compose_kernel(chi, substitute_reciprocal(omega), precision)
-            )
-    else:
-        # a bounded-above chi is (J chi)(1/x), so chi(omega) = (J chi)(1/omega),
-        # with 1/omega expanded on `side` when a finite omega allows both
-        sides = [s for s, ok in ((Side.BELOW, bo is not None and bo <= -1),
-                                 (Side.ABOVE, ao is not None and ao >= 1)) if ok]
-        if sides:
-            inner_side = side if side in sides else sides[0]
-            return compose(substitute_reciprocal(chi),
-                           recip(omega, inner_side, precision), precision)
+                _compose_kernel(chi, substitute_reciprocal(omega), precision))
     raise CompositionUndefinedError(
         "composition undefined: infinite outer support needs an inner series "
         "of nonzero order on a matching side (bounded-below outer with "

@@ -147,9 +147,7 @@ def _right_bounds(n: RiordanMatrix, j: int):
     uppers: list = []
     if n.alpha.is_zero():
         return lowers, uppers, True
-    sides = _column_sides(n)
-    if j >= 0 and n.alpha.exact and n.omega.exact:
-        sides = Side.BELOW, Side.ABOVE  # column j is a polynomial
+    sides = _column_sides(n, j)
     if Side.BELOW in sides:
         lowers.append(n.alpha.lo + j * _side_order(n.omega, Side.BELOW))
     if Side.ABOVE in sides:

@@ -698,6 +698,31 @@ def test_compose_side_picks_where_one_over_a_finite_omega_expands(capsys):
     assert (code, out) == (0, "1 + x^-2 + x^-4 - x^-5 + O(x^-6)\nside: bounded-above\n")
 
 
+def test_compose_reads_negative_powers_of_a_finite_omega_on_side_alone(capsys):
+    # each reads omega^-1 of a two-term omega, which --side expands (below
+    # by default) and where omega has no order that the sum needs; the
+    # other realization is not tried
+    for argv in (["matrix", "apply", "--side", "above", "--omega", "x+x^2",
+                  "--chi", "x^-1/(1-x)", "--other-side", "below", "--prec", "6"],
+                 ["matrix", "apply", "--side", "above", "--omega", "x^-1+1",
+                  "--chi", "1/(1-x^-1)", "--prec", "6"],
+                 ["series", "compose", "--chi", "x^-1/(1-x)", "--omega", "x^-1+x^-2",
+                  "--prec", "8"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: composition undefined"), argv
+    # no negative power read, or a one-term omega: either side serves
+    code, out, _ = run(capsys, "series", "compose", "--chi", "1/(1-x)",
+                       "--omega", "x+x^2", "--side", "above")
+    assert (code, out) == (0, "-x^-2 + x^-3 - 2x^-4 + 3x^-5 - 5x^-6 + 8x^-7 - 13x^-8 "
+                              "+ 21x^-9 - 34x^-10 + 55x^-11 - 89x^-12 + 144x^-13 "
+                              "- 233x^-14 + 377x^-15 + O(x^-16)\nside: bounded-above\n")
+    code, out, _ = run(capsys, "series", "compose", "--chi", "1/(1-x)",
+                       "--omega", "x^-1", "--side", "below", "--prec", "5")
+    assert (code, out) == (0, "1 + x^-1 + x^-2 + x^-3 + x^-4 + O(x^-5)\n"
+                              "side: bounded-above\n")
+
+
 def test_closed_stdout_exits_without_a_traceback():
     # the reader stops after 150 of about 10^6 bytes, as `| head -c 150` does
     src = os.path.dirname(os.path.dirname(biriordan.__file__))

@@ -935,7 +935,7 @@ def test_compose_kernel_matches_horner_around_each_square():
                 if count <= 26:
                     assert want == ref_compose_kernel(chi, omega, count)
                 # omega bounded above of order -w, through the flip
-                assert compose(chi, substitute_reciprocal(omega), count) == \
+                assert compose(chi, substitute_reciprocal(omega), count, Side.ABOVE) == \
                     substitute_reciprocal(want)
 
 

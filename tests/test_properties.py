@@ -8,7 +8,11 @@ of omega (`series.powers`), so a block must hold the entries of each
 its terms.  The columns of a walk equal alpha times each power by repeated
 squaring.  A compositional inverse composes back to x, and inverts back to
 omega, on the windows it certifies.  Every operation commutes with the flip
-J (x -> 1/x) once its side argument flips too.  A series a kernel returns
+J (x -> 1/x) once its side argument flips too; the inverse of 1/omega
+is J of the inverse of omega, and (J m) n = J (m n).  A composition with an
+exact omega of two or three terms agrees with the mod-prime reference of
+perfbench/oracle.py, and refuses wherever chi reads a negative power of
+omega that the reference cannot take on `side`.  A series a kernel returns
 in its working form is the series the public constructor builds from its
 coefficients, before and after they are first read.  The parser agrees
 with the reference parser of test_parser on drawn texts, well formed or not,
@@ -21,7 +25,9 @@ Skipped when hypothesis is not installed.
 
 from __future__ import annotations
 
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +79,12 @@ from biriordan.window import (  # noqa: E402
 )
 from test_dense_kernels import ref_columns  # noqa: E402
 from test_parser import outcome, ref_parse  # noqa: E402
+
+# the mod-prime reference of the benchmark, which shares no code with biriordan
+_spec = importlib.util.spec_from_file_location(
+    "oracle", Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py")
+oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracle)
 
 _COEFF = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
@@ -315,6 +327,91 @@ def test_columns_commute_with_j(ops, side, precision, js):
         lambda: riordan(alpha, omega, side, precision).columns(js),
         lambda: riordan(substitute_reciprocal(alpha), substitute_reciprocal(omega),
                         flipped, precision).columns(js))
+
+
+@settings(max_examples=150, deadline=None)
+@given(omega=_invertible(), precision=st.sampled_from([None, 1, 2, 9]))
+def test_compositional_inverse_commutes_with_j(omega, precision):
+    # 1/omega is J after omega, so its inverse is omega's inverse before J:
+    # J of the inverse of omega.  1/omega expands on the side omega has order
+    # +-1 on, below first as compositional_inverse reads an exact omega
+    side = omega.side if not omega.exact else \
+        Side.BELOW if omega.lo in (1, -1) else Side.ABOVE
+    _assert_j_equivariant(
+        lambda: compositional_inverse(omega, precision),
+        lambda: compositional_inverse(recip(omega, side, precision), precision))
+
+
+def _pair(m):
+    return {"alpha": m.alpha, "omega": m.omega}
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=_matrix(), n=_matrix())
+def test_matmul_commutes_with_j_on_the_left(m, n):
+    # (J m) n = J (m n), and J times a matrix flips both of its series; the
+    # class table has the same defined cells in the rows of m and of J m
+    _assert_j_equivariant(lambda: _pair(matmul(m, n)),
+                          lambda: _pair(matmul(j_conjugate(m, "left"), n)))
+
+
+# -- compositions against the mod-prime reference ------------------------------------
+
+
+@st.composite
+def _one_sided(draw):
+    """An inexact series on a drawn side: a nonzero coefficient at its order
+    in -2..2 and up to five more known past it."""
+    side = draw(st.sampled_from([Side.BELOW, Side.ABOVE]))
+    order, count = draw(st.integers(-2, 2)), draw(st.integers(1, 6))
+    step = 1 if side is Side.BELOW else -1
+    terms = {order + step * i: draw(_COEFF) for i in range(1, count)}
+    terms[order] = draw(_NONZERO)
+    return LaurentSeries.truncated(terms, side, *sorted((order, order + step * (count - 1))))
+
+
+@st.composite
+def _few_terms(draw):
+    """An exact series of two or three nonzero terms in x^-3..x^3."""
+    exps = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=3, unique=True))
+    return LaurentSeries.from_terms({e: draw(_NONZERO) for e in exps})
+
+
+def _reference(s, side, count):
+    """s as an oracle.Ser on side: residues from its order outward, its known
+    window, or count coefficients of an exact s (its zeros past the end)."""
+    v, step = (s.lo, 1) if side is Side.BELOW else (s.hi, -1)
+    n = count if s.exact else s.hi - s.lo + 1
+    return oracle.Ser(side.value, v, [oracle.residue(s[v + step * i], oracle.Q61)
+                                      for i in range(n)], oracle.Q61)
+
+
+@settings(max_examples=200, deadline=None)
+@given(chi=_one_sided(), omega=_few_terms(), side=_SIDES, precision=st.sampled_from([4, 8]))
+@example(chi=LaurentSeries.truncated({-1: 1, 0: 1, 1: 1}, Side.BELOW, -1, 1),
+         omega=parse("x+x^2"), side=Side.ABOVE, precision=4)
+def test_compose_matches_the_mod_prime_reference(chi, omega, side, precision):
+    # omega of two or three terms goes to the reference on `side` (None:
+    # below); wherever chi reads a negative power of omega (every bounded-
+    # above chi does), the library has no other side to fall back on.  The
+    # example is m * chi for m = R(1, x+x^2) stored above
+    try:
+        got = compose(chi, omega, precision, side)
+    except CompositionUndefinedError:
+        got = None
+    try:
+        want = oracle.compose(_reference(chi, chi.side, None),
+                              _reference(omega, side or Side.BELOW, 12))
+    except ValueError:  # a case the reference does not cover
+        assert got is None or not (chi.side is Side.ABOVE or chi.lo < 0)
+        return
+    assert got is not None and got.side.value == want.side
+    lo, hi = want.window
+    known = [e for e in range(min(lo, got.lo), max(hi, got.hi) + 1)
+             if got.known(e) and want.coeff(e) is not None]
+    assert known
+    assert [oracle.residue(got[e], oracle.Q61) for e in known] == \
+        [want.coeff(e) for e in known]
 
 
 @settings(max_examples=300, deadline=None)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from biriordan.errors import (
+    CompositionUndefinedError,
     NotInvertibleError,
     PrecisionError,
     SideMismatchError,
@@ -415,3 +416,23 @@ def test_upper_cell_product_with_a_finite_omega_of_both_sides():
     guard = apply_guard(m, chi, (-5, 0))
     want = oracle_apply(extract(m, (-5, 0), guard), vector_from_series(chi, *guard), guard)
     assert [got[i] for i in range(-5, 1)] == list(want.values)
+
+
+def test_apply_reads_negative_powers_of_omega_on_the_stored_side():
+    # column -1 of R(1, x+x^2) stored above is x^-2 - x^-3 + ..., so a chi
+    # with a term at x^-1 meets a two-sided sum there; and 1/(x^-1+1) has
+    # order 0 above, so no bounded-above chi composes with it above
+    above, below = Side.ABOVE, Side.BELOW
+    m = riordan(LaurentSeries.one(), parse("x+x^2"), above, 6)
+    assert m.column(-1).side is above
+    for chi in (parse("x^-1/(1-x)", below, 6),
+                LaurentSeries.truncated({-1: 1, 0: 1, 1: 1}, below, -1, 1)):
+        with pytest.raises(CompositionUndefinedError):
+            apply(m, chi)
+    with pytest.raises(CompositionUndefinedError):
+        apply(riordan(LaurentSeries.one(), parse("x^-1+1"), above, 6),
+              parse("1/(1-x^-1)", above, 6))
+    # without a negative power of omega, every column holds on both sides
+    got = apply(m, parse("1/(1-x)", below, 6))
+    assert got == compose(parse("1/(1-x)", below, 6), parse("x+x^2"), 6)
+    assert got.side is below and got[0] == 1 and got[1] == 1

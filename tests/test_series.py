@@ -490,7 +490,7 @@ def test_compose_above_with_below_inner():
 def test_compose_above_above():
     chi = parse("1/(1-x)", Side.ABOVE, 8)
     omega = parse("x+1", Side.ABOVE, 8)
-    got = compose(chi, omega, 8)
+    got = compose(chi, omega, 8, Side.ABOVE)
     # 1/(1-(x+1)) = -1/x expanded above
     assert got.side is Side.ABOVE
     assert got[-1] == -1
@@ -527,6 +527,17 @@ def test_compose_rejects_order_zero_inner():
         compose(chi, parse("2+x"))
     with pytest.raises(CompositionUndefinedError):
         compose(chi, LaurentSeries.zero())
+
+
+def test_compose_with_an_inner_series_of_no_known_term_has_no_order():
+    # on either side of chi and of omega, before any reciprocal of omega
+    for side in (Side.BELOW, Side.ABOVE):
+        omega = LaurentSeries.truncated({}, side, 0, 5)
+        for chi_side in (Side.BELOW, Side.ABOVE):
+            chi = parse("1/(1-x)", chi_side, 5)
+            with pytest.raises(OrderIndeterminateError,
+                               match="^inner series has indeterminate order$"):
+                compose(chi, omega, 5, side)
 
 
 def test_compose_window_matches_term_cap():
@@ -682,9 +693,9 @@ def test_compose_cases_are_flips_of_the_kernel_case():
         chi = _outer(rng)
         # bounded-below outer: chi(omega) is the flip of chi(J omega)
         omega = _inner(rng, Side.BELOW, rng.randint(1, 2))
-        assert compose(chi, omega, 6) == J(compose(chi, J(omega), 6))
+        assert compose(chi, omega, 6) == J(compose(chi, J(omega), 6, Side.ABOVE))
         omega = _inner(rng, Side.ABOVE, -rng.randint(1, 2))
-        assert compose(chi, omega, 6) == J(compose(chi, J(omega), 6))
+        assert compose(chi, omega, 6, Side.ABOVE) == J(compose(chi, J(omega), 6))
         # bounded-above outer: chi(omega) = (J chi)(1/omega)
         chi = J(chi)
         omega = _inner(rng, Side.BELOW, -rng.randint(1, 2))
@@ -693,7 +704,7 @@ def test_compose_cases_are_flips_of_the_kernel_case():
         omega = _inner(rng, Side.ABOVE, rng.randint(1, 2))
         if omega.exact and omega.lo <= -1:
             continue
-        assert compose(chi, omega, 6) == compose(
+        assert compose(chi, omega, 6, Side.ABOVE) == compose(
             J(chi), recip(omega, Side.ABOVE, 6), 6)
 
 
