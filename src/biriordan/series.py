@@ -550,8 +550,8 @@ def power(a: LaurentSeries, j: int, side: Side | None = None,
     of several terms is raised by Miller's recurrence (dense.power) where
     that beats repeated squaring: for every j < 0, and for j >= 2 from half
     its term count on when its support is dense (the recurrence walks every
-    exponent of the result).  Any other base is squared repeatedly, after
-    recip for j < 0."""
+    exponent of the result).  Any other base is squared repeatedly: for
+    j < 0, the base recip(a, side, precision) to the power -j."""
     _check_exponent(a, j)
     if j == 0:
         return _one_like(a)
@@ -560,15 +560,15 @@ def power(a: LaurentSeries, j: int, side: Side | None = None,
             and (j < 0 or j > 1 and 2 * j >= terms and _worth_packing(a.hi - a.lo, terms))
             and _field(a) == 0):
         return _miller_power(a, j, side, precision)
-    base = a if j > 0 else recip(a, side, precision)
-    n = abs(j)
+    if j < 0:
+        return power(recip(a, side, precision), -j)
     result = None
-    sq = base
-    while n:
-        if n & 1:
+    sq = a
+    while j:
+        if j & 1:
             result = sq if result is None else mul(result, sq)
-        n >>= 1
-        if n:
+        j >>= 1
+        if j:
             sq = mul(sq, sq)
     return result
 
@@ -590,14 +590,15 @@ def _miller_power(a: LaurentSeries, j: int, side: Side | None,
 def powers(a: LaurentSeries, exponents, side: Side | None = None,
            precision: int | None = None, factor: LaurentSeries | None = None):
     """Yield (j, a ** j) for the distinct exponents in ascending order, each
-    power built from the one before it on the same side of 0: upward from
-    the first exponent > 0 by power(a, gap), downward from -1 by powers of
-    one recip(a, side, precision).  Values, windows and exceptions are those
-    of power(a, j, side, precision) taken for each j in turn.  With a factor
-    f, yield (j, f * a ** j) instead, the values of mul(f, power(...)): f
-    goes into the first power on each side of 0 and each later one is the
-    one before it times a power of a (the window rule of mul is
-    associative: lo adds up and the fewest known binds)."""
+    power built from the one before it on the same side of 0 by power(a,
+    gap).  The negative exponents are the positive ones of one r =
+    recip(a, side, precision), walked upward over r (the columns of m J, for
+    m a matrix of column generator a).  Values, windows and exceptions are
+    those of power(a, j, side, precision) taken for each j in turn.  With a
+    factor f, yield (j, f * a ** j) instead, the values of mul(f,
+    power(...)): f goes into the first power on each side of 0 and each
+    later one is the one before it times a power of a (the window rule of
+    mul is associative: lo adds up and the fewest known binds)."""
     def first(s):
         return s if factor is None else mul(factor, s)
 
@@ -606,14 +607,8 @@ def powers(a: LaurentSeries, exponents, side: Side | None = None,
     if negative:
         _check_exponent(a, negative[0])
         r = recip(a, side, precision)
-        step = functools.cache(lambda gap: power(r, gap))
-        down = []
-        prev, pw = 0, None
-        for j in reversed(negative):
-            pw = first(power(r, -j)) if pw is None else mul(pw, step(prev - j))
-            down.append(pw)
-            prev = j
-        yield from zip(negative, reversed(down))
+        up = list(powers(r, [-j for j in negative], factor=factor))
+        yield from ((-k, pw) for k, pw in reversed(up))
     step = functools.cache(lambda gap: power(a, gap))
     prev = pw = None
     for j in exps[len(negative):]:

@@ -19,7 +19,11 @@ with the reference parser of test_parser on drawn texts, well formed or not,
 and the quotient of two exact values is the numerator times the reciprocal.
 On drawn pairs stored on either side, `matmul`, `apply`, `inverse` and
 `j_conjugate` agree with the brute-force window oracles over the certified
-guards, so each realizes a matrix on its stored side.
+guards, so each realizes a matrix on its stored side.  Column -j of a matrix
+m is column j of m J.  `compositional_inverse` and `inverse` agree with the
+mod-prime reference, and `inverse` refuses where it does.  `matmul` is
+associative on the entries both groupings compute, and a shorter truncation
+of a series never knows a result coefficient the longer one does not.
 Skipped when hypothesis is not installed.
 """
 
@@ -330,6 +334,19 @@ def test_columns_commute_with_j(ops, side, precision, js):
 
 
 @settings(max_examples=150, deadline=None)
+@given(m=_matrix(), js=st.lists(st.integers(1, 6), min_size=1, max_size=4))
+def test_negative_columns_are_the_columns_of_m_times_j(m, js):
+    # column -j of m is column j of m J = R(alpha, 1/omega), 1/omega the one
+    # reciprocal on the stored side that the walk of m's negative columns
+    # builds: the same series, side and window, or the same exception
+    got_exc, got = _raised(lambda: m.columns([-j for j in js]))
+    want_exc, want = _raised(lambda: j_conjugate(m, "right").columns(js))
+    assert got_exc == want_exc
+    if got_exc is None:
+        assert got == {-j: column for j, column in want.items()}
+
+
+@settings(max_examples=150, deadline=None)
 @given(omega=_invertible(), precision=st.sampled_from([None, 1, 2, 9]))
 def test_compositional_inverse_commutes_with_j(omega, precision):
     # 1/omega is J after omega, so its inverse is omega's inverse before J:
@@ -616,3 +633,137 @@ def test_j_conjugate_is_the_product_with_j(m):
             assert side == "right"
             continue
         assert got == want
+
+
+# -- inverses against the mod-prime reference --------------------------------------
+
+
+@st.composite
+def _unit_order(draw):
+    """(omega, side): omega of order +1 or -1 on side, either the expansion
+    there of x^o (1 + a t) / (1 + b t + c t^2), t = x below and x^-1 above,
+    or an exact polynomial of two or three terms led by x^o on that side."""
+    side = draw(st.sampled_from([Side.BELOW, Side.ABOVE]))
+    order, step = draw(st.sampled_from([1, -1])), 1 if side is Side.BELOW else -1
+    if draw(st.booleans()):
+        num = LaurentSeries.from_terms({order: draw(_NONZERO), order + step: draw(_COEFF)})
+        den = LaurentSeries.from_terms({0: 1, step: draw(_COEFF), 2 * step: draw(_COEFF)})
+        return mul(num, recip(den, side, draw(st.integers(2, 12)))), side
+    gaps = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True))
+    terms = {order + step * k: draw(_NONZERO) for k in gaps}
+    return LaurentSeries.from_terms({order: draw(_NONZERO), **terms}), side
+
+
+def _assert_residues_agree(got, want):
+    """got agrees with the reference series want mod 2^61-1 on the window
+    both certify, which is not empty, and lies on want's side if inexact."""
+    assert got.exact or got.side.value == want.side
+    lo, hi = want.window
+    known = [e for e in range(min(lo, got.lo), max(hi, got.hi) + 1)
+             if got.known(e) and want.coeff(e) is not None]
+    assert known
+    assert [oracle.residue(got[e], oracle.Q61) for e in known] == \
+        [want.coeff(e) for e in known]
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=_unit_order(), precision=st.sampled_from([4, 8, 12]))
+def test_compositional_inverse_matches_the_mod_prime_reference(drawn, precision):
+    # an exact omega is read below when its least exponent is +-1, else above
+    omega, _ = drawn
+    side = omega.side if not omega.exact else \
+        Side.BELOW if omega.lo in (1, -1) else Side.ABOVE
+    _assert_residues_agree(compositional_inverse(omega, precision),
+                           oracle.compositional_inverse(_reference(omega, side, precision)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=_unit_order(), flip=st.booleans(), count=st.integers(1, 3),
+       inexact=st.booleans(), precision=st.sampled_from([4, 8, 12]), data=st.data())
+def test_inverse_matches_the_mod_prime_reference(drawn, flip, count, inexact, precision,
+                                                 data):
+    # the pair is stored on omega's drawn side, or on the other one when omega
+    # is exact, where its order need not be +-1: the library refuses where
+    # the reference, given omega on the stored side, raises
+    omega, side = drawn
+    if omega.exact and flip:
+        side = side.flipped()
+    step = 1 if side is Side.BELOW else -1
+    order = data.draw(st.integers(-2, 2))
+    terms = {order + step * i: data.draw(_NONZERO) for i in range(count)}
+    alpha = LaurentSeries.from_terms(terms)
+    if inexact or not omega.exact:
+        alpha = LaurentSeries.truncated(terms, side, *sorted((order, order + step * 7)))
+    try:
+        got = inverse(riordan(alpha, omega, side, precision))
+    except NotInvertibleError:
+        got = None
+    try:
+        want = oracle.inverse(_reference(alpha, side, precision),
+                              _reference(omega, side, precision))
+    except ValueError:
+        assert got is None
+        return
+    assert got is not None
+    _assert_residues_agree(got.alpha, want[0])
+    _assert_residues_agree(got.omega, want[1])
+
+
+# -- associativity and precision monotonicity ----------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=_finite_pair(), n=_finite_pair(), q=_finite_pair())
+@example(m=_ABOVE_ONE, n=identity(), q=riordan(parse("1+x"), parse("x-x^2"), Side.ABOVE))
+def test_matmul_is_associative_on_the_entries_both_compute(m, n, q):
+    try:
+        left = matmul(matmul(m, n), q)
+        right = matmul(m, matmul(n, q))
+    except _REFUSALS + (CompositionUndefinedError,):
+        return
+    for j in range(_BLOCK[0], _BLOCK[1] + 1):
+        (exc, a), (exc_b, b) = _raised(lambda: left.column(j)), _raised(lambda: right.column(j))
+        if exc is None and exc_b is None:
+            rows = [i for i in range(_BLOCK[0], _BLOCK[1] + 1) if a.known(i) and b.known(i)]
+            assert [a[i] for i in rows] == [b[i] for i in rows]
+
+
+@st.composite
+def _truncations(draw):
+    """(s, t): two truncations of one series on a drawn side, known from
+    the same order outward, t on the shorter window."""
+    side = draw(st.sampled_from([Side.BELOW, Side.ABOVE]))
+    order, count = draw(st.integers(-2, 2)), draw(st.integers(2, 7))
+    step = 1 if side is Side.BELOW else -1
+    terms = {order + step * i: draw(_COEFF) for i in range(1, count)}
+    terms[order] = draw(_NONZERO)
+    shorter = draw(st.integers(1, count - 1))
+
+    def known(n):
+        return LaurentSeries.truncated({e: c for e, c in terms.items()
+                                        if step * (e - order) < n},
+                                       side, *sorted((order, order + step * (n - 1))))
+
+    return known(count), known(shorter)
+
+
+def _assert_no_wider(call, s, t):
+    """call(t) is known only where call(s) is known, and agrees there; a
+    refusal on t is allowed wherever s has a value."""
+    exc, wide = _raised(lambda: call(s))
+    exc_t, narrow = _raised(lambda: call(t))
+    if exc_t is not None:
+        return
+    assert exc is None
+    span = range(min(wide.lo, narrow.lo) - 2, max(wide.hi, narrow.hi) + 3)
+    assert all(wide.known(e) and wide[e] == narrow[e] for e in span if narrow.known(e))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=_truncations(), b=_SIDES.flatmap(_series), precision=_PRECISIONS)
+def test_a_shorter_truncation_never_knows_more(pair, b, precision):
+    side = pair[0].side
+    _assert_no_wider(lambda a: mul(a, b), *pair)
+    _assert_no_wider(lambda a: recip(a, side, precision), *pair)
+    _assert_no_wider(lambda a: compose(a, b, precision, side), *pair)
+    _assert_no_wider(lambda a: compose(b, a, precision, side), *pair)

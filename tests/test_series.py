@@ -621,6 +621,13 @@ def test_inverse_rejects_wrong_orders():
         compositional_inverse(LaurentSeries.zero())
 
 
+def test_inverse_of_a_series_of_no_known_term_has_no_order():
+    # a window of zeros fixes no order on its side, so no case applies
+    with pytest.raises(OrderIndeterminateError,
+                       match="compositional inverse needs a computable order"):
+        compositional_inverse(LaurentSeries.truncated({}, Side.BELOW, 0, 5))
+
+
 # -- agreement predicate -----------------------------------------------------------
 
 

@@ -150,6 +150,14 @@ def test_empty_per_entry_ranges_certify_zero():
                for i in range(0, 6) for j in range(0, 3) if i < j + 3)
 
 
+def test_a_zero_alpha_on_the_left_certifies_every_row_dead():
+    # every row of R(0, omega) is zero, so no summand of the product is
+    # live and the guard is the empty hull, whatever the right factor
+    m = riordan(LaurentSeries.zero(), parse("x/(1-x)", precision=_P), precision=_P)
+    for n in (identity(), lagrange(parse("x^-1/(1-x)", Side.BELOW, _P), precision=_P)):
+        assert product_guard(m, n, (-3, 3), (-2, 2)) == (0, -1)
+
+
 def test_oracle_matmul_matches_matmul():
     rng = make_rng(3)
     for _ in range(10):
