@@ -50,18 +50,6 @@ from .riordan import (
     riordan,
     toeplitz,
 )
-from .window import (
-    MatrixWindow,
-    VectorWindow,
-    apply_guard,
-    extract,
-    oracle_apply,
-    oracle_matmul,
-    product_guard,
-    render,
-    vector_from_series,
-    window_from_json,
-)
 from .simplicial import (
     FVector,
     HVector,
@@ -80,6 +68,20 @@ from .simplicial import (
 )
 
 __version__ = "0.1.0"
+
+# window and the names it exports load on first use (PEP 562): only matrix
+# blocks and the proof chain need them, not ds or series commands
+_WINDOW_NAMES = ("MatrixWindow VectorWindow apply_guard extract oracle_apply oracle_matmul "
+                 "product_guard render vector_from_series window_from_json").split()
+
+
+def __getattr__(name):
+    if name != "window" and name not in _WINDOW_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+    window = importlib.import_module(".window", __name__)
+    return window if name == "window" else getattr(window, name)
+
 
 __all__ = [
     "CheckFailedError",

@@ -10,7 +10,6 @@ Inexact series are displayed truncated to exponents of magnitude below
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import warnings
@@ -30,7 +29,6 @@ from .series import (
     recip,
     substitute_reciprocal,
 )
-from .window import extract, render
 from .simplicial import (
     FVector,
     dehn_sommerville_residuals,
@@ -145,6 +143,7 @@ def _display_text(chi: LaurentSeries, prec: int) -> str:
 
 def _print_series(chi: LaurentSeries, args) -> int:
     if args.format == "json":
+        import json
         _check_printable(chi.coeffs.values())
         print(json.dumps(chi.to_json_dict()))
     else:
@@ -276,10 +275,13 @@ def _run_series(args) -> int:
 
 
 def _print_matrix(m, args) -> int:
-    window = extract(m, args.rows, args.cols) if args.rows else None
-    if window is not None:
+    window = None
+    if args.rows:
+        from .window import extract, render
+        window = extract(m, args.rows, args.cols)
         _check_printable([c for row in window.entries for c in row])
     if args.format == "json":
+        import json
         _check_printable([*m.alpha.coeffs.values(), *m.omega.coeffs.values()])
         payload = {
             "alpha": m.alpha.to_json_dict(),
@@ -305,6 +307,7 @@ def _run_matrix(args) -> int:
     omega = parse(args.omega, side, args.prec)
     m = riordan(alpha, omega, side, args.prec)
     if args.op == "window":
+        from .window import extract, render
         w = extract(m, args.rows, args.cols)
         _check_printable([c for row in w.entries for c in row])
         print(render(w, args.format))
@@ -336,6 +339,7 @@ def _run_ds(args) -> int:
     trace = verify_theorem_chain(fv.d) if args.trace else None
     _check_printable([*fv.f, *hv.h, *residuals])
     if args.json:
+        import json
         payload = {
             "d": fv.d,
             "f": [format_scalar(c) for c in fv.f],

@@ -108,11 +108,33 @@ class PrimeFieldElement:
         return f"PrimeFieldElement({self.n}, {self.p})"
 
 
+# Miller-Rabin with the first 13 primes as bases is certain below the bound
+# (Sorenson and Webster, 2015), itself a strong pseudoprime to all 13 bases
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_CERTIFIED_BELOW = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2 or n in _BASES:
+        return n in _BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = odd * 2^s
+    odd = (n - 1) >> s
+    if any(pow(a, odd, n) != 1 and all(pow(a, odd << r, n) != n - 1 for r in range(s))
+           for a in _BASES):
+        return False
+    if n >= _CERTIFIED_BELOW:
+        raise ValueError(f"primality of {n} is not certified: Miller-Rabin on the "
+                         f"first 13 primes is certain only below {_CERTIFIED_BELOW}")
+    return True
+
+
 class PrimeField:
     """Factory for PrimeFieldElement values: GF7 = PrimeField(7); GF7(3)."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if not isinstance(p, int):
+            raise TypeError(f"a prime modulus is an int, not {type(p).__name__}")
+        if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
 

@@ -18,6 +18,7 @@ from .errors import (
     UndefinedProductError,
     ZeroSeriesError,
 )
+from .record import Record
 from .series import (
     LaurentSeries,
     Side,
@@ -59,7 +60,7 @@ def format_class_set(classes) -> str:
     return ", ".join(c.value for c in EchelonClass if c in classes) or "none"
 
 
-class RiordanMatrix:
+class RiordanMatrix(Record):
     """Matrix pair (alpha, omega); immutable.
 
     `side` is the side the columns expand on when they need a one-sided
@@ -88,13 +89,7 @@ class RiordanMatrix:
             )
         if side is Side.FINITE:
             side = Side.BELOW
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "precision", precision)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RiordanMatrix is immutable")
+        super().__init__(alpha, omega, side, precision)
 
     def column(self, j: int) -> LaurentSeries:
         """The series alpha * omega^j whose coefficients fill column j."""

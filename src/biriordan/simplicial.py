@@ -15,11 +15,11 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CheckFailedError
-from .field import parse_scalar
+from .field import PrimeFieldElement, parse_scalar
+from .record import Record
 from .riordan import RiordanMatrix, apply, identity, matmul, riordan
 from .series import (
     LaurentSeries,
@@ -34,9 +34,6 @@ from .series import (
     power,
     recip,
 )
-from .window import extract, oracle_matmul, product_guard, render
-
-_CHAIN_PRECISION = 32
 
 
 def binomial(n: int, k: int) -> int:
@@ -51,21 +48,26 @@ def _sign(n: int) -> int:
 
 
 def _entries(d: int, values, kind: str) -> tuple:
-    """The d + 2 entries of an f- or h-vector, integers made Fractions."""
+    """The d + 2 entries of an f- or h-vector, integers made Fractions; all
+    rational, or all in one prime field."""
     if d < -1:
         raise ValueError("dimension must be at least -1")
     entries = tuple(Fraction(c) if isinstance(c, int) else c for c in values)
+    for c in entries:
+        if not isinstance(c, (Fraction, PrimeFieldElement)):
+            raise TypeError(f"an {kind}-vector entry must be an int, a Fraction or "
+                            f"a PrimeFieldElement, not {type(c).__name__}")
+    if len({getattr(c, "p", 0) for c in entries}) > 1:
+        raise TypeError(f"the {kind}-vector entries lie in more than one field")
     if len(entries) != d + 2:
         raise ValueError(f"an {kind}-vector for d={d} needs {d + 2} entries")
     return entries
 
 
-@dataclass(frozen=True)
-class FVector:
+class FVector(Record):
     """Face counts (f_{-1}, f_0, ..., f_d); entry 0 counts the empty face."""
 
-    d: int
-    f: tuple
+    __slots__ = ("d", "f")
 
     def __post_init__(self):
         entries = _entries(self.d, self.f, "f")
@@ -82,10 +84,8 @@ class FVector:
         return LaurentSeries.from_terms({t: c for t, c in enumerate(self.f)})
 
 
-@dataclass(frozen=True)
-class HVector:
-    d: int
-    h: tuple
+class HVector(Record):
+    __slots__ = ("d", "h")
 
     def __post_init__(self):
         object.__setattr__(self, "h", _entries(self.d, self.h, "h"))
@@ -172,16 +172,12 @@ def solid_simplex(d: int) -> FVector:
 # -- the matrix-identity proof chain ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProofStep:
-    name: str
-    detail: str
+class ProofStep(Record):
+    __slots__ = ("name", "detail")
 
 
-@dataclass(frozen=True)
-class ProofTrace:
-    d: int
-    steps: tuple
+class ProofTrace(Record):
+    __slots__ = ("d", "steps")
 
     def as_dict(self) -> dict:
         return {
@@ -205,6 +201,7 @@ def _require_entries(w, indices: range, want, step: str):
 
 def _require_oracle(m: RiordanMatrix, n: RiordanMatrix, block: tuple, w, step: str):
     """The guarded window oracle reproduces w, the block of the product m n."""
+    from .window import extract, oracle_matmul, product_guard
     guard = product_guard(m, n, block, block)
     oracle = oracle_matmul(extract(m, block, guard), extract(n, guard, block), guard)
     _require(oracle == w, step, "window oracle disagrees with the implicit product")
@@ -221,15 +218,16 @@ def verify_theorem_chain(d: int, precision: int | None = None) -> ProofTrace:
     exactly the f-vectors with palindromic h (checked on worked families).
     Raises CheckFailedError with a diagnostic on any mismatch.
     """
-    if not 0 <= d <= 8:
-        raise ValueError("the proof chain needs 0 <= d <= 8")
-    p = precision if precision is not None else _CHAIN_PRECISION
+    from .window import extract, render
+    if not 0 <= d <= 62:
+        raise ValueError("the proof chain needs 0 <= d <= 62")
+    p = precision if precision is not None else max(32, 2 * (d + 2))
     steps = []
 
     m_pal = _reversal_matrix(d)
     m_fh = _transform("1-x", d, p)
     m_hf = _transform("1+x", d, p)
-    block = (0, 9)
+    block = (0, max(9, d + 1))
 
     # 1. the reversal matrix is the anti-diagonal on indices 0..d+1
     w_pal = extract(m_pal, (0, d + 1), (0, d + 1))

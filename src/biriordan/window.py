@@ -12,25 +12,21 @@ than truncate silently.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GuardViolationError
 from .field import format_scalar, parse_scalar
+from .record import Record
 from .riordan import RiordanMatrix, _column_sides, toeplitz
 from .series import LaurentSeries, Side, _side_order
 
 
-@dataclass(frozen=True)
-class MatrixWindow:
+class MatrixWindow(Record):
     """Rows row_lo.., columns col_lo..; entries[r][c] is exact."""
 
-    row_lo: int
-    col_lo: int
-    entries: tuple
+    __slots__ = ("row_lo", "col_lo", "entries")
 
     @property
     def row_hi(self) -> int:
@@ -57,12 +53,10 @@ class MatrixWindow:
         return MatrixWindow(rlo, clo, grid)
 
 
-@dataclass(frozen=True)
-class VectorWindow:
+class VectorWindow(Record):
     """Entries lo..lo+len-1 of a bi-infinite coefficient vector."""
 
-    lo: int
-    values: tuple
+    __slots__ = ("lo", "values")
 
     @property
     def hi(self) -> int:
@@ -279,6 +273,7 @@ def render(w: MatrixWindow, format: str = "text") -> str:
     """Aligned text grid with the (0, 0) entry bracketed, or the JSON object
     {"row_lo": ..., "col_lo": ..., "entries": [["p/q", ...], ...]}."""
     if format == "json":
+        import json
         return json.dumps({
             "row_lo": w.row_lo,
             "col_lo": w.col_lo,
@@ -305,6 +300,7 @@ def render(w: MatrixWindow, format: str = "text") -> str:
 
 
 def window_from_json(text) -> MatrixWindow:
+    import json
     data = json.loads(text) if isinstance(text, str) else text
     rows = data["entries"]
     if not rows or any(len(r) != len(rows[0]) for r in rows):

@@ -446,7 +446,18 @@ def test_ds_trace_json(capsys):
 def test_ds_trace_out_of_range_exits_two(capsys):
     code, _, err = run(capsys, "ds", "--f", "1", "--trace")
     assert code == 2
-    assert "0 <= d <= 8" in err
+    assert "0 <= d <= 62" in err
+
+
+def test_ds_trace_at_the_largest_dimension(capsys):
+    # 64 entries, the most ds accepts: the boundary of the 63-simplex
+    f = ",".join(str(math.comb(64, k)) for k in range(64))
+    code, out, err = run(capsys, "ds", "--f", f, "--trace")
+    assert (code, err) == (0, "")
+    assert out.startswith("d: 62\n")
+    assert [line for line in out.splitlines() if line.startswith("== ")] == [
+        "== reversal window", "== collapsed product", "== inverse transform",
+        "== final matrix", "== family actions"]
 
 
 def test_ds_malformed_vector_exits_two(capsys):

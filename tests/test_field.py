@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -70,3 +72,49 @@ def test_prime_field_element_hashable():
     gf7 = PrimeField(7)
     assert len({gf7(1), gf7(8), gf7(2)}) == 2
     assert isinstance(gf7(3), PrimeFieldElement)
+
+
+def _trial_division(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_prime_field_agrees_with_trial_division():
+    accepted = []
+    for n in range(-3, 3000):
+        try:
+            PrimeField(n)
+            accepted.append(n)
+        except ValueError:
+            pass
+    assert accepted == [n for n in range(-3, 3000) if _trial_division(n)]
+
+
+def test_prime_field_decides_large_moduli_quickly():
+    # 561 is a Carmichael number and 2047 a strong pseudoprime to base 2
+    for p, prime in ((2**61 - 1, True), (2**31 - 1, True), (561, False), (2047, False)):
+        start = time.perf_counter()
+        if prime:
+            assert PrimeField(p).p == p
+        else:
+            with pytest.raises(ValueError, match="is not prime"):
+                PrimeField(p)
+        assert time.perf_counter() - start < 1.0
+
+
+def test_prime_field_refuses_beyond_the_certified_bound():
+    # the bound is a strong pseudoprime to all 13 bases; the first prime
+    # above it passes them too, yet the test no longer proves it prime
+    bound = 3_317_044_064_679_887_385_961_981
+    for p in (bound, bound + 142):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="not certified"):
+            PrimeField(p)
+        assert time.perf_counter() - start < 1.0
+    with pytest.raises(ValueError, match="is not prime"):
+        PrimeField(bound + 1)
+
+
+def test_prime_field_modulus_is_an_int():
+    for p in (7.0, Fraction(7), "7"):
+        with pytest.raises(TypeError, match=type(p).__name__):
+            PrimeField(p)

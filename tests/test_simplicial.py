@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from biriordan.errors import CheckFailedError, PrecisionError
+from biriordan.field import PrimeField
 from biriordan.simplicial import (
     FVector,
     HVector,
@@ -51,6 +53,23 @@ def test_fvector_validation():
         FVector(-2, ())
     with pytest.warns(UserWarning):
         FVector(0, (2, 1))
+
+
+def test_vector_entries_are_exact_and_in_one_field():
+    with pytest.raises(TypeError, match="float"):
+        f_to_h(FVector(2, (1, 6.5, 12, 8)))
+    with pytest.raises(TypeError, match="Decimal"):
+        HVector(0, (1, Decimal(1)))
+    with pytest.raises(TypeError, match="str"):
+        FVector(0, (1, "1"))
+    gf7, gf11 = PrimeField(7), PrimeField(11)
+    for entries in ((gf7(1), gf11(1)), (1, gf7(1)), (gf7(1), Fraction(1, 2))):
+        with pytest.raises(TypeError, match="more than one field"):
+            HVector(0, entries)
+    assert FVector(0, (gf7(1), gf7(9))).f == (gf7(1), gf7(2))
+    fv = FVector(1, (1, Fraction(3, 2), 2))
+    assert fv.f == (1, Fraction(3, 2), 2)
+    assert all(type(c) is Fraction for c in fv.f)
 
 
 def test_fvector_from_text():
@@ -186,7 +205,7 @@ def test_chain_rejects_out_of_range_dimension():
     with pytest.raises(ValueError):
         verify_theorem_chain(-1)
     with pytest.raises(ValueError):
-        verify_theorem_chain(9)
+        verify_theorem_chain(63)
 
 
 def test_chain_trace_serializes():
