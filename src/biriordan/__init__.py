@@ -69,14 +69,13 @@ from .simplicial import (
 
 __version__ = "0.1.0"
 
-# window and the names it exports load on first use (PEP 562): only matrix
-# blocks and the proof chain need them, not ds or series commands
+# window and its names load on first use (PEP 562): only blocks and --trace need them
 _WINDOW_NAMES = ("MatrixWindow VectorWindow apply_guard extract oracle_apply oracle_matmul "
                  "product_guard render vector_from_series window_from_json").split()
 
 
 def __getattr__(name):
-    if name != "window" and name not in _WINDOW_NAMES:
+    if name not in ("window", *_WINDOW_NAMES):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     import importlib
     window = importlib.import_module(".window", __name__)

@@ -274,12 +274,16 @@ def _run_series(args) -> int:
     return _print_series(compositional_inverse(omega, args.prec), args)
 
 
+def _block(m, args) -> str:
+    """The block --rows x --cols of m, rendered in --format."""
+    from .window import extract, render
+    w = extract(m, args.rows, args.cols)
+    _check_printable([c for row in w.entries for c in row])
+    return render(w, args.format)
+
+
 def _print_matrix(m, args) -> int:
-    window = None
-    if args.rows:
-        from .window import extract, render
-        window = extract(m, args.rows, args.cols)
-        _check_printable([c for row in window.entries for c in row])
+    block = _block(m, args) if args.rows else None
     if args.format == "json":
         import json
         _check_printable([*m.alpha.coeffs.values(), *m.omega.coeffs.values()])
@@ -287,14 +291,14 @@ def _print_matrix(m, args) -> int:
             "alpha": m.alpha.to_json_dict(),
             "omega": m.omega.to_json_dict(),
         }
-        if window is not None:
-            payload["window"] = json.loads(render(window, "json"))
+        if block is not None:
+            payload["window"] = json.loads(block)
         print(json.dumps(payload))
     else:
         lines = [f"alpha: {_display_text(m.alpha, args.prec)}",
                  f"omega: {_display_text(m.omega, args.prec)}"]
-        if window is not None:
-            lines.append(render(window))
+        if block is not None:
+            lines.append(block)
         print("\n".join(lines))
     return 0
 
@@ -307,10 +311,7 @@ def _run_matrix(args) -> int:
     omega = parse(args.omega, side, args.prec)
     m = riordan(alpha, omega, side, args.prec)
     if args.op == "window":
-        from .window import extract, render
-        w = extract(m, args.rows, args.cols)
-        _check_printable([c for row in w.entries for c in row])
-        print(render(w, args.format))
+        print(_block(m, args))
         return 0
     if args.op == "classify":
         print(format_class_set(classify(m)))

@@ -57,7 +57,9 @@ def _entries(d: int, values, kind: str) -> tuple:
         if not isinstance(c, (Fraction, PrimeFieldElement)):
             raise TypeError(f"an {kind}-vector entry must be an int, a Fraction or "
                             f"a PrimeFieldElement, not {type(c).__name__}")
-    if len({getattr(c, "p", 0) for c in entries}) > 1:
+    # Fraction(0), which series return for unstored terms, is zero in every field
+    fields = {getattr(c, "p", 0) for c in entries if c or isinstance(c, PrimeFieldElement)}
+    if len(fields) > 1:
         raise TypeError(f"the {kind}-vector entries lie in more than one field")
     if len(entries) != d + 2:
         raise ValueError(f"an {kind}-vector for d={d} needs {d + 2} entries")

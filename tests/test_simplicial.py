@@ -11,6 +11,7 @@ import pytest
 
 from biriordan.errors import CheckFailedError, PrecisionError
 from biriordan.field import PrimeField
+from biriordan.series import LaurentSeries
 from biriordan.simplicial import (
     FVector,
     HVector,
@@ -70,6 +71,20 @@ def test_vector_entries_are_exact_and_in_one_field():
     fv = FVector(1, (1, Fraction(3, 2), 2))
     assert fv.f == (1, Fraction(3, 2), 2)
     assert all(type(c) is Fraction for c in fv.f)
+
+
+def test_a_rational_zero_lies_in_every_field():
+    gf7, gf11 = PrimeField(7), PrimeField(11)
+    # a series over GF(7) hands back Fraction(0) for a term it does not store
+    psi = LaurentSeries.from_terms({0: gf7(1), 2: gf7(1)})
+    assert type(psi[1]) is Fraction and psi[1] == 0
+    hv = HVector(1, (psi[0], psi[1], psi[2]))
+    assert hv.h == (gf7(1), 0, gf7(1))
+    assert FVector(2, (gf7(1), 0, Fraction(0), gf7(5))).f[3] == gf7(5)
+    with pytest.raises(TypeError, match="more than one field"):
+        HVector(1, (gf7(1), gf11(0), gf7(1)))
+    with pytest.raises(TypeError, match="more than one field"):
+        HVector(1, (gf7(1), 0, Fraction(1, 2)))
 
 
 def test_fvector_from_text():
