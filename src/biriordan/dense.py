@@ -17,32 +17,6 @@ from fractions import Fraction
 from .field import PrimeFieldElement
 
 
-def field_of(values: list) -> int | None:
-    """0 when every value is a Fraction, p when every value is a residue mod
-    the same prime p, None otherwise."""
-    first = values[0]
-    if type(first) is Fraction:
-        return 0 if all(type(c) is Fraction for c in values) else None
-    if type(first) is PrimeFieldElement:
-        p = first.p
-        if all(type(c) is PrimeFieldElement and c.p == p for c in values):
-            return p
-    return None
-
-
-def require_field(values: list) -> int:
-    """field_of for the dense kernels: values that share no field raise what
-    a scalar loop multiplying them raises, the product of the first misfit
-    with values[0] (TypeError, or ValueError for two primes)."""
-    p = field_of(values)
-    if p is None:
-        for c in values:
-            if field_of([values[0], c]) is None:
-                c * values[0]  # raises for Fraction with a residue, or two primes
-                raise TypeError(f"unsupported coefficient type {type(c).__name__!r}")
-    return p
-
-
 def from_coeffs(coeffs: dict, lo: int, n: int, p: int) -> tuple:
     """Working form of the coefficients of x^lo .. x^(lo+n-1); gaps are 0."""
     if p:

@@ -128,14 +128,39 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def field_of(values, what: str = "coefficients") -> int:
+    """The field of values, ints, Fractions and PrimeFieldElements of one
+    prime (a rational zero lies in every field): 0 for Q, p for GF(p).
+    Anything else raises TypeError naming the type, before any arithmetic,
+    and a modulus that PrimeField refuses raises what PrimeField raises."""
+    types = set(map(type, values))
+    if types <= {int, Fraction}:
+        return 0
+    for t in types - {int, Fraction, PrimeFieldElement}:
+        raise TypeError(f"{what} are ints, Fractions or PrimeFieldElements, "
+                        f"not {t.__name__}")
+    fields = {getattr(c, "p", 0): c for c in values if type(c) is PrimeFieldElement or c}
+    if len(fields) > 1:
+        names = [f"{type(c).__name__} mod {q}" if q else type(c).__name__
+                 for q, c in sorted(fields.items())]
+        raise TypeError(f"{what} lie in more than one field: {' and '.join(names)}")
+    p, = fields  # a PrimeFieldElement is among the values
+    return PrimeField(p).p
+
+
+_PRIMES: set = set()  # the moduli PrimeField has proved prime
+
+
 class PrimeField:
     """Factory for PrimeFieldElement values: GF7 = PrimeField(7); GF7(3)."""
 
     def __init__(self, p: int):
         if not isinstance(p, int):
             raise TypeError(f"a prime modulus is an int, not {type(p).__name__}")
-        if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        if p not in _PRIMES:
+            if not _is_prime(p):
+                raise ValueError(f"{p} is not prime")
+            _PRIMES.add(p)
         self.p = p
 
     def __call__(self, n: int) -> PrimeFieldElement:

@@ -31,7 +31,7 @@ from .errors import (
     ZeroSeriesError,
 )
 from . import dense
-from .field import PrimeFieldElement
+from .field import PrimeFieldElement, field_of
 
 DEFAULT_PRECISION = 16
 MAX_NESTING = 100  # parenthesis depth the recursive-descent parser accepts
@@ -68,6 +68,7 @@ class LaurentSeries:
         # exactness is the finite side; a slot, not a property, as the
         # matrix code reads it in its inner loops
         exact = side is Side.FINITE
+        field_of(coeffs.values())  # one field, or TypeError before any arithmetic
         coeffs = {e: (Fraction(c) if isinstance(c, int) else c)
                   for e, c in coeffs.items() if c}
         if exact:
@@ -99,6 +100,9 @@ class LaurentSeries:
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentSeries is immutable")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return LaurentSeries, (self.side, self.coeffs, self.lo, self.hi)
 
     # -- constructors ------------------------------------------------------
 
@@ -244,11 +248,7 @@ def monomial(coeff, exp: int = 0) -> LaurentSeries:
 
 def _one_like(a: LaurentSeries) -> LaurentSeries:
     # multiplicative identity with coefficients from a's field
-    if a._form is not None:
-        return _packed([1], 1, a._form[2], 0, True)
-    for c in a.coeffs.values():
-        return LaurentSeries.from_terms({0: c / c})
-    return LaurentSeries.one()
+    return monomial(_unit(_field(a)))
 
 
 # -- the working form ----------------------------------------------------------
@@ -288,41 +288,47 @@ def _nterms(s: LaurentSeries) -> int:
     return len(s.coeffs) if s._form is None else len(s._form[0]) - s._form[0].count(0)
 
 
-def _field(*series: LaurentSeries) -> int | None:
-    # the one field (dense.field_of) of all their coefficients, else None
-    fields = {s._form[2] if s._form else dense.field_of(list(s.coeffs.values()))
-              for s in series if _nterms(s)}
-    return fields.pop() if len(fields) == 1 else None
+def _terms_field(terms: dict) -> int:
+    # the field of a nonempty dict of one field's scalars: its first value's
+    return getattr(next(iter(terms.values())), "p", 0)
+
+
+def _field(*series: LaurentSeries) -> int:
+    """The one field of the series' coefficients, 0 for Q (and for no term).
+    Series over two fields raise what a product of their scalars raises:
+    TypeError for Q with GF(p), ValueError for two primes."""
+    fields = [s._form[2] if s._form else _terms_field(s.coeffs)
+              for s in series if s._form or s.coeffs]
+    for q in fields[1:]:
+        if q != fields[0]:
+            _unit(fields[0]) * _unit(q)  # raises
+    return fields[0] if fields else 0
 
 
 def _view(s: LaurentSeries, flip: bool = False):
     """(xs, den, p, base), xs[i] / den at x^(base+i) of s or, when flip, of its
-    flip; a dict is packed on first read, unless its coefficients share no
-    field or its span is mostly gaps (then None)."""
+    flip; a dict is packed on first read, unless it has no term or its span
+    is mostly gaps (then None)."""
     f = s._form
     if f is None and s.coeffs and _worth_packing(s.hi - s.lo, len(s.coeffs)):
-        p = dense.field_of(list(s.coeffs.values()))
-        if p is not None:
-            xs, den = dense.from_coeffs(s.coeffs, s.lo, s.hi - s.lo + 1, p)
-            f = (xs[::-1] if s.side is Side.ABOVE else xs), den, p
-            object.__setattr__(s, "_form", f)
+        p = _field(s)
+        xs, den = dense.from_coeffs(s.coeffs, s.lo, s.hi - s.lo + 1, p)
+        f = (xs[::-1] if s.side is Side.ABOVE else xs), den, p
+        object.__setattr__(s, "_form", f)
     if f is None:
         return None
     xs, den, p = f
     return (xs[::-1] if flip and s.exact else xs), den, p, -s.hi if flip else s.lo
 
 
-def _window(s: LaurentSeries, n: int, p: int | None = None,
-            flip: bool = False) -> tuple:
+def _window(s: LaurentSeries, n: int, flip: bool = False) -> tuple:
     """((xs, den), p): n coefficients of s (of its flip when flip) from its
-    order over p, by default their field, or what a scalar loop raises."""
+    order over its field p."""
     v = _view(s, flip)
     if v is None:
-        lo = -s.hi if flip else s.lo
         cs = {-e: c for e, c in s.coeffs.items()} if flip else s.coeffs
-        if p is None:
-            p = dense.require_field([cs[e] for e in sorted(cs) if e < lo + n])
-        return dense.from_coeffs(cs, lo, n, p), p
+        p = _field(s)
+        return dense.from_coeffs(cs, -s.hi if flip else s.lo, n, p), p
     xs, den, p, _ = v
     return (xs if len(xs) == n else xs[:n] + [0] * (n - len(xs)), den), p
 
@@ -345,9 +351,9 @@ def neg(a: LaurentSeries) -> LaurentSeries:
     return _sum([(-_unit(p), a)], p)
 
 
-def _unit(p: int | None):
-    # the 1 of Q (p = 0) or of GF(p), or the int 1 for terms of no one field
-    return 1 if p is None else PrimeFieldElement(1, p) if p else Fraction(1)
+def _unit(p: int):
+    # the 1 of Q (p = 0) or of GF(p)
+    return PrimeFieldElement(1, p) if p else Fraction(1)
 
 
 # -- multiplication -----------------------------------------------------------
@@ -362,6 +368,7 @@ def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
             "product of a bounded-below and a bounded-above series is "
             "undefined unless one has finite support"
         )
+    _field(a, b)  # two fields raise here, before any product
     # on the bounded-below side (of the flips when flip): exact if both are,
     # else known through min over inexact factors of (hi + other's order)
     flip = Side.ABOVE in sides
@@ -383,11 +390,11 @@ def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
 def _product(a: LaurentSeries, b: LaurentSeries, flip: bool,
              count: int | None) -> LaurentSeries | None:
     """mul as one packed product of count coefficients (all when None), on
-    the flips when flip; None unless both pack over one field and pay for it."""
+    the flips when flip; None unless both pack and pay for it."""
     if a._form is None and b._form is None and len(a.coeffs) * len(b.coeffs) <= 8:
         return None
     va, vb = _view(a, flip), _view(b, flip)
-    if va is None or vb is None or va[2] != vb[2]:
+    if va is None or vb is None:
         return None
     (xa, da, p, la), (xb, db, _, lb) = va, vb
     if count is None:
@@ -403,9 +410,9 @@ def _product(a: LaurentSeries, b: LaurentSeries, flip: bool,
 def _convolve(ca: dict, cb: dict, hi: int | None = None) -> dict:
     """Product of coefficient dicts, keeping exponents <= hi (None: unbounded).
 
-    Terms that cannot reach the window are dropped first.  Q and GF(p)
-    coefficients on dense enough supports are multiplied as one packed
-    integer; anything else goes through the term-by-term loop."""
+    Terms that cannot reach the window are dropped first.  Dense enough
+    supports are multiplied as one packed integer; anything else goes
+    through the term-by-term loop."""
     if not (ca and cb):
         return {}
     if hi is not None:
@@ -416,30 +423,28 @@ def _convolve(ca: dict, cb: dict, hi: int | None = None) -> dict:
             return {}
     # a one-term factor is a shift and a scale of the other (inside the
     # window, as the other's terms beyond it are dropped above), and the
-    # exact 1 of the other's field only shifts it
+    # exact 1 only shifts it
     if len(ca) == 1:
         (i, ci), = ca.items()
-        if ci == 1 and dense.field_of([ci, *cb.values()]) is not None:
+        if ci == 1:
             return {i + j: cj for j, cj in cb.items()}
         return {i + j: ci * cj for j, cj in cb.items()}
     if len(cb) == 1:
         (j, cj), = cb.items()
-        if cj == 1 and dense.field_of([cj, *ca.values()]) is not None:
+        if cj == 1:
             return {i + j: ci for i, ci in ca.items()}
         return {i + j: ci * cj for i, ci in ca.items()}
     # a handful of term pairs, or a support mostly made of gaps, is cheaper
     # term by term
     if len(ca) * len(cb) > 8 and all(_worth_packing(max(c) - min(c), len(c))
                                      for c in (ca, cb)):
-        out = _convolve_packed(ca, cb, hi)
-        if out is not None:
-            return out
+        return _convolve_packed(ca, cb, hi)
     return _convolve_terms(ca, cb, hi)
 
 
 def _convolve_terms(ca: dict, cb: dict, hi: int | None) -> dict:
     # over Q, integer products over one denominator, as window.oracle_matmul
-    q = bool(ca and cb) and dense.field_of([*ca.values(), *cb.values()]) == 0
+    q = bool(ca and cb) and _terms_field(ca) == 0
     if q:
         dens = [math.lcm(*[c.denominator for c in d.values()]) for d in (ca, cb)]
         ca, cb = [{e: c.numerator * (den // c.denominator) for e, c in d.items()}
@@ -461,13 +466,10 @@ def _worth_packing(span: int, terms: int) -> bool:
     return span < 4 * terms + 64
 
 
-def _convolve_packed(ca: dict, cb: dict, hi: int | None) -> dict | None:
-    """The product of two Q or GF(p) coefficient dicts as one packed product,
-    whatever their size; None unless the coefficients are all Fraction or
-    all residues mod one prime."""
-    p = dense.field_of([*ca.values(), *cb.values()])
-    if p is None:
-        return None
+def _convolve_packed(ca: dict, cb: dict, hi: int | None) -> dict:
+    """The product of two coefficient dicts as one packed product, whatever
+    their size."""
+    p = _terms_field(ca)
     (la, ha), (lb, hb) = [(min(c), max(c)) for c in (ca, cb)]
     n = ha + hb - la - lb + 1 if hi is None else max(hi - la - lb + 1, 0)
     xs, den = dense.mul(dense.from_coeffs(ca, la, ha - la + 1, p),
@@ -582,7 +584,7 @@ def _miller_power(a: LaurentSeries, j: int, side: Side | None,
     m = -a.hi if flip else a.lo
     span = a.hi - a.lo + 1
     count = j * (span - 1) + 1 if j > 0 else _known_count(a, precision)
-    u, _ = _window(a, min(span, count), 0, flip)
+    u, _ = _window(a, min(span, count), flip)
     xs, den = dense.power(u, j, count)
     return _packed(xs, den, 0, j * m, j > 0, flip)
 
@@ -621,32 +623,28 @@ def powers(a: LaurentSeries, exponents, side: Side | None = None,
         yield j, pw
 
 
-def _sum(terms, p: int | None = None) -> LaurentSeries:
-    """The sum of c * v over the pairs (c, v) of a scalar and a series, known
-    where every inexact v is known (all are on one side): one dense.combine
-    when p is the field of every c, every v packs and the sum spans few
-    gaps, else term by term as the pairs come, so what raises first raises."""
-    if p is not None:
-        terms = list(terms)
-        flip = any(v.side is Side.ABOVE for _, v in terms)
-        views = [_view(v, flip) for _, v in terms]
-        if None not in views:
-            lo = min(b for *_, b in views)
-            caps = [b + len(xs) - 1 for (_, v), (xs, *_, b) in zip(terms, views)
-                    if not v.exact]
-            hi = min(caps) if caps else max(b + len(xs) - 1 for xs, *_, b in views)
-            if _worth_packing(hi - lo, sum(len(xs) for xs, *_ in views)):
-                xs, den = dense.combine([(c, b - lo, (xs, d)) for (c, _), (xs, d, _, b)
-                                         in zip(terms, views)], hi - lo + 1, p)
-                return _packed(xs, den, p, lo, not caps, flip)
+def _sum(terms, p: int) -> LaurentSeries:
+    """The sum of c * v over the pairs (c, v) of a scalar and a series over
+    GF(p) (Q when p = 0), known where every inexact v is known (all are on
+    one side): one dense.combine when every v packs and the sum spans few
+    gaps, else term by term."""
+    terms = list(terms)
+    flip = any(v.side is Side.ABOVE for _, v in terms)
+    views = [_view(v, flip) for _, v in terms]
+    if None not in views:
+        lo = min(b for *_, b in views)
+        caps = [b + len(xs) - 1 for (_, v), (xs, *_, b) in zip(terms, views)
+                if not v.exact]
+        hi = min(caps) if caps else max(b + len(xs) - 1 for xs, *_, b in views)
+        if _worth_packing(hi - lo, sum(len(xs) for xs, *_ in views)):
+            xs, den = dense.combine([(c, b - lo, (xs, d)) for (c, _), (xs, d, _, b)
+                                     in zip(terms, views)], hi - lo + 1, p)
+            return _packed(xs, den, p, lo, not caps, flip)
     acc: dict = {}
-    inexact = []
     for c, v in terms:
-        # every product of a term before its sum, as mul then add raised
-        for e, y in [(e, c * x) for e, x in v.coeffs.items()]:
-            acc[e] = acc[e] + y if e in acc else y
-        if not v.exact:
-            inexact.append(v)
+        for e, x in v.coeffs.items():
+            acc[e] = acc[e] + c * x if e in acc else c * x
+    inexact = [v for _, v in terms if not v.exact]
     if not inexact:
         return LaurentSeries.from_terms(acc)
     if inexact[0].side is Side.BELOW:
@@ -703,6 +701,7 @@ def compose(chi: LaurentSeries, omega: LaurentSeries,
     """
     if omega.is_zero():
         raise CompositionUndefinedError("inner series is zero")
+    p = _field(chi, omega)
     sides = _power_sides(omega, side, chi.lo if chi.side is Side.BELOW else None)
     if chi.exact:
         if chi.is_zero():
@@ -712,7 +711,7 @@ def compose(chi: LaurentSeries, omega: LaurentSeries,
             return mul(monomial(c), power(omega, e, sides[0], precision))
         # chi's coefficients are scalars of the sum and only fix the field
         walk = powers(omega, chi.coeffs, sides[0], precision)
-        return _sum(((chi.coeffs[e], pw) for e, pw in walk), _field(omega, chi))
+        return _sum(((chi.coeffs[e], pw) for e, pw in walk), p)
     orders = [_side_order(omega, s) for s in sides]  # raises when indeterminate
     if chi.side is Side.ABOVE:
         # chi(omega) = (J chi)(1/omega), 1/omega on the realization side
@@ -737,6 +736,7 @@ def _compose_kernel(chi: LaurentSeries, omega: LaurentSeries,
     # chi inexact bounded below of order m; omega viewable below with order
     # w >= 1.  chi(omega) = omega^m * sum over k of chi_k omega^(k-m), the sum
     # by Paterson and Stockmeyer's scheme on the dense working form.
+    p = _field(chi, omega)
     w = omega.lo
     m = chi.lo
     cap = (chi.hi + 1) * w - 1  # chi's own truncation
@@ -755,10 +755,6 @@ def _compose_kernel(chi: LaurentSeries, omega: LaurentSeries,
             cap = min(cap, omega.hi + (later - 1) * w)
     n = cap - m * w + 1
     top = min(chi.hi, m + (n - 1) // w)
-    p = _field(omega, chi)
-    if p is None:  # raises
-        dense.require_field([*omega.coeffs.values(),
-                             *[chi.coeffs[k] for k in sorted(chi.coeffs)]])
     if omega.exact and _nterms(omega) == 1:
         # omega = c x^w substitutes exponents: chi_k c^k lands at x^(k w), and
         # nothing is allocated per exponent in between
@@ -772,11 +768,11 @@ def _compose_kernel(chi: LaurentSeries, omega: LaurentSeries,
     if n > MAX_COMPOSE_LENGTH:
         raise ValueError(f"composition needs {n} dense coefficients, more than "
                          f"{MAX_COMPOSE_LENGTH}")
-    cs, _ = _window(chi, top - m + 1, p)
-    tail, _ = _window(omega, n - w, p)  # omega / x^w
+    cs, _ = _window(chi, top - m + 1)
+    tail, _ = _window(omega, n - w)  # omega / x^w
     acc = dense.compose(cs, tail, w, n, p)
     if m:
-        acc = dense.mul(_window(head, n, p)[0], acc, n, p)
+        acc = dense.mul(_window(head, n)[0], acc, n, p)
     return _packed(*acc, p, m * w, False)
 
 

@@ -18,7 +18,7 @@ import warnings
 from fractions import Fraction
 
 from .errors import CheckFailedError
-from .field import PrimeFieldElement, parse_scalar
+from .field import field_of, parse_scalar
 from .record import Record
 from .riordan import RiordanMatrix, apply, identity, matmul, riordan
 from .series import (
@@ -49,21 +49,14 @@ def _sign(n: int) -> int:
 
 def _entries(d: int, values, kind: str) -> tuple:
     """The d + 2 entries of an f- or h-vector, integers made Fractions; all
-    rational, or all in one prime field."""
+    in one field (field.field_of)."""
     if d < -1:
         raise ValueError("dimension must be at least -1")
-    entries = tuple(Fraction(c) if isinstance(c, int) else c for c in values)
-    for c in entries:
-        if not isinstance(c, (Fraction, PrimeFieldElement)):
-            raise TypeError(f"an {kind}-vector entry must be an int, a Fraction or "
-                            f"a PrimeFieldElement, not {type(c).__name__}")
-    # Fraction(0), which series return for unstored terms, is zero in every field
-    fields = {getattr(c, "p", 0) for c in entries if c or isinstance(c, PrimeFieldElement)}
-    if len(fields) > 1:
-        raise TypeError(f"the {kind}-vector entries lie in more than one field")
-    if len(entries) != d + 2:
+    values = tuple(values)
+    field_of(values, f"the {kind}-vector entries")
+    if len(values) != d + 2:
         raise ValueError(f"an {kind}-vector for d={d} needs {d + 2} entries")
-    return entries
+    return tuple(Fraction(c) if isinstance(c, int) else c for c in values)
 
 
 class FVector(Record):

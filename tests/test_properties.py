@@ -57,6 +57,7 @@ from biriordan.riordan import (  # noqa: E402
     riordan,
 )
 from biriordan.series import (  # noqa: E402
+    DEFAULT_PRECISION,
     LaurentSeries,
     Side,
     _packed,
@@ -403,6 +404,18 @@ def _reference(s, side, count):
                                       for i in range(n)], oracle.Q61)
 
 
+def _assert_residues_agree(got, want):
+    """got agrees with the reference series want mod 2^61-1 on the window
+    both certify, which is not empty, and lies on want's side if inexact."""
+    assert got.exact or got.side.value == want.side
+    lo, hi = want.window
+    known = [e for e in range(min(lo, got.lo), max(hi, got.hi) + 1)
+             if got.known(e) and want.coeff(e) is not None]
+    assert known
+    assert [oracle.residue(got[e], oracle.Q61) for e in known] == \
+        [want.coeff(e) for e in known]
+
+
 @settings(max_examples=200, deadline=None)
 @given(chi=_one_sided(), omega=_few_terms(), side=_SIDES, precision=st.sampled_from([4, 8]))
 @example(chi=LaurentSeries.truncated({-1: 1, 0: 1, 1: 1}, Side.BELOW, -1, 1),
@@ -422,13 +435,8 @@ def test_compose_matches_the_mod_prime_reference(chi, omega, side, precision):
     except ValueError:  # a case the reference does not cover
         assert got is None or not (chi.side is Side.ABOVE or chi.lo < 0)
         return
-    assert got is not None and got.side.value == want.side
-    lo, hi = want.window
-    known = [e for e in range(min(lo, got.lo), max(hi, got.hi) + 1)
-             if got.known(e) and want.coeff(e) is not None]
-    assert known
-    assert [oracle.residue(got[e], oracle.Q61) for e in known] == \
-        [want.coeff(e) for e in known]
+    assert got is not None and not got.exact
+    _assert_residues_agree(got, want)
 
 
 @settings(max_examples=300, deadline=None)
@@ -654,18 +662,6 @@ def _unit_order(draw):
     return LaurentSeries.from_terms({order: draw(_NONZERO), **terms}), side
 
 
-def _assert_residues_agree(got, want):
-    """got agrees with the reference series want mod 2^61-1 on the window
-    both certify, which is not empty, and lies on want's side if inexact."""
-    assert got.exact or got.side.value == want.side
-    lo, hi = want.window
-    known = [e for e in range(min(lo, got.lo), max(hi, got.hi) + 1)
-             if got.known(e) and want.coeff(e) is not None]
-    assert known
-    assert [oracle.residue(got[e], oracle.Q61) for e in known] == \
-        [want.coeff(e) for e in known]
-
-
 @settings(max_examples=150, deadline=None)
 @given(drawn=_unit_order(), precision=st.sampled_from([4, 8, 12]))
 def test_compositional_inverse_matches_the_mod_prime_reference(drawn, precision):
@@ -707,6 +703,40 @@ def test_inverse_matches_the_mod_prime_reference(drawn, flip, count, inexact, pr
     assert got is not None
     _assert_residues_agree(got.alpha, want[0])
     _assert_residues_agree(got.omega, want[1])
+
+
+def _reference_pair(m):
+    """(alpha, omega) of m as oracle series on its stored side, an exact one
+    to the matrix's precision."""
+    count = DEFAULT_PRECISION if m.precision is None else m.precision
+    return _reference(m.alpha, m.side, count), _reference(m.omega, m.side, count)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=_finite_pair(), n=_finite_pair())
+@example(m=_ABOVE_ONE, n=identity())
+def test_matmul_matches_the_mod_prime_reference(m, n):
+    # the reference composes each pair on its stored side; where it covers no
+    # case, or the class table refuses the product, there is nothing to compare
+    try:
+        want = oracle.matmul(*_reference_pair(m), *_reference_pair(n))
+    except ValueError:
+        return
+    try:
+        got = matmul(m, n)
+    except UndefinedProductError:
+        return
+    _assert_residues_agree(got.alpha, want[0])
+    _assert_residues_agree(got.omega, want[1])
+    # the block of columns 0..3 on the rows that each column of both certifies
+    cols, want_cols = got.columns(range(4)), oracle.columns(*want, 3)
+    lo, hi = min(c.window[0] for c in want_cols), max(c.window[1] for c in want_cols)
+    rows = [i for i in range(lo, hi + 1) if all(
+        cols[j].known(i) and want_cols[j].coeff(i) is not None for j in range(4))]
+    assert rows
+    block = extract(got, (rows[0], rows[-1]), (0, 3))
+    assert [[oracle.residue(x, oracle.Q61) for x in row] for row in block.entries] == \
+        [[want_cols[j].coeff(i) for j in range(4)] for i in rows]
 
 
 # -- associativity and precision monotonicity ----------------------------------------

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -17,8 +20,9 @@ from biriordan.errors import (
     SideMismatchError,
     ZeroSeriesError,
 )
-from biriordan import dense
-from biriordan.field import PrimeField
+from biriordan import dense, field
+from biriordan.field import PrimeField, PrimeFieldElement
+from biriordan.riordan import riordan
 from biriordan.series import (
     LaurentSeries,
     _convolve,
@@ -287,7 +291,101 @@ def test_mixed_fields_still_raise_type_error():
     with pytest.raises(TypeError):
         mul(q, g)
     with pytest.raises(TypeError):
-        _convolve({0: Fraction(1), 1: gf7(1)}, {e: Fraction(1) for e in range(6)})
+        LaurentSeries.from_terms({0: Fraction(1), 1: gf7(1)})
+
+
+def test_a_series_holds_one_field_of_exact_scalars():
+    gf7, gf11 = PrimeField(7), PrimeField(11)
+    with pytest.raises(TypeError, match="float"):
+        LaurentSeries.from_terms({0: 0.1, 1: 1})
+    builds = [LaurentSeries.from_terms,
+              lambda t: LaurentSeries.truncated(t, Side.BELOW, -1, 3),
+              lambda t: LaurentSeries.truncated(t, Side.ABOVE, -3, 1)]
+    for bad in (0.5, Decimal(1), "1", 0.0):
+        for build in builds:
+            with pytest.raises(TypeError, match=type(bad).__name__):
+                build({0: 1, 1: bad})
+        with pytest.raises(TypeError, match=type(bad).__name__):
+            monomial(bad, 3)
+    two_primes = "PrimeFieldElement mod 7 and PrimeFieldElement mod 11"
+    for terms, names in [({0: Fraction(1), 1: gf7(1)}, "Fraction and PrimeFieldElement mod 7"),
+                         ({0: gf7(1), 1: 2}, "int and PrimeFieldElement mod 7"),
+                         ({0: gf7(1), 1: gf11(1)}, two_primes),
+                         ({0: gf7(1), 1: gf11(0)}, two_primes)]:
+        for build in builds:
+            with pytest.raises(TypeError, match="more than one field: " + names):
+                build(terms)
+    # a rational zero lies in every field
+    a = LaurentSeries.from_terms({0: gf7(3), 1: Fraction(0), 2: 0, 3: gf7(1)})
+    assert a.coeffs == {0: gf7(3), 3: gf7(1)}
+    assert mul(a, a) == LaurentSeries.from_terms({0: gf7(2), 3: gf7(6), 6: gf7(1)})
+    with pytest.raises(TypeError, match="bool"):  # an int subclass, but no scalar
+        LaurentSeries.from_terms({0: True})
+
+
+def test_operations_on_two_fields_raise_what_their_scalars_raise():
+    gf7, gf11 = PrimeField(7), PrimeField(11)
+    q = parse("1 + 2x - x^3")
+    g7 = LaurentSeries.from_terms({0: gf7(1), 1: gf7(2), 3: gf7(6)})
+    g11 = LaurentSeries.truncated({1: gf11(1), 2: gf11(5)}, Side.BELOW, 1, 6)
+    omega = LaurentSeries.from_terms({1: gf7(1), 2: gf7(1)})
+    for a, b, exc in [(q, g7, TypeError), (g7, q, TypeError), (g7, g11, ValueError),
+                      (g11, g7, ValueError), (g11, omega, ValueError)]:
+        for call in (add, mul, lambda x, y: compose(x, y, 6)):
+            with pytest.raises(exc):
+                call(a, b)
+    with pytest.raises(ValueError, match="mixed prime fields"):
+        add(g7, g11)
+    with pytest.raises(TypeError, match="'Fraction' and 'PrimeFieldElement'"):
+        mul(q, g7)
+
+
+def test_a_modulus_is_checked_once_per_prime(monkeypatch):
+    with pytest.raises(ValueError, match="4 is not prime"):
+        LaurentSeries.from_terms({0: PrimeFieldElement(1, 4), 1: PrimeFieldElement(3, 4)})
+    with pytest.raises(TypeError, match="a prime modulus is an int, not float"):
+        monomial(PrimeFieldElement(1, 7.0))
+    calls = []
+    real = field._is_prime
+    monkeypatch.setattr(field, "_PRIMES", set())
+    monkeypatch.setattr(field, "_is_prime", lambda n: calls.append(n) or real(n))
+    p = 2**31 - 1
+    a = LaurentSeries.from_terms({e: PrimeFieldElement(e + 1, p) for e in range(40)})
+    # the reciprocal's 40 coefficients are built as elements, then checked again
+    b = LaurentSeries.from_terms(recip(a, Side.BELOW, 40).coeffs)
+    one = mul(a, b)  # 1 + O(x^40)
+    assert one[0] == 1 and not any(one[e] for e in range(1, 40))
+    assert calls == [p]
+
+
+def test_copy_and_pickle_rebuild_each_kind_of_series(monkeypatch):
+    built = []
+    real = dense.to_coeffs
+    monkeypatch.setattr(dense, "to_coeffs", lambda *args: built.append(1) or real(*args))
+    kernel = recip(parse("1 - x - x^2"), Side.BELOW, 20)
+    assert kernel._form is not None and not built  # only the working form so far
+    values = [parse("2x^-1 + 1/3 - x^4"),
+              parse("1/(1-2x)", precision=7),
+              parse("1/(1-2x)", Side.ABOVE, 7),
+              kernel,
+              LaurentSeries.truncated({}, Side.BELOW, 3, 7),
+              LaurentSeries.truncated({}, Side.ABOVE, -2, 5),
+              LaurentSeries.from_terms({0: PrimeField(7)(3), 2: PrimeField(7)(1)})]
+    for s in values:
+        for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert twin == s
+            assert (twin.side, twin.exact, twin.lo, twin.hi) == (s.side, s.exact, s.lo, s.hi)
+            assert twin.coeffs == s.coeffs
+            assert format_series(twin) == format_series(s)
+    m = riordan(parse("1 + x"), parse("x/(1-x)", precision=8), Side.BELOW, 8)
+    assert copy.deepcopy(m) == m == pickle.loads(pickle.dumps(m))
+
+    class Forged:  # an unpickled value passes the door too
+        def __reduce__(self):
+            return LaurentSeries, (Side.FINITE, {0: 0.5}, 0, -1)
+
+    with pytest.raises(TypeError, match="float"):
+        pickle.loads(pickle.dumps(Forged()))
 
 
 # -- reciprocal and powers ---------------------------------------------------------
