@@ -157,18 +157,27 @@ def power(u: tuple, k: int, count: int) -> tuple:
 # per term for each coefficient, Newton a few packed products of n
 # coefficients, whose fixed costs outweigh the steps at every term count up
 # to n = 64; beyond, Newton wins from about 24 terms over GF(2^31-1), and
-# from more than 48 over Q)
+# from more than 48 over Q).  Over Q long division scales every step by
+# u_0^(n-1), and u_0 carries the common denominator of u, which on the
+# expansion of a rational function grows with n; so a divisor of more terms
+# with n times the bits of its denominator past _SHORT_DEN_BITS takes Newton
+# iteration at any n (measured on expansions and random dense divisors,
+# n = 16..64: long division was faster at every point up to 1184, Newton
+# from 3360 on, 2 to 17 times at n = 32 and 64)
 _SHORT_COUNT = 64
 _SHORT_DIVISOR = 20
+_SHORT_DEN_BITS = 2048
 
 
 def recip(u: tuple, n: int, p: int, num: tuple | None = None) -> tuple:
     """num/u (1/u without num) to n coefficients (u[0] != 0): by long
-    division for n <= _SHORT_COUNT or for at most _SHORT_DIVISOR nonzero
-    terms among the first n coefficients of u, else by Newton iteration and
-    one product with num."""
+    division for at most _SHORT_DIVISOR nonzero terms among the first n
+    coefficients of u, or for n <= _SHORT_COUNT unless n times the bits of
+    u's denominator pass _SHORT_DEN_BITS; else by Newton iteration and one
+    product with num."""
     xs = u[0][:n]
-    if n <= _SHORT_COUNT or len(xs) - xs.count(0) <= _SHORT_DIVISOR:
+    if (len(xs) - xs.count(0) <= _SHORT_DIVISOR
+            or n <= _SHORT_COUNT and n * u[1].bit_length() <= _SHORT_DEN_BITS):
         return _divide(u, n, p) if num is None else _divide(u, n, p, num)
     v = _newton(u, n, p)
     return v if num is None else mul(num, v, n, p)
@@ -222,17 +231,16 @@ def _newton(u: tuple, n: int, p: int) -> tuple:
     return v
 
 
-def reversion(u: tuple, n: int, p: int) -> tuple:
-    """The coefficients of x^1 .. x^n of the compositional inverse of x*u
-    (u[0] != 0, n coefficients of u), in the working form.
+def reversion(psi: tuple, n: int, p: int) -> tuple:
+    """The coefficients of x^1 .. x^n of the compositional inverse of x/psi
+    (psi[0] != 0, n coefficients of psi), in the working form.
 
     Lagrange inversion in the form that never divides by k (so it also holds
-    in characteristic p <= n): with psi = 1/u, [x^(k+1)] is [x^k] psi^k
-    (psi - x psi').  Baby steps and giant steps (Brent and Kung): with s =
-    ceil(sqrt(n)) and k = a s + b, that coefficient is the dot product of the
-    giant step psi^(a s) (psi - x psi') with the baby step psi^b, so about
-    2 sqrt(n) products of n coefficients serve all n coefficients."""
-    psi = recip(u, n, p)
+    in characteristic p <= n): [x^(k+1)] is [x^k] psi^k (psi - x psi').
+    Baby steps and giant steps (Brent and Kung): with s = ceil(sqrt(n)) and
+    k = a s + b, that coefficient is the dot product of the giant step
+    psi^(a s) (psi - x psi') with the baby step psi^b, so about 2 sqrt(n)
+    products of n coefficients serve all n coefficients."""
     s = math.isqrt(n - 1) + 1
     babies = [([1] + [0] * (n - 1), 1), psi]
     while len(babies) <= s:

@@ -14,7 +14,6 @@ prove.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import re
 from fractions import Fraction
@@ -60,9 +59,11 @@ class LaurentSeries:
     A series over Q or one GF(p) with a dense window may carry the working
     form (xs, den, p) of biriordan.dense: xs[i] / den is the coefficient of
     x^(lo+i), or of x^(hi-i) when bounded above (the form of its flip).  A
-    kernel's output has only the form, and builds `coeffs` on first read."""
+    kernel's output has only the form, and builds `coeffs` on first read.
+    `_walked` keeps the positive powers a walk over the series built (see
+    powers); it goes with the value, and copies and pickles drop it."""
 
-    __slots__ = ("side", "coeffs", "lo", "hi", "exact", "_form")
+    __slots__ = ("side", "coeffs", "lo", "hi", "exact", "_form", "_walked")
 
     def __init__(self, side: Side, coeffs: dict, lo: int, hi: int):
         # exactness is the finite side; a slot, not a property, as the
@@ -255,9 +256,15 @@ def _one_like(a: LaurentSeries) -> LaurentSeries:
 
 
 def _set(s: LaurentSeries, side: Side, lo: int, hi: int, form) -> None:
-    for name, value in (("side", side), ("lo", lo), ("hi", hi),
-                        ("exact", side is Side.FINITE), ("_form", form)):
-        object.__setattr__(s, name, value)
+    # one call per slot: every kernel output passes here, and a loop over
+    # (name, value) pairs took a sixth longer
+    put = object.__setattr__
+    put(s, "side", side)
+    put(s, "lo", lo)
+    put(s, "hi", hi)
+    put(s, "exact", side is Side.FINITE)
+    put(s, "_form", form)
+    put(s, "_walked", None)
 
 
 def _packed(xs: list, den: int, p: int, base: int, exact: bool,
@@ -600,10 +607,14 @@ def powers(a: LaurentSeries, exponents, side: Side | None = None,
     factor f, yield (j, f * a ** j) instead, the values of mul(f,
     power(...)): f goes into the first power on each side of 0 and each
     later one is the one before it times a power of a (the window rule of
-    mul is associative: lo adds up and the fewest known binds)."""
-    def first(s):
-        return s if factor is None else mul(factor, s)
+    mul is associative: lo adds up and the fewest known binds).
 
+    a keeps what the walk over its positive exponents built: each a^j (j >=
+    2, the gaps included), and each f a^j for the last factor f walked with,
+    so a later walk reads them.  For j > 0, power(a, j) reads neither side
+    nor precision, so a kept power is the one the walk would build; the
+    exponent budget is checked before every read, and only values are
+    kept, never exceptions."""
     exps = sorted(set(exponents))
     negative = [j for j in exps if j < 0]
     if negative:
@@ -611,16 +622,48 @@ def powers(a: LaurentSeries, exponents, side: Side | None = None,
         r = recip(a, side, precision)
         up = list(powers(r, [-j for j in negative], factor=factor))
         yield from ((-k, pw) for k, pw in reversed(up))
-    step = functools.cache(lambda gap: power(a, gap))
-    prev = pw = None
+    kept = _kept(a, factor)
+    prev = last = None
     for j in exps[len(negative):]:
         _check_exponent(a, j)
-        if j == 0:
-            yield j, first(_one_like(a))
-            continue
-        pw = first(power(a, j, side, precision)) if pw is None else mul(pw, step(j - prev))
-        prev = j
+        pw = kept.get(j)
+        if pw is None:
+            if last is None:
+                pw = _one_like(a) if j == 0 else _kept_power(a, j)
+                pw = pw if factor is None else mul(factor, pw)
+            else:
+                pw = mul(last, _kept_power(a, j - prev))
+            if pw is not a:  # a^1 is a itself
+                kept[j] = pw
+        if j:
+            prev, last = j, pw
         yield j, pw
+
+
+def _kept(a: LaurentSeries, factor: LaurentSeries | None) -> dict:
+    # {j: a^j}, or {j: factor a^j} when the factor is the last one walked
+    # with (held, so that identity stands for the value); a new factor
+    # replaces the old one's, so what a keeps grows only with its exponents
+    walked = a._walked
+    if walked is None:
+        walked = [{}, None, None]
+        object.__setattr__(a, "_walked", walked)
+    if factor is None:
+        return walked[0]
+    if walked[1] is not factor:
+        walked[1:] = factor, {}
+    return walked[2]
+
+
+def _kept_power(a: LaurentSeries, j: int) -> LaurentSeries:
+    # a^j for j >= 1 within the exponent budget, kept on a from the first time
+    if j == 1:
+        return a
+    kept = _kept(a, None)
+    pw = kept.get(j)
+    if pw is None:
+        pw = kept[j] = power(a, j)
+    return pw
 
 
 def _sum(terms, p: int) -> LaurentSeries:
@@ -793,10 +836,8 @@ def compositional_inverse(omega: LaurentSeries,
     bo = _side_order(omega, Side.BELOW)
     if bo == 1:
         return _reversion(omega, precision)
-    if bo == -1:
-        return substitute_reciprocal(
-            _reversion(recip(omega, Side.BELOW, precision), precision)
-        )
+    if bo == -1:  # the flip of the inverse of 1/omega
+        return substitute_reciprocal(_reversion(omega, precision))
     if _side_order(omega, Side.ABOVE) in (1, -1):
         # with psi the inverse of J omega, omega(1/psi) = (J omega)(psi) = x
         return recip(compositional_inverse(substitute_reciprocal(omega), precision),
@@ -807,12 +848,15 @@ def compositional_inverse(omega: LaurentSeries,
 
 
 def _reversion(omega: LaurentSeries, precision: int | None) -> LaurentSeries:
-    # omega viewable below with order exactly 1
+    # omega viewable below with order 1: its compositional inverse, by
+    # Lagrange's psi = x/omega; or with order -1: that of r = 1/omega, known
+    # on as many coefficients, whose psi = x/r = x omega needs no division
     if omega.exact and _nterms(omega) == 1:
-        return monomial(1 / omega[1], 1)
-    cap = _known_count(omega, precision)  # omega's order is 1
+        return monomial(1 / omega[1] if omega.lo == 1 else omega[-1], 1)
+    cap = _known_count(omega, precision)
     u, p = _window(omega, cap)
-    return _packed(*dense.reversion(u, cap, p), p, 1, False)
+    psi = dense.recip(u, cap, p) if omega.lo == 1 else u
+    return _packed(*dense.reversion(psi, cap, p), p, 1, False)
 
 
 # -- comparison up to precision ---------------------------------------------------

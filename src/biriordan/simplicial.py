@@ -18,7 +18,7 @@ import warnings
 from fractions import Fraction
 
 from .errors import CheckFailedError
-from .field import field_of, parse_scalar
+from .field import PrimeFieldElement, field_of, parse_scalar
 from .record import Record
 from .riordan import RiordanMatrix, apply, identity, matmul, riordan
 from .series import (
@@ -89,33 +89,51 @@ class HVector(Record):
         return LaurentSeries.from_terms({t: c for t, c in enumerate(self.h)})
 
 
+def _over(text: str, p: int) -> LaurentSeries:
+    """parse(text), its integer coefficients read in GF(p) (Q when p = 0)."""
+    s = parse(text)
+    if not p:
+        return s
+    return LaurentSeries.from_terms(
+        {e: PrimeFieldElement(int(c), p) for e, c in s.coeffs.items()})
+
+
+def _zero(p: int):
+    # the 0 of Q (p = 0) or of GF(p)
+    return PrimeFieldElement(0, p) if p else Fraction(0)
+
+
 @functools.cache
-def _transform(text: str, d: int, precision: int) -> RiordanMatrix:
-    """R(b^{d+1}, x/b) for b = parse(text): with b = 1-x it sends the embedded
-    f-polynomial to h, with b = 1+x it is the inverse transform.  Built once
-    per argument triple; matrices are immutable, so callers share them."""
-    b = parse(text)
-    omega = mul(parse("x"), recip(b, Side.BELOW, precision))
+def _transform(text: str, d: int, precision: int, p: int = 0) -> RiordanMatrix:
+    """R(b^{d+1}, x/b) for b = parse(text) over Q (p = 0) or GF(p): with b =
+    1-x it sends the embedded f-polynomial to h, with b = 1+x it is the
+    inverse transform.  Built once per argument tuple; matrices are
+    immutable, so callers share them, and the powers their columns walk."""
+    b = _over(text, p)
+    omega = mul(_over("x", p), recip(b, Side.BELOW, precision))
     return riordan(power(b, d + 1), omega, precision=precision)
 
 
+@functools.cache
 def _reversal_matrix(d: int) -> RiordanMatrix:
     """R(x^{d+1}, 1/x): reverses coefficient lists of length d+2."""
     return riordan(monomial(1, d + 1), monomial(1, -1))
 
 
-def _final_matrix(d: int) -> RiordanMatrix:
-    """R((-1)^{d+1}, -(1+x)): the signed-binomial matrix the chain ends in."""
-    return riordan(monomial(_sign(d + 1)), neg(parse("1+x")))
+@functools.cache
+def _final_matrix(d: int, p: int) -> RiordanMatrix:
+    """R((-1)^{d+1}, -(1+x)) over Q (p = 0) or GF(p): the signed-binomial
+    matrix the chain ends in."""
+    return riordan(monomial(_sign(d + 1) + _zero(p)), neg(_over("1+x", p)))
 
 
 def f_to_h(fv: FVector) -> HVector:
-    psi = apply(_transform("1-x", fv.d, fv.d + 4), fv.series())
+    psi = apply(_transform("1-x", fv.d, fv.d + 4, field_of(fv.f)), fv.series())
     return HVector(fv.d, tuple(psi[t] for t in range(fv.d + 2)))
 
 
 def h_to_f(hv: HVector) -> FVector:
-    psi = apply(_transform("1+x", hv.d, hv.d + 4), hv.series())
+    psi = apply(_transform("1+x", hv.d, hv.d + 4, field_of(hv.h)), hv.series())
     return FVector(hv.d, tuple(psi[t] for t in range(hv.d + 2)))
 
 
@@ -126,12 +144,14 @@ def is_palindromic(hv: HVector) -> bool:
 def dehn_sommerville_residuals(fv: FVector) -> tuple:
     """Signed-binomial sums minus their claimed values, indexed k = -1..d;
     the identities hold exactly when every entry is zero."""
+    zero = _zero(field_of(fv.f))
+    f = [c or zero for c in fv.f]  # a rational zero read in the entries' field
     out = []
     for k in range(-1, fv.d + 1):
-        s = Fraction(0)
+        s = zero
         for j in range(k, fv.d + 1):
-            s += _sign(j) * binomial(j + 1, k + 1) * fv.f[j + 1]
-        out.append(s - _sign(fv.d) * fv.f[k + 1])
+            s += _sign(j) * binomial(j + 1, k + 1) * f[j + 1]
+        out.append(s - _sign(fv.d) * f[k + 1])
     return tuple(out)
 
 
@@ -139,10 +159,13 @@ def dehn_sommerville_residuals_matrix(fv: FVector) -> tuple:
     """The same residuals read off the matrix route: psi = R((-1)^{d+1},
     -(1+x)) f equals f exactly when the identities hold, and the residual for
     index k is (-1)^d (psi_{k+1} - f_k)."""
-    psi = apply(_final_matrix(fv.d), fv.series())
+    p = field_of(fv.f)
+    zero = _zero(p)
+    psi = apply(_final_matrix(fv.d, p), fv.series())
     sign_d = _sign(fv.d)
     return tuple(
-        sign_d * (psi[k + 1] - fv.f[k + 1]) for k in range(-1, fv.d + 1)
+        sign_d * ((psi[k + 1] or zero) - (fv.f[k + 1] or zero))
+        for k in range(-1, fv.d + 1)
     )
 
 
@@ -271,7 +294,7 @@ def verify_theorem_chain(d: int, precision: int | None = None) -> ProofTrace:
     # 4. the chain closes in R((-1)^{d+1}, -(1+x)); the product rule applied
     # to R((1+x)^{d+1}, x/(1+x)) R((x-1)^{d+1}, 1/(x-1)) gives exactly these
     # components, and the window is the signed Pascal triangle
-    final = _final_matrix(d)
+    final = _final_matrix(d, 0)
     omega_hf = m_hf.omega
     alpha_part = mul(m_hf.alpha, compose(power(x_minus, d + 1), omega_hf, p))
     _require(eq_to_precision(alpha_part, final.alpha), "final matrix",

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ import pytest
 
 from biriordan import dense, series
 from biriordan.field import PrimeField, PrimeFieldElement, field_of
-from biriordan.riordan import riordan
+from biriordan.riordan import apply, lagrange, riordan
 from biriordan.series import (
     DEFAULT_PRECISION,
     MAX_EXPONENT,
@@ -915,6 +916,37 @@ def test_recip_route_depends_on_term_count_and_length(monkeypatch):
             assert got == ref_newton_recip(a, n)
 
 
+def test_recip_route_depends_on_the_bits_of_the_denominator(monkeypatch):
+    # over Q a divisor of more than 20 terms whose n times denominator bits
+    # pass 2048 takes Newton iteration even for n <= 64; with at most 20
+    # terms, or a denominator of 1 (GF(p)), the route rests on the counts
+    routes = []
+    for name in ("_divide", "_newton"):
+        def spy(u, n, p, real=getattr(dense, name), name=name):
+            routes.append(name)
+            return real(u, n, p)
+        monkeypatch.setattr(dense, name, spy)
+    rng = random.Random(123)
+    cases = [(32, 32, 64, "_divide"), (32, 32, 65, "_newton"), (64, 21, 32, "_divide"),
+             (64, 21, 33, "_newton"), (40, 40, 52, "_newton"), (16, 16, 129, "_divide"),
+             (64, 20, 900, "_divide"), (200, 2, 900, "_divide"), (8, 8, 300, "_divide")]
+    for n, t, bits, route in cases:
+        den = (1 << (bits - 1)) + 1  # a denominator of exactly `bits` bits
+        xs = [0] * n
+        for e in rng.sample(range(1, n), t - 1):
+            xs[e] = rng.randrange(1, 1 << 40)
+        xs[0] = 1
+        routes.clear()
+        got = dense.recip((xs, den), n, 0)
+        assert routes == [route], (n, t, bits)
+        want = ref_newton_recip(LaurentSeries.from_terms(
+            {e: Fraction(x, den) for e, x in enumerate(xs) if x}), n)
+        assert dense.to_coeffs(*got, 0, 0) == want.coeffs
+        routes.clear()
+        dense.recip(([x % 7919 for x in xs], 1), n, 7919)
+        assert routes == ["_divide"]
+
+
 def test_compose_kernel_matches_horner_around_each_square():
     rng = random.Random(117)
     for field in FIELDS:
@@ -994,3 +1026,128 @@ def test_reversion_in_characteristic_seven_past_each_square():
         got = _reversion(omega, prec)
         assert got == ref_lagrange_reversion(omega, prec)
         assert got.hi == prec
+
+
+def test_order_minus_one_inverse_makes_no_division(monkeypatch):
+    # for omega of order -1, Lagrange's psi for r = 1/omega is x omega
+    # itself: the inverse divides nowhere, and it equals the route through r
+    # on value and window; bounded above of order 1 reaches it through J,
+    # and then divides once, to take the reciprocal of what it returns
+    rng = random.Random(121)
+    cases = []
+    for _ in range(60):
+        field = rng.choice(FIELDS)
+        omega = below(rng, field, -1, rng.randint(1, 14), exact=rng.random() < 0.5)
+        prec = rng.choice([None, 4, 9, 32])
+        want = substitute_reciprocal(_reversion(recip(omega, Side.BELOW, prec), prec))
+        cases.append((omega, prec, want, 0))
+        if not omega.exact:
+            cases.append((substitute_reciprocal(omega), prec, recip(want, None, prec), 1))
+    routes = []
+    for name in ("_divide", "_newton"):
+        def spy(*args, real=getattr(dense, name), name=name):
+            routes.append(name)
+            return real(*args)
+        monkeypatch.setattr(dense, name, spy)
+    for omega, prec, want, divisions in cases:
+        routes.clear()
+        got = compositional_inverse(omega, prec)
+        assert got == want and (got.side, got.lo, got.hi) == (want.side, want.lo, want.hi)
+        assert len(routes) == divisions
+
+
+# -- powers kept on the series they walk -----------------------------------------------
+
+
+def count_products(monkeypatch) -> list:
+    """Each packed product dense.product makes from now on, as its n."""
+    made = []
+    real = dense.product
+
+    def spy(xa, xb, n):
+        made.append(n)
+        return real(xa, xb, n)
+
+    monkeypatch.setattr(dense, "product", spy)
+    return made
+
+
+def test_a_second_extract_or_apply_reads_the_kept_powers(monkeypatch):
+    made = count_products(monkeypatch)
+    for field, side in (("q", Side.BELOW), (2**31 - 1, Side.BELOW), ("q", Side.ABOVE)):
+        one = Fraction(1) if field == "q" else prime_field(field)(1)
+
+        def poly(terms):  # over the field, in powers of 1/x when above
+            flip = -1 if side is Side.ABOVE else 1
+            return LaurentSeries.from_terms({flip * e: c * one for e, c in terms.items()})
+
+        omega = mul(poly({1: 1}), recip(poly({0: 1, 1: -1, 2: -1}), side, 24))
+        alpha = recip(poly({0: 1, 1: -2}), side, 24)
+        m = riordan(alpha, omega, side, 24)
+        rows = (0, 11) if side is Side.BELOW else (-11, 0)
+        made.clear()
+        first = extract(m, rows, (0, 11))
+        assert made
+        made.clear()
+        assert extract(m, rows, (0, 11)) == first
+        assert extract(m, rows, (2, 7)) == first.sub(rows, (2, 7))
+        assert not made
+        # an exact chi walks the same powers of omega (its positive ones: a
+        # negative one is a power of a new 1/omega): a second apply makes
+        # only the product by alpha
+        chi = LaurentSeries.from_terms({e: (e + 3) * one for e in range(9)})
+        first = apply(m, chi)
+        made.clear()
+        assert apply(m, chi) == first
+        assert len(made) == 1
+
+
+def test_kept_powers_equal_those_of_a_fresh_copy():
+    # a pickled copy keeps no powers, so its columns are walked afresh
+    rng = random.Random(122)
+    for _ in range(150):
+        field = rng.choice(["q", "q", 7, 2**31 - 1])
+        side = rng.choice([Side.BELOW, Side.ABOVE])
+        alpha = walk_operand(rng, field, rng.choice(KINDS), side)
+        omega = walk_operand(rng, field, rng.choice(KINDS), side)
+        m = riordan(alpha, omega, side, rng.choice([None, 3, 6]))
+        for _ in range(4):
+            lo = rng.randint(-5, 6)
+            js = range(lo, lo + rng.randint(1, 6))
+            fresh = pickle.loads(pickle.dumps(m))
+            assert fresh.omega._walked is None
+            assert outcome(lambda: m.columns(js)) == outcome(lambda: fresh.columns(js))
+            exps = [rng.randint(-3, 8) for _ in range(3)]
+            assert outcome(lambda: list(powers(m.omega, exps, m.side, m.precision))) == \
+                outcome(lambda: list(powers(fresh.omega, exps, m.side, m.precision)))
+
+
+def test_a_raise_inside_a_walk_is_raised_again():
+    omega = LaurentSeries.truncated({1: Fraction(2), 2: Fraction(-1, 3)}, Side.BELOW, 1, 5)
+    m = riordan(parse("1+x"), omega, Side.BELOW, 3)
+    for _ in range(2):  # the exponent budget, past the columns it walked
+        with pytest.raises(ValueError, match="at most 10000"):
+            m.columns(range(9_998, 10_002))
+    assert m.columns(range(9_998, 10_001)) == \
+        ref_columns(parse("1+x"), omega, range(9_998, 10_001), Side.BELOW, 3)
+    exact = riordan(parse("1+x"), parse("x+x^2"), Side.BELOW, 0)
+    messages = [outcome(lambda: exact.columns(range(-2, 3))) for _ in range(2)]
+    assert messages[0] == messages[1] == (ValueError, "precision must be at least 1")
+    # an entry outside the known window, after the walk succeeded
+    w = riordan(LaurentSeries.one(), parse("x/(1-x)", precision=6))
+    messages = [outcome(lambda: extract(w, (0, 9), (0, 3))) for _ in range(2)]
+    assert messages[0] == messages[1]
+    assert messages[0][0] is series.PrecisionError
+
+
+def test_kept_powers_stay_bounded():
+    # a new factor replaces the last one's products, so a thousand matrices
+    # over one omega keep the powers of one walk
+    w = parse("x/(1-x)", precision=16)
+    want = extract(lagrange(w), (0, 7), (0, 7))
+    for _ in range(1000):
+        assert extract(lagrange(w), (0, 7), (0, 7)) == want
+    powers_kept, factor, products = w._walked
+    assert set(powers_kept) <= set(range(0, 8))
+    assert set(products) == set(range(0, 8))
+    assert factor == LaurentSeries.one()

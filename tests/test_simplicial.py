@@ -241,3 +241,37 @@ def test_chain_needs_enough_precision():
 def test_transform_matrices_are_built_once():
     assert _transform("1-x", 5, 9) is _transform("1-x", 5, 9)
     assert _transform("1-x", 5, 9) is not _transform("1+x", 5, 9)
+
+
+def _mod(c, p: int) -> int:
+    """The residue of a rational or a GF(p) scalar."""
+    if isinstance(c, Fraction) or isinstance(c, int):
+        c = Fraction(c)
+        return c.numerator * pow(c.denominator, -1, p) % p
+    assert c.p == p
+    return c.n
+
+
+@pytest.mark.parametrize("p", [7, 2**31 - 1])
+def test_transforms_and_residuals_over_a_prime_field(p):
+    # the worked families over GF(p) give the results over Q reduced mod p
+    gf = PrimeField(p)
+    for d in range(0, 9):
+        for family in (simplex_boundary, cross_polytope, solid_simplex):
+            fv = family(d)
+            fp = FVector(d, tuple(gf(int(c)) for c in fv.f))
+            hv = f_to_h(fv)
+            assert [_mod(c, p) for c in f_to_h(fp).h] == [_mod(c, p) for c in hv.h]
+            hp = HVector(d, tuple(gf(int(c)) for c in hv.h))
+            assert [_mod(c, p) for c in h_to_f(hp).f] == [_mod(c, p) for c in fv.f]
+            want = [_mod(c, p) for c in dehn_sommerville_residuals(fv)]
+            assert [_mod(c, p) for c in dehn_sommerville_residuals(fp)] == want
+            assert [_mod(c, p) for c in dehn_sommerville_residuals_matrix(fp)] == want
+
+
+def test_chain_matrices_are_built_once_per_dimension():
+    from biriordan.simplicial import _final_matrix, _reversal_matrix
+    assert _reversal_matrix(4) is _reversal_matrix(4)
+    assert _final_matrix(4, 0) is _final_matrix(4, 0)
+    assert _final_matrix(4, 7) is not _final_matrix(4, 0)
+    assert _transform("1-x", 4, 8, 7) is _transform("1-x", 4, 8, 7)
