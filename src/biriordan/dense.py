@@ -1,10 +1,13 @@
-"""Dense working form of truncated power series over Q or GF(p).
+"""Working form of truncated power series over Q or GF(p).
 
-A working form (xs, den) is, over Q (p = 0), a list of integers over one
-common denominator, over GF(p) the residues over 1.  A series keeps the form
-its kernel returned (series.LaurentSeries): each operand is converted in
-once, and out once when first read.  Every product is one packed integer
-product (Kronecker substitution), truncated to the coefficients needed.
+A working form (xs, den) is, over Q (p = 0), integers over one common
+denominator, over GF(p) the residues over 1.  Its xs is a list, or, for a
+span mostly made of gaps, a dict {i: xs[i]} of its nonzero entries (the
+sparse form).  A series keeps the form its kernel returned
+(series.LaurentSeries): each operand is converted in once, and out once when
+first read.  A product of two lists is one packed integer product (Kronecker
+substitution), any other one a loop over the term pairs, truncated to the
+coefficients needed.
 """
 
 from __future__ import annotations
@@ -15,6 +18,12 @@ import operator
 from fractions import Fraction
 
 from .field import PrimeFieldElement
+
+
+def worth_packing(span: int, terms: int) -> bool:
+    """Does a list pay for terms nonzero entries over span + 1 slots?  A list
+    costs a slot per exponent in the span, the term loop a step per term."""
+    return span < 4 * terms + 64
 
 
 def from_coeffs(coeffs: dict, lo: int, n: int, p: int) -> tuple:
@@ -29,18 +38,37 @@ def from_coeffs(coeffs: dict, lo: int, n: int, p: int) -> tuple:
     return [c.numerator * (den // c.denominator) for c in cs], den
 
 
-def to_coeffs(xs: list, den: int, lo: int, p: int, step: int = 1) -> dict:
-    """Coefficient dict {lo + step * i: xs[i] / den}, zeros dropped."""
-    es = range(lo, lo + step * len(xs), step)
+def from_terms(coeffs: dict, base: int, step: int, p: int) -> tuple:
+    """Sparse working form of the nonzero coefficients, the one of x^e at
+    i = step * (e - base)."""
     if p:
-        return {e: PrimeFieldElement(x, p) for e, x in zip(es, xs) if x % p}
+        return {step * (e - base): c.n for e, c in coeffs.items()}, 1
+    den = math.lcm(*[c.denominator for c in coeffs.values()])
+    return {step * (e - base): c.numerator * (den // c.denominator)
+            for e, c in coeffs.items()}, den
+
+
+def to_coeffs(xs, den: int, lo: int, p: int, step: int = 1) -> dict:
+    """Coefficient dict {lo + step * i: xs[i] / den}, zeros dropped."""
+    if type(xs) is dict:
+        pairs = [(lo + step * i, x) for i, x in xs.items()]
+    else:
+        pairs = zip(range(lo, lo + step * len(xs), step), xs)
+    if p:
+        return {e: PrimeFieldElement(x, p) for e, x in pairs if x % p}
     if den == 1:  # the same value, without a gcd per coefficient
-        return {e: Fraction(x) for e, x in zip(es, xs) if x}
-    return {e: Fraction(x, den) for e, x in zip(es, xs) if x}
+        return {e: Fraction(x) for e, x in pairs if x}
+    return {e: Fraction(x, den) for e, x in pairs if x}
 
 
-def _normal(xs: list, den: int, p: int) -> tuple:
-    # residues reduced mod p; over Q the common factor of den and xs divided out
+def _normal(xs, den: int, p: int) -> tuple:
+    # residues reduced mod p; over Q the common factor of den and xs divided
+    # out; a sparse form keeps only its nonzero entries
+    if type(xs) is dict:
+        vs = list(xs.values())
+        ys, den = _normal(vs, den, p)
+        return (xs if ys is vs and 0 not in ys else
+                {i: y for i, y in zip(xs, ys) if y}), den
     if p:
         return [x % p for x in xs], 1
     g = math.gcd(den, *xs) if den != 1 else 1
@@ -50,23 +78,58 @@ def _normal(xs: list, den: int, p: int) -> tuple:
 
 
 def mul(a: tuple, b: tuple, n: int, p: int) -> tuple:
-    """a * b to n coefficients."""
-    return _normal(product(a[0], b[0], n), a[1] * b[1], p)
+    """a * b to n coefficients: sparse when either form is."""
+    (xa, da), (xb, db) = a, b
+    if type(xa) is list and type(xb) is list:
+        return _normal(product(xa, xb, n), da * db, p)
+    return _normal(_term_product(xa, xb, n), da * db, p)
+
+
+def _nonzero(xs):
+    # the pairs (i, xs[i]) of the nonzero entries of a form, with a length
+    return xs.items() if type(xs) is dict else [(i, x) for i, x in enumerate(xs) if x]
+
+
+def _term_product(xa, xb, n: int) -> dict:
+    # the sparse product to n coefficients over the term pairs: the sum, over
+    # each entry x at i of the shorter factor, of the other shifted by i and
+    # scaled by x (by 1 without a product)
+    ta, tb = _nonzero(xa), _nonzero(xb)
+    if len(ta) > len(tb):
+        ta, tb = tb, ta
+    acc: dict = {}
+    for i, x in ta:
+        row = ((i + j, y if x == 1 else x * y) for j, y in tb if i + j < n)
+        if acc:
+            get = acc.get
+            acc.update({k: get(k, 0) + y for k, y in row})
+        else:
+            acc = dict(row)
+    return acc
 
 
 def combine(terms: list, n: int, p: int) -> tuple:
     """The sum over (c, s, u) in terms of c x^s u to n coefficients, for a
-    Fraction or residue c, a shift s >= 0 and a working form u."""
+    Fraction or residue c, a shift s >= 0 and a working form u: a list when
+    every u is one and the sum is worth packing, else sparse."""
     if p:
         den, scaled = 1, [(c.n, s, xs) for c, s, (xs, _) in terms]
     else:
         den = math.lcm(*[c.denominator * d for c, _, (_, d) in terms])
         scaled = [(c.numerator * (den // (c.denominator * d)), s, xs)
                   for c, s, (xs, d) in terms]
-    acc = [0] * n
+    if all(type(xs) is list for *_, xs in scaled) and worth_packing(
+            n - 1, sum(len(xs) for *_, xs in scaled)):
+        acc = [0] * n
+        for f, s, xs in scaled:
+            for i, x in enumerate(xs[:max(n - s, 0)], s):
+                acc[i] += f * x
+        return _normal(acc, den, p)
+    acc = {}
     for f, s, xs in scaled:
-        for i, x in enumerate(xs[:max(n - s, 0)], s):
-            acc[i] += f * x
+        for i, x in _nonzero(xs):
+            if i + s < n:
+                acc[i + s] = acc.get(i + s, 0) + f * x
     return _normal(acc, den, p)
 
 

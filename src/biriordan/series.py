@@ -56,12 +56,13 @@ class Side(enum.Enum):
 class LaurentSeries:
     """Immutable series value; construct via from_terms/truncated/parse.
 
-    A series over Q or one GF(p) with a dense window may carry the working
-    form (xs, den, p) of biriordan.dense: xs[i] / den is the coefficient of
-    x^(lo+i), or of x^(hi-i) when bounded above (the form of its flip).  A
-    kernel's output has only the form, and builds `coeffs` on first read.
-    `_walked` keeps the positive powers a walk over the series built (see
-    powers); it goes with the value, and copies and pickles drop it."""
+    A series holds the working form (xs, den, p) of biriordan.dense over its
+    field GF(p) (Q when p = 0): xs[i] / den is the coefficient of x^(lo+i),
+    or of x^(hi-i) when bounded above (the form of its flip), with xs a list
+    or, when the span is mostly gaps, a dict of the nonzero entries.
+    `coeffs` is a read view, built from the form on first read.  `_walked`
+    keeps the positive powers of the series that power and powers built; it
+    goes with the value, and copies and pickles drop it."""
 
     __slots__ = ("side", "coeffs", "lo", "hi", "exact", "_form", "_walked")
 
@@ -69,7 +70,7 @@ class LaurentSeries:
         # exactness is the finite side; a slot, not a property, as the
         # matrix code reads it in its inner loops
         exact = side is Side.FINITE
-        field_of(coeffs.values())  # one field, or TypeError before any arithmetic
+        p = field_of(coeffs.values())  # one field, or TypeError before any arithmetic
         coeffs = {e: (Fraction(c) if isinstance(c, int) else c)
                   for e, c in coeffs.items() if c}
         if exact:
@@ -86,7 +87,7 @@ class LaurentSeries:
             lo = hi + 1
         else:
             hi = lo - 1
-        _set(self, side, lo, hi, None)
+        _set(self, side, lo, hi, (*_form_of(coeffs, lo, hi, p, side is Side.ABOVE), p))
         object.__setattr__(self, "coeffs", coeffs)
 
     def __getattr__(self, name):
@@ -130,7 +131,7 @@ class LaurentSeries:
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.exact and self._form is None and not self.coeffs
+        return self.exact and not self._form[0]
 
     def support(self) -> list:
         return sorted(self.coeffs)
@@ -149,11 +150,9 @@ class LaurentSeries:
                 f"coefficient of x^{e} lies outside the known window "
                 f"[{self.lo}, {self.hi}]"
             )
-        if self._form is None:
-            return self.coeffs.get(e, _ZERO)
         xs, den, p = self._form
         i = self.hi - e if self.side is Side.ABOVE else e - self.lo
-        x = xs[i] if 0 <= i < len(xs) else 0
+        x = xs.get(i, 0) if type(xs) is dict else xs[i] if 0 <= i < len(xs) else 0
         return _ZERO if not x else PrimeFieldElement(x, p) if p else Fraction(x, den)
 
     def order(self, side: Side | None = None):
@@ -267,45 +266,65 @@ def _set(s: LaurentSeries, side: Side, lo: int, hi: int, form) -> None:
     put(s, "_walked", None)
 
 
-def _packed(xs: list, den: int, p: int, base: int, exact: bool,
+def _form_of(coeffs: dict, lo: int, hi: int, p: int, above: bool = False) -> tuple:
+    """(xs, den): the working form over GF(p) of the nonzero coefficients on
+    [lo, hi], from x^lo up (from x^hi down when above); a list, or sparse when
+    the span is mostly gaps."""
+    if dense.worth_packing(hi - lo, len(coeffs)):
+        xs, den = dense.from_coeffs(coeffs, lo, hi - lo + 1, p)
+        return (xs[::-1] if above else xs), den
+    return dense.from_terms(coeffs, hi if above else lo, -1 if above else 1, p)
+
+
+def _packed(xs, den: int, p: int, base: int, n: int | None,
             flip: bool = False) -> LaurentSeries:
     """Kernel output, its dict built on first read: xs[i] / den at x^(base+i)
-    of the value or, when flip, of its flip; exact, or else known through the
-    last entry.  lo and hi are read from the first and last nonzero entries."""
-    i, k = 0, len(xs)
-    while i < k and not xs[i]:
-        i += 1
-    while exact and k > i and not xs[k - 1]:
-        k -= 1
-    lo, hi = base + i, base + (k if exact else len(xs)) - 1
-    xs = xs[i:k] if i or k < len(xs) else xs
-    side = Side.FINITE if exact else Side.ABOVE if flip else Side.BELOW
+    of the value or, when flip, of its flip, for a list xs or a dict {i:
+    xs[i]} of its nonzero entries; exact when n is None, else known for n
+    coefficients from base.  lo and hi are read from the first and last
+    nonzero entries, and the form is sparse when its span is mostly gaps."""
+    if type(xs) is dict:
+        i = min(xs, default=n or 0)
+        k = max(xs, default=i - 1) + 1 if n is None else n
+        terms = len(xs)
+    else:
+        i, k = 0, len(xs) if n is None else n
+        while i < k and not xs[i]:
+            i += 1
+        while n is None and k > i and not xs[k - 1]:
+            k -= 1
+        # a span of at most 64 slots always pays, so count only a longer one
+        terms = k - i if k - i <= 64 else len(xs) - xs.count(0)
+    lo, hi = base + i, base + k - 1
+    side = Side.FINITE if n is None else Side.ABOVE if flip else Side.BELOW
     window = (-hi, -lo) if flip else (lo, hi)
-    if not xs or len(xs) > 64 and not _worth_packing(len(xs) - 1, len(xs) - xs.count(0)):
-        # no term, or a span mostly made of gaps, which _view would not pack
-        terms = dense.to_coeffs(xs, den, -lo if flip else lo, p, -1 if flip else 1)
-        return LaurentSeries(side, terms, *window)
+    if not terms:
+        return LaurentSeries(side, {}, *window)
+    if dense.worth_packing(k - 1 - i, terms):
+        xs = [xs.get(j, 0) for j in range(i, k)] if type(xs) is dict else (
+            xs[i:k] if i or k < len(xs) else xs)
+        if n is None and flip:
+            xs = xs[::-1]
+    elif type(xs) is list or i or n is None and flip:
+        # offsets from lo, or from hi on the exact flip
+        pairs = xs.items() if type(xs) is dict else enumerate(xs)
+        xs = {k - 1 - j if n is None and flip else j - i: x for j, x in pairs if x}
     s = LaurentSeries.__new__(LaurentSeries)
-    _set(s, side, *window, (xs[::-1] if exact and flip else xs, den, p))
+    _set(s, side, *window, (xs, den, p))
     return s
 
 
 def _nterms(s: LaurentSeries) -> int:
     # nonzero coefficients inside the known window
-    return len(s.coeffs) if s._form is None else len(s._form[0]) - s._form[0].count(0)
-
-
-def _terms_field(terms: dict) -> int:
-    # the field of a nonempty dict of one field's scalars: its first value's
-    return getattr(next(iter(terms.values())), "p", 0)
+    xs = s._form[0]
+    return len(xs) if type(xs) is dict else len(xs) - xs.count(0)
 
 
 def _field(*series: LaurentSeries) -> int:
     """The one field of the series' coefficients, 0 for Q (and for no term).
     Series over two fields raise what a product of their scalars raises:
     TypeError for Q with GF(p), ValueError for two primes."""
-    fields = [s._form[2] if s._form else _terms_field(s.coeffs)
-              for s in series if s._form or s.coeffs]
+    fields = [s._form[2] for s in series if s._form[0]]
     for q in fields[1:]:
         if q != fields[0]:
             _unit(fields[0]) * _unit(q)  # raises
@@ -313,30 +332,20 @@ def _field(*series: LaurentSeries) -> int:
 
 
 def _view(s: LaurentSeries, flip: bool = False):
-    """(xs, den, p, base), xs[i] / den at x^(base+i) of s or, when flip, of its
-    flip; a dict is packed on first read, unless it has no term or its span
-    is mostly gaps (then None)."""
-    f = s._form
-    if f is None and s.coeffs and _worth_packing(s.hi - s.lo, len(s.coeffs)):
-        p = _field(s)
-        xs, den = dense.from_coeffs(s.coeffs, s.lo, s.hi - s.lo + 1, p)
-        f = (xs[::-1] if s.side is Side.ABOVE else xs), den, p
-        object.__setattr__(s, "_form", f)
-    if f is None:
-        return None
-    xs, den, p = f
-    return (xs[::-1] if flip and s.exact else xs), den, p, -s.hi if flip else s.lo
+    """(xs, den, p, base), xs[i] / den at x^(base+i) of s or, when flip, of
+    its flip, for xs its form's list or dict."""
+    xs, den, p = s._form
+    if flip and s.exact:
+        xs = xs[::-1] if type(xs) is list else {s.hi - s.lo - i: x for i, x in xs.items()}
+    return xs, den, p, -s.hi if flip else s.lo
 
 
 def _window(s: LaurentSeries, n: int, flip: bool = False) -> tuple:
     """((xs, den), p): n coefficients of s (of its flip when flip) from its
-    order over its field p."""
-    v = _view(s, flip)
-    if v is None:
-        cs = {-e: c for e, c in s.coeffs.items()} if flip else s.coeffs
-        p = _field(s)
-        return dense.from_coeffs(cs, -s.hi if flip else s.lo, n, p), p
-    xs, den, p, _ = v
+    order over its field p, as a list."""
+    xs, den, p, _ = _view(s, flip)
+    if type(xs) is dict:
+        return ([xs.get(i, 0) for i in range(n)], den), p
     return (xs if len(xs) == n else xs[:n] + [0] * (n - len(xs)), den), p
 
 
@@ -375,113 +384,22 @@ def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
             "product of a bounded-below and a bounded-above series is "
             "undefined unless one has finite support"
         )
-    _field(a, b)  # two fields raise here, before any product
+    p = _field(a, b)  # two fields raise here, before any product
     # on the bounded-below side (of the flips when flip): exact if both are,
     # else known through min over inexact factors of (hi + other's order)
     flip = Side.ABOVE in sides
     (alo, ahi), (blo, bhi) = [(-s.hi, -s.lo) if flip else (s.lo, s.hi) for s in (a, b)]
     hi = min((h + lo for s, h, lo in ((a, ahi, blo), (b, bhi, alo)) if not s.exact),
              default=None)
-    out = _product(a, b, flip, None if hi is None else hi - alo - blo + 1)
-    if out is not None:
-        return out
-    if hi is None:
-        return LaurentSeries.from_terms(_convolve(a.coeffs, b.coeffs))
-    if flip:
-        return substitute_reciprocal(
-            mul(substitute_reciprocal(a), substitute_reciprocal(b)))
-    terms = _convolve(a.coeffs, b.coeffs, hi=hi)
-    return LaurentSeries.truncated(terms, Side.BELOW, alo + blo, hi)
-
-
-def _product(a: LaurentSeries, b: LaurentSeries, flip: bool,
-             count: int | None) -> LaurentSeries | None:
-    """mul as one packed product of count coefficients (all when None), on
-    the flips when flip; None unless both pack and pay for it."""
-    if a._form is None and b._form is None and len(a.coeffs) * len(b.coeffs) <= 8:
-        return None
-    va, vb = _view(a, flip), _view(b, flip)
-    if va is None or vb is None:
-        return None
-    (xa, da, p, la), (xb, db, _, lb) = va, vb
-    if count is None:
-        count = len(xa) + len(xb) - 1
-    if ([1], 1) in ((xa, da), (xb, db)):  # the exact 1 shifts the other factor
+    count = ahi + bhi - alo - blo + 1 if hi is None else hi - alo - blo + 1
+    (xa, da, _, la), (xb, db, _, lb) = _view(a, flip), _view(b, flip)
+    if type(xa) is list and type(xb) is list and ([1], 1) in ((xa, da), (xb, db)):
+        # the exact 1 shifts the other factor
         xs, den = (xb, db) if (xa, da) == ([1], 1) else (xa, da)
         xs = xs if len(xs) <= count else xs[:count]
     else:
         xs, den = dense.mul((xa, da), (xb, db), count, p)
-    return _packed(xs, den, p, la + lb, a.exact and b.exact, flip)
-
-
-def _convolve(ca: dict, cb: dict, hi: int | None = None) -> dict:
-    """Product of coefficient dicts, keeping exponents <= hi (None: unbounded).
-
-    Terms that cannot reach the window are dropped first.  Dense enough
-    supports are multiplied as one packed integer; anything else goes
-    through the term-by-term loop."""
-    if not (ca and cb):
-        return {}
-    if hi is not None:
-        a_min, b_min = min(ca), min(cb)
-        ca = {e: c for e, c in ca.items() if e + b_min <= hi}
-        cb = {e: c for e, c in cb.items() if e + a_min <= hi}
-        if not (ca and cb):
-            return {}
-    # a one-term factor is a shift and a scale of the other (inside the
-    # window, as the other's terms beyond it are dropped above), and the
-    # exact 1 only shifts it
-    if len(ca) == 1:
-        (i, ci), = ca.items()
-        if ci == 1:
-            return {i + j: cj for j, cj in cb.items()}
-        return {i + j: ci * cj for j, cj in cb.items()}
-    if len(cb) == 1:
-        (j, cj), = cb.items()
-        if cj == 1:
-            return {i + j: ci for i, ci in ca.items()}
-        return {i + j: ci * cj for i, ci in ca.items()}
-    # a handful of term pairs, or a support mostly made of gaps, is cheaper
-    # term by term
-    if len(ca) * len(cb) > 8 and all(_worth_packing(max(c) - min(c), len(c))
-                                     for c in (ca, cb)):
-        return _convolve_packed(ca, cb, hi)
-    return _convolve_terms(ca, cb, hi)
-
-
-def _convolve_terms(ca: dict, cb: dict, hi: int | None) -> dict:
-    # over Q, integer products over one denominator, as window.oracle_matmul
-    q = bool(ca and cb) and _terms_field(ca) == 0
-    if q:
-        dens = [math.lcm(*[c.denominator for c in d.values()]) for d in (ca, cb)]
-        ca, cb = [{e: c.numerator * (den // c.denominator) for e, c in d.items()}
-                  for d, den in zip((ca, cb), dens)]
-    out: dict = {}
-    for i, ci in ca.items():
-        for j, cj in cb.items():
-            k = i + j
-            if hi is None or k <= hi:
-                out[k] = out.get(k, 0) + ci * cj
-    if q:
-        den = dens[0] * dens[1]
-        return {k: Fraction(x, den) if den != 1 else Fraction(x) for k, x in out.items()}
-    return out
-
-
-def _worth_packing(span: int, terms: int) -> bool:
-    # packing costs a slot per exponent in the span, the loop a step per term
-    return span < 4 * terms + 64
-
-
-def _convolve_packed(ca: dict, cb: dict, hi: int | None) -> dict:
-    """The product of two coefficient dicts as one packed product, whatever
-    their size."""
-    p = _terms_field(ca)
-    (la, ha), (lb, hb) = [(min(c), max(c)) for c in (ca, cb)]
-    n = ha + hb - la - lb + 1 if hi is None else max(hi - la - lb + 1, 0)
-    xs, den = dense.mul(dense.from_coeffs(ca, la, ha - la + 1, p),
-                        dense.from_coeffs(cb, lb, hb - lb + 1, p), n, p)
-    return dense.to_coeffs(xs, den, la + lb, p)
+    return _packed(xs, den, p, la + lb, None if hi is None else count, flip)
 
 
 # -- reciprocal and powers -----------------------------------------------------
@@ -500,8 +418,7 @@ def recip(a: LaurentSeries, side: Side | None = None,
     if not a.exact and not _nterms(a):
         raise OrderIndeterminateError("reciprocal needs a computable order")
     if a.exact and _nterms(a) == 1:
-        (e, c), = a.coeffs.items()
-        return monomial(1 / c, -e)
+        return monomial(1 / a[a.lo], -a.lo)
     if a.side not in (side or a.side, Side.FINITE):
         raise SideMismatchError(
             f"cannot expand the reciprocal of a {a.side.value} series {side.value}"
@@ -511,7 +428,7 @@ def recip(a: LaurentSeries, side: Side | None = None,
     count = _known_count(a, precision)
     u, p = _window(a, count, flip=flip)
     xs, den = dense.recip(u, count, p)
-    return _packed(xs, den, p, -m, False, flip)
+    return _packed(xs, den, p, -m, count, flip)
 
 
 def _known_count(a: LaurentSeries | None, precision: int | None) -> int:
@@ -536,17 +453,25 @@ def _quotient(a: dict, b: dict, side: Side, precision: int | None) -> LaurentSer
     (la, ha), (lb, hb) = [(min(t), max(t)) for t in (a, b)]
     num = dense.from_coeffs(a, la, min(count, ha - la + 1), 0)
     u = dense.from_coeffs(b, lb, min(count, hb - lb + 1), 0)
-    return _packed(*dense.recip(u, count, 0, num), 0, la - lb, False, flip)
+    return _packed(*dense.recip(u, count, 0, num), 0, la - lb, count, flip)
 
 
 def _check_exponent(a: LaurentSeries, j: int) -> None:
-    # the one exponent budget, on every route to a power: |j| on several terms;
-    # c^j over Q has over |j| (b - 1) bits, b the longer of c's num/den bits
-    if abs(j) > MAX_EXPONENT and _nterms(a) > 1:
+    # the one exponent budget, on every route to a power: |j| on several
+    # terms, and the bits of c^j for one term c over Q (xs[0] / den of its
+    # form, in lowest terms)
+    terms = _nterms(a)
+    if abs(j) > MAX_EXPONENT and terms > 1:
         raise ValueError(f"exponent must be at most {MAX_EXPONENT} in absolute value")
-    c = next(iter(a.coeffs.values())) if _nterms(a) == 1 else 1
-    if type(c) is Fraction and abs(j) * (max(
-            c.numerator.bit_length(), c.denominator.bit_length()) - 1) >= MAX_POWER_BITS:
+    xs, den, p = a._form
+    if terms == 1 and not p:
+        _check_bits(xs[0], den, j)
+
+
+def _check_bits(num: int, den: int, j: int) -> None:
+    # (num / den)^j in lowest terms has over |j| (b - 1) bits, b the longer of
+    # num's and den's bits
+    if abs(j) * (max(num.bit_length(), den.bit_length()) - 1) >= MAX_POWER_BITS:
         raise ValueError(f"the power would have more than {MAX_POWER_BITS} bits")
 
 
@@ -560,25 +485,33 @@ def power(a: LaurentSeries, j: int, side: Side | None = None,
     that beats repeated squaring: for every j < 0, and for j >= 2 from half
     its term count on when its support is dense (the recurrence walks every
     exponent of the result).  Any other base is squared repeatedly: for
-    j < 0, the base recip(a, side, precision) to the power -j."""
+    j < 0, the base recip(a, side, precision) to the power -j.  For j >= 2
+    the power is kept on a with those of powers, and read back from there;
+    it reads neither side nor precision."""
     _check_exponent(a, j)
     if j == 0:
         return _one_like(a)
+    if j == 1:
+        return a
+    kept = _kept(a, None) if j > 0 else {}
+    if j in kept:
+        return kept[j]
     terms = _nterms(a)
     if (a.exact and terms > 1
-            and (j < 0 or j > 1 and 2 * j >= terms and _worth_packing(a.hi - a.lo, terms))
+            and (j < 0 or j > 1 and 2 * j >= terms and dense.worth_packing(a.hi - a.lo, terms))
             and _field(a) == 0):
-        return _miller_power(a, j, side, precision)
-    if j < 0:
+        result = _miller_power(a, j, side, precision)
+    elif j < 0:
         return power(recip(a, side, precision), -j)
-    result = None
-    sq = a
-    while j:
-        if j & 1:
-            result = sq if result is None else mul(result, sq)
-        j >>= 1
-        if j:
-            sq = mul(sq, sq)
+    else:
+        result, sq, k = None, a, j
+        while k:
+            if k & 1:
+                result = sq if result is None else mul(result, sq)
+            k >>= 1
+            if k:
+                sq = mul(sq, sq)
+    kept[j] = result
     return result
 
 
@@ -591,9 +524,12 @@ def _miller_power(a: LaurentSeries, j: int, side: Side | None,
     m = -a.hi if flip else a.lo
     span = a.hi - a.lo + 1
     count = j * (span - 1) + 1 if j > 0 else _known_count(a, precision)
-    u, _ = _window(a, min(span, count), flip)
-    xs, den = dense.power(u, j, count)
-    return _packed(xs, den, 0, j * m, j > 0, flip)
+    (xs, den), _ = _window(a, min(span, count), flip)
+    # a base whose terms lie g apart is one in x^g, and so is its power
+    g = math.gcd(*[i for i, x in enumerate(xs) if x]) or 1
+    ys, den = dense.power((xs[::g], den), j, (count - 1) // g + 1)
+    xs = ys if g == 1 else {g * i: y for i, y in enumerate(ys) if y}
+    return _packed(xs, den, 0, j * m, None if j > 0 else count, flip)
 
 
 def powers(a: LaurentSeries, exponents, side: Side | None = None,
@@ -610,11 +546,11 @@ def powers(a: LaurentSeries, exponents, side: Side | None = None,
     mul is associative: lo adds up and the fewest known binds).
 
     a keeps what the walk over its positive exponents built: each a^j (j >=
-    2, the gaps included), and each f a^j for the last factor f walked with,
-    so a later walk reads them.  For j > 0, power(a, j) reads neither side
-    nor precision, so a kept power is the one the walk would build; the
-    exponent budget is checked before every read, and only values are
-    kept, never exceptions."""
+    2, the gaps included, as power keeps them), and each f a^j for the last
+    factor f walked with, so a later walk, and power, read them.  For j > 0,
+    power(a, j) reads neither side nor precision, so a kept power is the one
+    the walk would build; the exponent budget is checked before every read,
+    and only values are kept, never exceptions."""
     exps = sorted(set(exponents))
     negative = [j for j in exps if j < 0]
     if negative:
@@ -629,10 +565,10 @@ def powers(a: LaurentSeries, exponents, side: Side | None = None,
         pw = kept.get(j)
         if pw is None:
             if last is None:
-                pw = _one_like(a) if j == 0 else _kept_power(a, j)
+                pw = power(a, j)
                 pw = pw if factor is None else mul(factor, pw)
             else:
-                pw = mul(last, _kept_power(a, j - prev))
+                pw = mul(last, power(a, j - prev))
             if pw is not a:  # a^1 is a itself
                 kept[j] = pw
         if j:
@@ -655,58 +591,28 @@ def _kept(a: LaurentSeries, factor: LaurentSeries | None) -> dict:
     return walked[2]
 
 
-def _kept_power(a: LaurentSeries, j: int) -> LaurentSeries:
-    # a^j for j >= 1 within the exponent budget, kept on a from the first time
-    if j == 1:
-        return a
-    kept = _kept(a, None)
-    pw = kept.get(j)
-    if pw is None:
-        pw = kept[j] = power(a, j)
-    return pw
-
-
 def _sum(terms, p: int) -> LaurentSeries:
     """The sum of c * v over the pairs (c, v) of a scalar and a series over
     GF(p) (Q when p = 0), known where every inexact v is known (all are on
-    one side): one dense.combine when every v packs and the sum spans few
-    gaps, else term by term."""
+    one side): one dense.combine of their forms."""
     terms = list(terms)
+    for q in {v._form[2] for _, v in terms if v._form[0]} - {p}:
+        _unit(p) * _unit(q)  # a term over another field raises, as c * v would
     flip = any(v.side is Side.ABOVE for _, v in terms)
     views = [_view(v, flip) for _, v in terms]
-    if None not in views:
-        lo = min(b for *_, b in views)
-        caps = [b + len(xs) - 1 for (_, v), (xs, *_, b) in zip(terms, views)
-                if not v.exact]
-        hi = min(caps) if caps else max(b + len(xs) - 1 for xs, *_, b in views)
-        if _worth_packing(hi - lo, sum(len(xs) for xs, *_ in views)):
-            xs, den = dense.combine([(c, b - lo, (xs, d)) for (c, _), (xs, d, _, b)
-                                     in zip(terms, views)], hi - lo + 1, p)
-            return _packed(xs, den, p, lo, not caps, flip)
-    acc: dict = {}
-    for c, v in terms:
-        for e, x in v.coeffs.items():
-            acc[e] = acc[e] + c * x if e in acc else c * x
-    inexact = [v for _, v in terms if not v.exact]
-    if not inexact:
-        return LaurentSeries.from_terms(acc)
-    if inexact[0].side is Side.BELOW:
-        hi = min(v.hi for v in inexact)
-        acc = {e: c for e, c in acc.items() if e <= hi}
-        return LaurentSeries.truncated(acc, Side.BELOW, min(acc, default=hi + 1), hi)
-    lo = max(v.lo for v in inexact)
-    acc = {e: c for e, c in acc.items() if e >= lo}
-    return LaurentSeries.truncated(acc, Side.ABOVE, lo, max(acc, default=lo - 1))
+    lo = min(b for *_, b in views)
+    caps = [-v.lo if flip else v.hi for _, v in terms if not v.exact]
+    hi = min(caps) if caps else max(-v.lo if flip else v.hi for _, v in terms)
+    xs, den = dense.combine([(c, b - lo, (xs, d)) for (c, _), (xs, d, _, b)
+                             in zip(terms, views)], hi - lo + 1, p)
+    return _packed(xs, den, p, lo, hi - lo + 1 if caps else None, flip)
 
 
 def substitute_reciprocal(a: LaurentSeries) -> LaurentSeries:
     """Exponent negation x -> 1/x; flips the side, preserves exactness."""
-    if a._form is not None:  # an inexact series shares its form with its flip
-        return _packed(*_view(a, a.side is Side.ABOVE), a.exact, a.side is not Side.ABOVE)
-    terms = {-e: c for e, c in a.coeffs.items()}
-    if a.exact:
-        return LaurentSeries.from_terms(terms)
-    return LaurentSeries.truncated(terms, a.side.flipped(), -a.hi, -a.lo)
+    # an inexact series shares its form with its flip
+    return _packed(*_view(a, a.side is Side.ABOVE), a.count_from_order(),
+                   a.side is not Side.ABOVE)
 
 
 # -- composition ---------------------------------------------------------------
@@ -750,8 +656,7 @@ def compose(chi: LaurentSeries, omega: LaurentSeries,
         if chi.is_zero():
             return LaurentSeries.zero()
         if _nterms(chi) == 1:  # c x^e is c times one power
-            (e, c), = chi.coeffs.items()
-            return mul(monomial(c), power(omega, e, sides[0], precision))
+            return mul(monomial(chi[chi.lo]), power(omega, chi.lo, sides[0], precision))
         # chi's coefficients are scalars of the sum and only fix the field
         walk = powers(omega, chi.coeffs, sides[0], precision)
         return _sum(((chi.coeffs[e], pw) for e, pw in walk), p)
@@ -816,7 +721,7 @@ def _compose_kernel(chi: LaurentSeries, omega: LaurentSeries,
     acc = dense.compose(cs, tail, w, n, p)
     if m:
         acc = dense.mul(_window(head, n)[0], acc, n, p)
-    return _packed(*acc, p, m * w, False)
+    return _packed(*acc, p, m * w, n)
 
 
 # -- compositional inverse ------------------------------------------------------
@@ -856,7 +761,7 @@ def _reversion(omega: LaurentSeries, precision: int | None) -> LaurentSeries:
     cap = _known_count(omega, precision)
     u, p = _window(omega, cap)
     psi = dense.recip(u, cap, p) if omega.lo == 1 else u
-    return _packed(*dense.reversion(psi, cap, p), p, 1, False)
+    return _packed(*dense.reversion(psi, cap, p), p, 1, cap)
 
 
 # -- comparison up to precision ---------------------------------------------------
@@ -969,7 +874,10 @@ class _Parser:
 
     def divide(self, a, b):
         ta, tb = _terms(a), _terms(b)
-        if ta and tb and len(tb) > 1:
+        if ta is not None and tb and len(tb) == 1:  # times 1/(c x^e)
+            (e, c), = tb.items()
+            return _mul(ta, {-e: 1 / c})
+        if ta and tb:
             return _quotient(ta, tb, self.side, self.precision)
         return mul(_series(a), recip(_series(b), self.side, self.precision))
 
@@ -990,8 +898,8 @@ class _Parser:
         self.i += 1
         j = self.signed_int()
         if type(value) is dict and len(value) == 1:
-            _check_exponent(_series(value), j)
             (e, c), = value.items()
+            _check_bits(c.numerator, c.denominator, j)
             return {e * j: c ** j}
         return power(_series(value), j, self.side, self.precision)
 
@@ -1065,10 +973,17 @@ def _add(a, b, minus: bool):
 
 
 def _mul(a, b):
-    # a * b of parser values; exact ones by _convolve, without a series
-    if type(a) is dict and type(b) is dict:
-        return {e: c for e, c in _convolve(a, b).items() if c}
-    return mul(_series(a), _series(b))
+    # a * b of parser values; exact ones stay a dict, without a series: a
+    # one-term factor shifts and scales the other, else their forms multiply
+    if type(a) is not dict or type(b) is not dict:
+        return mul(_series(a), _series(b))
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) <= 1:
+        return {e + k: v if c == 1 else c * v for e, c in a.items() for k, v in b.items()}
+    (la, ha), (lb, hb) = (min(a), max(a)), (min(b), max(b))
+    xs, den = dense.mul(_form_of(a, la, ha, 0), _form_of(b, lb, hb, 0), ha + hb - la - lb + 1, 0)
+    return dense.to_coeffs(xs, den, la + lb, 0)
 
 
 def parse(text: str, side: Side = Side.BELOW,

@@ -36,7 +36,6 @@ from biriordan.series import (
     LaurentSeries,
     Side,
     _compose_kernel,
-    _convolve,
     _known_count,
     _reversion,
     add,
@@ -52,6 +51,7 @@ from biriordan.series import (
 )
 from biriordan.window import extract
 from conftest import convolve_dicts
+from test_series import _convolve, mul_through
 
 FIELDS = ("q", 7, 2**31 - 1)
 
@@ -612,6 +612,9 @@ def test_one_term_factor_is_a_shift_and_a_scale():
                 if hi is None or k <= hi}
         assert _convolve(one, other, hi) == want
         assert _convolve(other, one, hi) == want
+        # the library product, on the same window
+        assert mul_through(one, other, hi).coeffs == want
+        assert mul_through(other, one, hi).coeffs == want
 
 
 def test_one_term_factor_keeps_the_window_of_mul():
@@ -724,14 +727,14 @@ def test_columns_raise_the_exponent_budget_at_the_same_column():
 
 def test_walk_packs_no_sparse_power(monkeypatch):
     # x + x^60 passes the density test but its powers from the square on do
-    # not (j + 1 terms over a span of 59 j): from there each product takes
-    # series arithmetic, as _convolve chooses for each product
+    # not (j + 1 terms over a span of 59 j): from there each product is the
+    # term loop over sparse forms, and no power is read as a list
     packed = []
     real = series._view
 
     def spy(s, flip=False):
         value = real(s, flip)
-        if value is not None:
+        if type(value[0]) is list:
             packed.append(value[0])
         return value
 
@@ -752,6 +755,25 @@ def test_walk_packs_no_sparse_power(monkeypatch):
     assert packed
     for xs in packed:
         assert len(xs) - 1 < 4 * sum(1 for x in xs if x) + 64
+
+
+def test_a_sparse_walk_builds_no_dict(monkeypatch):
+    # the powers of x + x^60 are sparse forms: walked to 64 columns near
+    # j = 3000 and read entry by entry, none of them builds its dict
+    built = []
+    real = dense.to_coeffs
+    monkeypatch.setattr(dense, "to_coeffs", lambda *args: built.append(args[2:]) or real(*args))
+    gf7 = PrimeField(7)
+    for one in (Fraction(1), gf7(1)):
+        omega = LaurentSeries.from_terms({1: one, 60: one})
+        m = riordan(LaurentSeries.from_terms({0: one}), omega)
+        block = extract(m, (2996, 2999), (2937, 3000))
+        assert not built
+        # [x^i] (x + x^60)^j is C(j, k) for i = j + 59 k, else 0
+        for i, row in zip(range(2996, 3000), block.entries):
+            want = [math.comb(j, (i - j) // 59) * one if (i - j) % 59 == 0 and i >= j
+                    else 0 for j in range(2937, 3001)]
+            assert row == tuple(c or 0 for c in want)
 
 
 def test_operands_convert_once_and_intermediates_build_no_dict(monkeypatch):
@@ -1100,6 +1122,28 @@ def test_a_second_extract_or_apply_reads_the_kept_powers(monkeypatch):
         made.clear()
         assert apply(m, chi) == first
         assert len(made) == 1
+
+
+def test_a_second_apply_of_one_power_makes_only_the_product_by_alpha(monkeypatch):
+    # power keeps omega^5 on omega, so a second one-term chi = x^5 reads it,
+    # and so does the head omega^m of a composition with an inexact chi of
+    # order m
+    made = count_products(monkeypatch)
+    for field in ("q", 2**31 - 1):
+        one = Fraction(1) if field == "q" else prime_field(field)(1)
+        poly = LaurentSeries.from_terms
+        # R(1/(1-2x), x/(1-x-x^2))
+        omega = mul(poly({1: one}), recip(poly({0: one, 1: -one, 2: -one}), Side.BELOW, 24))
+        m = riordan(recip(poly({0: one, 1: -2 * one}), Side.BELOW, 24), omega, Side.BELOW, 24)
+        for chi in (poly({5: one}),
+                    LaurentSeries.truncated({3: one, 4: 2 * one}, Side.BELOW, 3, 20)):
+            made.clear()
+            first = apply(m, chi)
+            cold = len(made)
+            made.clear()
+            assert apply(m, chi) == first
+            assert len(made) == (1 if chi.exact else cold - 2)
+        assert power(omega, 5) is power(omega, 5)
 
 
 def test_kept_powers_equal_those_of_a_fresh_copy():

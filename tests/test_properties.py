@@ -455,13 +455,13 @@ def test_kernel_output_is_the_series_of_its_coefficients(p, xs, den, base, exact
     else:
         public = (LaurentSeries.truncated(terms, Side.ABOVE, -top, -base) if flip
                   else LaurentSeries.truncated(terms, Side.BELOW, base, top))
-    read = _packed(list(xs), den, p, base, exact, flip)
+    read = _packed(list(xs), den, p, base, None if exact else len(xs), flip)
     read.coeffs
     for view in (lambda s: (s.side, s.lo, s.hi, s.exact), lambda s: s.support(),
                  lambda s: [s[e] for e in range(s.lo - 2, s.hi + 3) if s.known(e)],
                  lambda s: s == public and public == s, hash, format_series,
                  lambda s: s.to_json_dict()):
-        for s in (_packed(list(xs), den, p, base, exact, flip), read):
+        for s in (_packed(list(xs), den, p, base, None if exact else len(xs), flip), read):
             assert view(s) == view(public)
 
 

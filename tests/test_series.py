@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import math
 import pickle
 import time
 from decimal import Decimal
@@ -25,9 +26,6 @@ from biriordan.field import PrimeField, PrimeFieldElement
 from biriordan.riordan import riordan
 from biriordan.series import (
     LaurentSeries,
-    _convolve,
-    _convolve_packed,
-    _convolve_terms,
     Side,
     add,
     compose,
@@ -227,6 +225,92 @@ def test_mul_commutes_on_windows():
         assert mul(a, b) == mul(b, a)
 
 
+# -- the dict products that series multiplication replaced, kept as references
+
+
+def _terms_field(terms: dict) -> int:
+    # the field of a nonempty dict of one field's scalars: its first value's
+    return getattr(next(iter(terms.values())), "p", 0)
+
+
+def _convolve(ca: dict, cb: dict, hi: int | None = None) -> dict:
+    """Product of coefficient dicts, keeping exponents <= hi (None: unbounded).
+
+    Terms that cannot reach the window are dropped first.  Dense enough
+    supports are multiplied as one packed integer; anything else goes
+    through the term-by-term loop."""
+    if not (ca and cb):
+        return {}
+    if hi is not None:
+        a_min, b_min = min(ca), min(cb)
+        ca = {e: c for e, c in ca.items() if e + b_min <= hi}
+        cb = {e: c for e, c in cb.items() if e + a_min <= hi}
+        if not (ca and cb):
+            return {}
+    # a one-term factor is a shift and a scale of the other (inside the
+    # window, as the other's terms beyond it are dropped above), and the
+    # exact 1 only shifts it
+    if len(ca) == 1:
+        (i, ci), = ca.items()
+        if ci == 1:
+            return {i + j: cj for j, cj in cb.items()}
+        return {i + j: ci * cj for j, cj in cb.items()}
+    if len(cb) == 1:
+        (j, cj), = cb.items()
+        if cj == 1:
+            return {i + j: ci for i, ci in ca.items()}
+        return {i + j: ci * cj for i, ci in ca.items()}
+    # a handful of term pairs, or a support mostly made of gaps, is cheaper
+    # term by term
+    if len(ca) * len(cb) > 8 and all(dense.worth_packing(max(c) - min(c), len(c))
+                                     for c in (ca, cb)):
+        return _convolve_packed(ca, cb, hi)
+    return _convolve_terms(ca, cb, hi)
+
+
+def _convolve_terms(ca: dict, cb: dict, hi: int | None) -> dict:
+    # over Q, integer products over one denominator, as window.oracle_matmul
+    q = bool(ca and cb) and _terms_field(ca) == 0
+    if q:
+        dens = [math.lcm(*[c.denominator for c in d.values()]) for d in (ca, cb)]
+        ca, cb = [{e: c.numerator * (den // c.denominator) for e, c in d.items()}
+                  for d, den in zip((ca, cb), dens)]
+    out: dict = {}
+    for i, ci in ca.items():
+        for j, cj in cb.items():
+            k = i + j
+            if hi is None or k <= hi:
+                out[k] = out.get(k, 0) + ci * cj
+    if q:
+        den = dens[0] * dens[1]
+        return {k: Fraction(x, den) if den != 1 else Fraction(x) for k, x in out.items()}
+    return out
+
+
+def _convolve_packed(ca: dict, cb: dict, hi: int | None) -> dict:
+    """The product of two coefficient dicts as one packed product, whatever
+    their size."""
+    p = _terms_field(ca)
+    (la, ha), (lb, hb) = [(min(c), max(c)) for c in (ca, cb)]
+    n = ha + hb - la - lb + 1 if hi is None else max(hi - la - lb + 1, 0)
+    xs, den = dense.mul(dense.from_coeffs(ca, la, ha - la + 1, p),
+                        dense.from_coeffs(cb, lb, hb - lb + 1, p), n, p)
+    return dense.to_coeffs(xs, den, la + lb, p)
+
+
+def mul_through(ca: dict, cb: dict, hi: int | None) -> LaurentSeries:
+    """Library mul of the series of ca and cb, known through x^hi (exact when
+    hi is None): ca's terms that cannot reach x^hi are dropped, and the rest
+    is known through hi - min(cb)."""
+    b = LaurentSeries.from_terms(cb)
+    if hi is None:
+        return mul(LaurentSeries.from_terms(ca), b)
+    top = hi - min(cb)
+    a = LaurentSeries.truncated({e: c for e, c in ca.items() if e <= top}, Side.BELOW,
+                                min(ca), top)
+    return mul(a, b)
+
+
 def _kernel_operand(rng, kind, lo, hi):
     # a dense-ish dict with gaps; kind is "q" or a prime
     coeffs = {}
@@ -260,6 +344,11 @@ def test_packed_kernel_matches_term_loop():
         assert got == want
         assert all(type(c) is type(next(iter(ca.values()))) for c in got.values())
         assert {e: c for e, c in _convolve(ca, cb, hi).items() if c} == want
+        # the library product, on the same window
+        got = mul_through(ca, cb, hi)
+        assert got.coeffs == want
+        assert got.exact if hi is None else got.hi == hi
+        assert all(type(c) is type(next(iter(ca.values()))) for c in got.coeffs.values())
         checked += 1
     assert checked > 250
 
@@ -268,9 +357,9 @@ def test_packed_kernel_cancellation_and_canonical_fractions():
     # (1 - x)(1 + x + ... + x^9) = 1 - x^10: the middle terms cancel exactly
     a = {0: Fraction(10**30, 7), 1: Fraction(-10**30, 7)}
     b = {e: Fraction(7, 10**30) for e in range(10)}
-    got = _convolve_packed(a, b, None)
-    assert got == {0: Fraction(1), 10: Fraction(-1)}
-    assert all(c.denominator == 1 for c in got.values())
+    for got in (_convolve_packed(a, b, None), mul_through(a, b, None).coeffs):
+        assert got == {0: Fraction(1), 10: Fraction(-1)}
+        assert all(c.denominator == 1 for c in got.values())
     assert mul(LaurentSeries.from_terms(a), LaurentSeries.from_terms(b)) == \
         LaurentSeries.from_terms({0: 1, 10: -1})
 
