@@ -59,35 +59,28 @@ class LaurentSeries:
     A series holds the working form (xs, den, p) of biriordan.dense over its
     field GF(p) (Q when p = 0): xs[i] / den is the coefficient of x^(lo+i),
     or of x^(hi-i) when bounded above (the form of its flip), with xs a list
-    or, when the span is mostly gaps, a dict of the nonzero entries.
+    or, when the span is mostly gaps, a dict of the nonzero entries.  _fill
+    sets the form and the window, for the constructor and each kernel alike.
     `coeffs` is a read view, built from the form on first read.  `_walked`
-    keeps the positive powers of the series that power and powers built; it
-    goes with the value, and copies and pickles drop it."""
+    keeps the positive powers that power and powers built; copies and
+    pickles drop it."""
 
     __slots__ = ("side", "coeffs", "lo", "hi", "exact", "_form", "_walked")
 
     def __init__(self, side: Side, coeffs: dict, lo: int, hi: int):
-        # exactness is the finite side; a slot, not a property, as the
-        # matrix code reads it in its inner loops
-        exact = side is Side.FINITE
         p = field_of(coeffs.values())  # one field, or TypeError before any arithmetic
         coeffs = {e: (Fraction(c) if isinstance(c, int) else c)
                   for e, c in coeffs.items() if c}
-        if exact:
+        if side is Side.FINITE:
             lo, hi = (min(coeffs), max(coeffs)) if coeffs else (0, -1)
-        elif coeffs:
-            if min(coeffs) < lo or max(coeffs) > hi:
-                raise ValueError("coefficient outside known window")
-            # tighten the window against known-zero leading coefficients
-            if side is Side.BELOW:
-                lo = min(coeffs)
-            else:
-                hi = max(coeffs)
-        elif side is Side.BELOW:
-            lo = hi + 1
-        else:
-            hi = lo - 1
-        _set(self, side, lo, hi, (*_form_of(coeffs, lo, hi, p, side is Side.ABOVE), p))
+        elif coeffs and (min(coeffs) < lo or max(coeffs) > hi):
+            raise ValueError("coefficient outside known window")
+        # the form on [lo, hi], of the flip when above; _fill tightens it
+        flip = side is Side.ABOVE
+        base, cap = (-hi, -lo) if flip else (lo, hi)
+        base = min(base, cap + 1)  # an empty window starts right after its known end
+        _fill(self, *_form_of(coeffs, lo, hi, p, flip), p, base,
+              None if side is Side.FINITE else cap + 1 - base, flip)
         object.__setattr__(self, "coeffs", coeffs)
 
     def __getattr__(self, name):
@@ -254,18 +247,6 @@ def _one_like(a: LaurentSeries) -> LaurentSeries:
 # -- the working form ----------------------------------------------------------
 
 
-def _set(s: LaurentSeries, side: Side, lo: int, hi: int, form) -> None:
-    # one call per slot: every kernel output passes here, and a loop over
-    # (name, value) pairs took a sixth longer
-    put = object.__setattr__
-    put(s, "side", side)
-    put(s, "lo", lo)
-    put(s, "hi", hi)
-    put(s, "exact", side is Side.FINITE)
-    put(s, "_form", form)
-    put(s, "_walked", None)
-
-
 def _form_of(coeffs: dict, lo: int, hi: int, p: int, above: bool = False) -> tuple:
     """(xs, den): the working form over GF(p) of the nonzero coefficients on
     [lo, hi], from x^lo up (from x^hi down when above); a list, or sparse when
@@ -278,11 +259,17 @@ def _form_of(coeffs: dict, lo: int, hi: int, p: int, above: bool = False) -> tup
 
 def _packed(xs, den: int, p: int, base: int, n: int | None,
             flip: bool = False) -> LaurentSeries:
-    """Kernel output, its dict built on first read: xs[i] / den at x^(base+i)
-    of the value or, when flip, of its flip, for a list xs or a dict {i:
-    xs[i]} of its nonzero entries; exact when n is None, else known for n
-    coefficients from base.  lo and hi are read from the first and last
-    nonzero entries, and the form is sparse when its span is mostly gaps."""
+    """Kernel output, its dict built on first read (see _fill)."""
+    return _fill(LaurentSeries.__new__(LaurentSeries), xs, den, p, base, n, flip)
+
+
+def _fill(s: LaurentSeries, xs, den: int, p: int, base: int, n: int | None,
+          flip: bool = False) -> LaurentSeries:
+    """s, every slot set to the value with xs[i] / den at x^(base+i) or,
+    when flip, at x^-(base+i), for a list xs or a dict {i: xs[i]} of its
+    nonzero entries; exact when n is None, else known for n coefficients
+    from base.  lo and hi are read from the first and last nonzero entries,
+    and the form is sparse when its span is mostly gaps."""
     if type(xs) is dict:
         i = min(xs, default=n or 0)
         k = max(xs, default=i - 1) + 1 if n is None else n
@@ -295,12 +282,11 @@ def _packed(xs, den: int, p: int, base: int, n: int | None,
             k -= 1
         # a span of at most 64 slots always pays, so count only a longer one
         terms = k - i if k - i <= 64 else len(xs) - xs.count(0)
-    lo, hi = base + i, base + k - 1
-    side = Side.FINITE if n is None else Side.ABOVE if flip else Side.BELOW
-    window = (-hi, -lo) if flip else (lo, hi)
-    if not terms:
-        return LaurentSeries(side, {}, *window)
-    if dense.worth_packing(k - 1 - i, terms):
+    if not terms:  # the form of 0 over Q; the exact zero has the window [0, -1]
+        xs, den, p = [], 1, 0
+        if n is None:
+            base, i, k, flip = 0, 0, 0, False
+    elif dense.worth_packing(k - 1 - i, terms):
         xs = [xs.get(j, 0) for j in range(i, k)] if type(xs) is dict else (
             xs[i:k] if i or k < len(xs) else xs)
         if n is None and flip:
@@ -309,8 +295,16 @@ def _packed(xs, den: int, p: int, base: int, n: int | None,
         # offsets from lo, or from hi on the exact flip
         pairs = xs.items() if type(xs) is dict else enumerate(xs)
         xs = {k - 1 - j if n is None and flip else j - i: x for j, x in pairs if x}
-    s = LaurentSeries.__new__(LaurentSeries)
-    _set(s, side, *window, (xs, den, p))
+    lo, hi = base + i, base + k - 1
+    # one call per slot: every series passes here, and a loop over (name,
+    # value) pairs took a sixth longer; exact is read in the matrix loops
+    put = object.__setattr__
+    put(s, "side", Side.FINITE if n is None else Side.ABOVE if flip else Side.BELOW)
+    put(s, "lo", -hi if flip else lo)
+    put(s, "hi", -lo if flip else hi)
+    put(s, "exact", n is None)
+    put(s, "_form", (xs, den, p))
+    put(s, "_walked", None)
     return s
 
 
@@ -594,10 +588,9 @@ def _kept(a: LaurentSeries, factor: LaurentSeries | None) -> dict:
 def _sum(terms, p: int) -> LaurentSeries:
     """The sum of c * v over the pairs (c, v) of a scalar and a series over
     GF(p) (Q when p = 0), known where every inexact v is known (all are on
-    one side): one dense.combine of their forms."""
+    one side): one dense.combine of their forms.  p is the callers' _field;
+    a v with no term, or the 1 of Q ([1] over 1), fits every field."""
     terms = list(terms)
-    for q in {v._form[2] for _, v in terms if v._form[0]} - {p}:
-        _unit(p) * _unit(q)  # a term over another field raises, as c * v would
     flip = any(v.side is Side.ABOVE for _, v in terms)
     views = [_view(v, flip) for _, v in terms]
     lo = min(b for *_, b in views)

@@ -20,7 +20,7 @@ from .errors import GuardViolationError
 from .field import format_scalar, parse_scalar
 from .record import Record
 from .riordan import RiordanMatrix, _column_sides, toeplitz
-from .series import LaurentSeries, Side, _side_order
+from .series import _ZERO, LaurentSeries, Side, _side_order
 
 
 class MatrixWindow(Record):
@@ -234,30 +234,24 @@ def oracle_apply(a: MatrixWindow, v: VectorWindow, guard) -> VectorWindow:
 
 
 def _products(rows: list, cols: list) -> list:
-    """[[sum of row[k] * col[k] from Fraction(0) for col in cols] for row in
-    rows].  When every entry is a Fraction, each row and each column is
-    brought to its common denominator once, the sums are of integer
-    products, and each output is one Fraction."""
+    """[[sum of row[k] * col[k] for col in cols] for row in rows].  A
+    rational block (ints and Fractions) is brought to common denominators
+    once per row and column, and each output is one Fraction of integer
+    products.  Else the products of nonzero entries add from the int 0 in
+    their prime field; a sum of none, or one that cancels, is Fraction(0),
+    as a gap of extract reads."""
     ints = [_over_common_denominator(v) for v in (rows, cols)]
     if None in ints:
-        grid = []
-        for row in rows:
-            out = []
-            for col in cols:
-                acc = Fraction(0)
-                for x, y in zip(row, col):
-                    acc += x * y
-                out.append(acc)
-            grid.append(out)
-        return grid
+        return [[sum(x * y for x, y in zip(row, col) if x and y) or _ZERO
+                 for col in cols] for row in rows]
     return [[Fraction(sum(map(operator.mul, xr, xc)), dr * dc) for xc, dc in ints[1]]
             for xr, dr in ints[0]]
 
 
 def _over_common_denominator(vectors: list):
     # [(ints, den)] with vector[k] == ints[k] / den, or None unless every
-    # entry is a Fraction
-    if not all(type(c) is Fraction for v in vectors for c in v):
+    # entry is an int or a Fraction
+    if not all(type(c) is Fraction or type(c) is int for v in vectors for c in v):
         return None
     out = []
     for v in vectors:

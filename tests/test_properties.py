@@ -14,7 +14,10 @@ exact omega of two or three terms agrees with the mod-prime reference of
 perfbench/oracle.py, and refuses wherever chi reads a negative power of
 omega that the reference cannot take on `side`.  A series a kernel returns
 in its working form is the series the public constructor builds from its
-coefficients, before and after they are first read.  The parser agrees
+coefficients, before and after they are first read, and the constructor
+builds the slots and the form that the kernel builder builds from the same
+value.  Every product the class table defines has certified guards on any
+block.  The parser agrees
 with the reference parser of test_parser on drawn texts, well formed or not,
 and the quotient of two exact values is the numerator times the reciprocal.
 On drawn pairs stored on either side, `matmul`, `apply`, `inverse` and
@@ -39,10 +42,12 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
+from biriordan import dense  # noqa: E402
 from biriordan.errors import (  # noqa: E402
     CompositionUndefinedError,
     GuardViolationError,
     NotInvertibleError,
+    OrderIndeterminateError,
     PrecisionError,
     UndefinedProductError,
 )
@@ -54,6 +59,7 @@ from biriordan.riordan import (  # noqa: E402
     j_conjugate,
     j_matrix,
     matmul,
+    product_cell,
     riordan,
 )
 from biriordan.series import (  # noqa: E402
@@ -463,6 +469,69 @@ def test_kernel_output_is_the_series_of_its_coefficients(p, xs, den, base, exact
                  lambda s: s.to_json_dict()):
         for s in (_packed(list(xs), den, p, base, None if exact else len(xs), flip), read):
             assert view(s) == view(public)
+
+
+_FIELDS = st.sampled_from([0, 7, 2**31 - 1])
+
+
+@st.composite
+def _values(draw):
+    """(p, terms, side, lo, hi): a coefficient dict over GF(p) (Q for 0),
+    zeros among its values, on a run of exponents or spread thin enough to
+    be sparse, or empty; exact, or on a window of a side that may reach
+    past the terms at either end, and that may be empty when they are."""
+    p = draw(_FIELDS)
+    coeff = _COEFF if not p else st.integers(0, p - 1).map(lambda n: PrimeFieldElement(n, p))
+    start, count = draw(st.integers(-30, 30)), draw(st.integers(0, 8))
+    step = draw(st.sampled_from([1, 1, 2, 30]))
+    terms = {start + step * i: draw(coeff) for i in range(count)}
+    side = draw(st.sampled_from([Side.FINITE, Side.BELOW, Side.ABOVE]))
+    if any(terms.values()):
+        nonzero = [e for e, c in terms.items() if c]
+        lo = min(nonzero) - draw(st.integers(0, 4))
+        hi = max(nonzero) + draw(st.integers(0, 4))
+    else:
+        lo = draw(st.integers(-30, 30))
+        hi = lo + draw(st.integers(-4, 6))
+    return p, terms, side, lo, hi
+
+
+@settings(max_examples=400, deadline=None)
+@given(_values())
+def test_the_constructor_builds_what_the_kernel_builder_builds(value):
+    # LaurentSeries(...) tightens the window and picks the form through the
+    # kernel builder, so _packed of the sparse form of the same nonzero
+    # coefficients (from the known end, on the flip when bounded above)
+    # gives the same slots
+    p, terms, side, lo, hi = value
+    nonzero = {e: c for e, c in terms.items() if c}
+    if side is Side.FINITE:
+        packed = _packed(*dense.from_terms(nonzero, 0, 1, p), p, 0, None)
+    elif side is Side.BELOW:
+        packed = _packed(*dense.from_terms(nonzero, lo, 1, p), p, lo, hi - lo + 1)
+    else:
+        packed = _packed(*dense.from_terms(nonzero, hi, -1, p), p, -hi, hi - lo + 1, True)
+    built = LaurentSeries(side, terms, lo, hi)
+    assert (built.side, built.lo, built.hi, built._form) == \
+        (packed.side, packed.lo, packed.hi, packed._form)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=_matrix(), n=_matrix(), row_lo=st.integers(-8, 8), col_lo=st.integers(-8, 8),
+       rows=st.integers(0, 5), cols=st.integers(0, 5))
+def test_every_defined_product_has_certified_guards(m, n, row_lo, col_lo, rows, cols):
+    # a cell of the class table bounds every inner sum of the product, so
+    # product_guard certifies any block without GuardViolationError.  The
+    # converse does not hold, on purpose: an omega of order 0 belongs to no
+    # class, and its matrix is refused though its sums are finite (README:
+    # "cannot be multiplied")
+    try:
+        cell = product_cell(m, n)
+    except OrderIndeterminateError:  # no class to read, so no cell
+        cell = None
+    assume(cell is not None)
+    lo, hi = product_guard(m, n, (row_lo, row_lo + rows), (col_lo, col_lo + cols))
+    assert lo <= hi or (lo, hi) == (0, -1)
 
 
 # -- parsing -------------------------------------------------------------------------

@@ -429,6 +429,16 @@ def test_operations_on_two_fields_raise_what_their_scalars_raise():
         mul(q, g7)
 
 
+def test_compose_over_gf_p_with_an_inner_series_of_no_known_term():
+    # chi decides the field of the sum; the power 0 of an omega with no term
+    # is the 1 of Q, [1] over 1, which lies in every field
+    gf7 = PrimeField(7)
+    chi = LaurentSeries.from_terms({0: gf7(2), 1: gf7(-1), 2: gf7(-1)})
+    got = compose(chi, LaurentSeries.truncated({}, Side.BELOW, 3, 2))
+    assert got == LaurentSeries.truncated({0: gf7(2)}, Side.BELOW, 0, 2)
+    assert format_series(got) == "2 + O(x^3)" and type(got[0]) is PrimeFieldElement
+
+
 def test_a_modulus_is_checked_once_per_prime(monkeypatch):
     with pytest.raises(ValueError, match="4 is not prime"):
         LaurentSeries.from_terms({0: PrimeFieldElement(1, 4), 1: PrimeFieldElement(3, 4)})

@@ -7,8 +7,19 @@ from fractions import Fraction
 import pytest
 
 from biriordan.errors import GuardViolationError, PrecisionError
-from biriordan.field import PrimeField
-from biriordan.riordan import identity, j_matrix, lagrange, matmul, riordan, toeplitz
+from biriordan.field import PrimeField, PrimeFieldElement
+from biriordan.riordan import (
+    _SHAPE,
+    EchelonClass,
+    apply,
+    identity,
+    j_matrix,
+    lagrange,
+    matmul,
+    product_cell,
+    riordan,
+    toeplitz,
+)
 from biriordan.series import LaurentSeries, Side, mul, parse
 from biriordan.window import (
     MatrixWindow,
@@ -218,9 +229,16 @@ def test_guard_handles_negative_order_columns():
 # -- the oracles against their triple loops ----------------------------------------
 
 
+def _ref_entry(acc):
+    # an entry is a Fraction unless it is a nonzero residue: a sum of none,
+    # or one that cancels, reads Fraction(0), as a gap of extract does
+    return Fraction(acc) if type(acc) is int else acc or Fraction(0)
+
+
 def ref_oracle_matmul(a, b, guard):
-    """The triple loop over Fraction sums that oracle_matmul ran before it
-    summed integer products over common denominators."""
+    """The triple loop that adds, from the int 0, the products of the
+    nonzero entries, where oracle_matmul sums integer products over common
+    denominators when every entry is rational."""
     if a.col_lo != b.row_lo or a.col_hi != b.row_hi:
         raise ValueError("inner index ranges of the factors differ")
     g_lo, g_hi = guard
@@ -233,16 +251,18 @@ def ref_oracle_matmul(a, b, guard):
     for row in a.entries:
         out = []
         for j in range(b.col_lo, b.col_hi + 1):
-            acc = Fraction(0)
+            acc = 0
             for k in range(g_lo, g_hi + 1):
-                acc += row[k - a.col_lo] * b.entry(k, j)
-            out.append(acc)
+                x, y = row[k - a.col_lo], b.entry(k, j)
+                if x and y:
+                    acc = acc + x * y
+            out.append(_ref_entry(acc))
         grid.append(tuple(out))
     return MatrixWindow(a.row_lo, b.col_lo, tuple(grid))
 
 
 def ref_oracle_apply(a, v, guard):
-    """The double loop oracle_apply ran before."""
+    """The double loop of ref_oracle_matmul for one column."""
     if a.col_lo != v.lo or a.col_hi != v.hi:
         raise ValueError("inner index ranges of matrix and vector differ")
     g_lo, g_hi = guard
@@ -253,10 +273,12 @@ def ref_oracle_apply(a, v, guard):
         )
     out = []
     for row in a.entries:
-        acc = Fraction(0)
+        acc = 0
         for k in range(g_lo, g_hi + 1):
-            acc += row[k - a.col_lo] * v.entry(k)
-        out.append(acc)
+            x, y = row[k - a.col_lo], v.entry(k)
+            if x and y:
+                acc = acc + x * y
+        out.append(_ref_entry(acc))
     return VectorWindow(a.row_lo, tuple(out))
 
 
@@ -315,3 +337,68 @@ def test_oracle_with_an_empty_guard_gives_fraction_zeros():
         assert type(got.entries[0][0]) is Fraction
         vec = oracle_apply(a, VectorWindow(0, (entry, entry)), (1, 0))
         assert vec.values == (Fraction(0),) and type(vec.values[0]) is Fraction
+
+
+# -- the oracles over GF(p) -----------------------------------------------------------
+
+
+def _gf_series(rng, p, side, order, count=_P):
+    """An inexact series over GF(p) on side: a nonzero residue at its order
+    and count coefficients known from it, gaps among them."""
+    step = 1 if side is Side.BELOW else -1
+    terms = {order + step * i: PrimeFieldElement(rng.randrange(p) * (rng.random() < 0.7), p)
+             for i in range(1, count)}
+    terms[order] = PrimeFieldElement(rng.randrange(1, p), p)
+    return LaurentSeries.truncated(terms, side, *sorted((order, order + step * (count - 1))))
+
+
+def _gf_matrix(rng, p, cls):
+    side, sign = _SHAPE[cls]
+    omega = _gf_series(rng, p, side, sign * rng.randint(1, 2))
+    return riordan(_gf_series(rng, p, side, rng.randint(-2, 2)), omega, precision=_P)
+
+
+def _agree(guard, oracle, direct) -> bool:
+    """oracle() == direct() wherever both know the block; False when one
+    of them does not, or the guard is empty (extract takes no empty range)."""
+    if guard[0] > guard[1]:
+        return False
+    try:
+        got, want = oracle(), direct()
+    except PrecisionError:  # an entry outside the windows the series know
+        return False
+    assert got == want
+    return True
+
+
+def test_oracles_over_gf_p_match_matmul_and_apply_in_every_cell():
+    # residues sum from the int 0, and a gap of extract (Fraction(0)) adds
+    # nothing, so a GF(p) block is as certain as a rational one
+    rng = make_rng(20)
+    compared = {"matmul": 0, "apply": 0}
+    for p in (7, 2**31 - 1):
+        for _ in range(10):
+            for cm in EchelonClass:
+                for cn in EchelonClass:
+                    m, n = _gf_matrix(rng, p, cm), _gf_matrix(rng, p, cn)
+                    if product_cell(m, n) != (cm, cn):
+                        continue
+                    r, c = rng.randint(-4, 4), rng.randint(-4, 4)
+                    rows, cols = (r, r + rng.randint(0, 3)), (c, c + rng.randint(0, 3))
+                    guard = product_guard(m, n, rows, cols)
+                    compared["matmul"] += _agree(
+                        guard,
+                        lambda: oracle_matmul(extract(m, rows, guard),
+                                              extract(n, guard, cols), guard),
+                        lambda: extract(matmul(m, n), rows, cols))
+                    chi = _gf_series(rng, p, _SHAPE[cn][0], rng.randint(-2, 2))
+                    try:
+                        guard = apply_guard(m, chi, rows)
+                    except GuardViolationError:
+                        continue
+                    compared["apply"] += _agree(
+                        guard,
+                        lambda: oracle_apply(extract(m, rows, guard),
+                                             vector_from_series(chi, *guard), guard),
+                        lambda: vector_from_series(apply(m, chi), *rows))
+    assert compared["matmul"] >= 60 and compared["apply"] >= 60, compared
