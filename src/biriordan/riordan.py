@@ -23,11 +23,11 @@ from .series import (
     LaurentSeries,
     Side,
     _power_sides,
+    _powers_to,
     _side_order,
     compose,
     compositional_inverse,
     mul,
-    powers,
     recip,
     substitute_reciprocal,
 )
@@ -100,7 +100,14 @@ class RiordanMatrix(Record):
         of omega (series.powers with alpha as its factor), so column j+1 is
         column j times omega; the first column to raise, in ascending j,
         raises."""
-        return dict(powers(self.omega, js, self.side, self.precision, self.alpha))
+        return dict(self._columns(js))
+
+    def _columns(self, js, rows=None) -> list:
+        # (j, column j) for js ascending; with rows (lo, hi), each column is
+        # cut to what those rows read: through x^hi below, from x^lo above
+        flip = self.side is Side.ABOVE
+        cut = rows and (flip, -rows[0] if flip else rows[1])
+        return list(_powers_to(self.omega, js, self.side, self.precision, self.alpha, cut))
 
     def entry(self, i: int, j: int):
         return self.column(j)[i]

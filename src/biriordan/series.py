@@ -334,6 +334,26 @@ def _view(s: LaurentSeries, flip: bool = False):
     return xs, den, p, -s.hi if flip else s.lo
 
 
+def _entries(s: LaurentSeries, lo: int, hi: int) -> list:
+    """The coefficients of x^lo .. x^hi of s, every one known, as s[e] reads
+    them: one slice of the form, a Fraction or a prime field element for
+    each nonzero entry and _ZERO for each gap."""
+    xs, den, p = s._form
+    n = hi - lo + 1
+    above = s.side is Side.ABOVE  # xs[i] at x^(s.hi - i)
+    i = s.hi - hi if above else lo - s.lo
+    if type(xs) is dict:
+        ys = [xs.get(k, 0) for k in range(i, i + n)]
+    else:
+        ys = [0] * min(max(-i, 0), n) + xs[max(i, 0):max(i + n, 0)]
+        ys += [0] * (n - len(ys))
+    if above:
+        ys.reverse()
+    if p:
+        return [PrimeFieldElement(y, p) if y else _ZERO for y in ys]
+    return [Fraction(y, den) if y else _ZERO for y in ys]
+
+
 def _window(s: LaurentSeries, n: int, flip: bool = False) -> tuple:
     """((xs, den), p): n coefficients of s (of its flip when flip) from its
     order over its field p, as a list."""
@@ -370,6 +390,16 @@ def _unit(p: int):
 
 
 def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
+    return _mul_to(a, b, None)
+
+
+def _mul_to(a: LaurentSeries, b: LaurentSeries, cut: tuple | None) -> LaurentSeries:
+    """mul(a, b), or with a cut (flip, t) only its coefficients through x^t
+    (of its flip when flip): known through the lesser of t and mul's window,
+    or through its order - 1 when that lies past t.  With each factor cut
+    as _cut_for says, every exponent through t is known, and holds the
+    coefficient it holds, exactly where the full product knows it; so a cut
+    product known short of t is the full product."""
     if a.is_zero() or b.is_zero():
         return LaurentSeries.zero()
     sides = {s.side for s in (a, b) if not s.exact}
@@ -381,11 +411,13 @@ def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     p = _field(a, b)  # two fields raise here, before any product
     # on the bounded-below side (of the flips when flip): exact if both are,
     # else known through min over inexact factors of (hi + other's order)
-    flip = Side.ABOVE in sides
+    flip = Side.ABOVE in sides if cut is None else cut[0]
     (alo, ahi), (blo, bhi) = [(-s.hi, -s.lo) if flip else (s.lo, s.hi) for s in (a, b)]
     hi = min((h + lo for s, h, lo in ((a, ahi, blo), (b, bhi, alo)) if not s.exact),
              default=None)
-    count = ahi + bhi - alo - blo + 1 if hi is None else hi - alo - blo + 1
+    if cut is not None and cut[1] < (ahi + bhi if hi is None else hi):
+        hi = cut[1]
+    count = ahi + bhi - alo - blo + 1 if hi is None else max(hi - alo - blo + 1, 0)
     (xa, da, _, la), (xb, db, _, lb) = _view(a, flip), _view(b, flip)
     if type(xa) is list and type(xb) is list and ([1], 1) in ((xa, da), (xb, db)):
         # the exact 1 shifts the other factor
@@ -482,48 +514,74 @@ def power(a: LaurentSeries, j: int, side: Side | None = None,
     j < 0, the base recip(a, side, precision) to the power -j.  For j >= 2
     the power is kept on a with those of powers, and read back from there;
     it reads neither side nor precision."""
+    return _power_to(a, j, side, precision, None)
+
+
+def _power_to(a: LaurentSeries, j: int, side: Side | None,
+              precision: int | None, cut: tuple | None) -> LaurentSeries:
+    # power(a, j, side, precision), cut for j >= 2 as _mul_to cuts: each
+    # square and product a^e on the way is cut to what a^j reads of it
     _check_exponent(a, j)
     if j == 0:
         return _one_like(a)
     if j == 1:
         return a
     kept = _kept(a, None) if j > 0 else {}
-    if j in kept:
-        return kept[j]
+    result = _kept_at(kept, j, cut)
+    if result is not None:
+        return result
     terms = _nterms(a)
     if (a.exact and terms > 1
             and (j < 0 or j > 1 and 2 * j >= terms and dense.worth_packing(a.hi - a.lo, terms))
             and _field(a) == 0):
-        result = _miller_power(a, j, side, precision)
+        result = _miller_power(a, j, side, precision, cut)
     elif j < 0:
         return power(recip(a, side, precision), -j)
     else:
-        result, sq, k = None, a, j
+        result, sq, k, e, done = None, a, j, 1, 0  # sq = a^e, result = a^done
         while k:
             if k & 1:
-                result = sq if result is None else mul(result, sq)
+                done += e
+                result = sq if result is None else _mul_to(
+                    result, sq, _cut_for(cut, a, j - done))
             k >>= 1
             if k:
-                sq = mul(sq, sq)
-    kept[j] = result
+                e *= 2
+                sq = _mul_to(sq, sq, _cut_for(cut, a, j - e))
+    kept[j] = cut, result
     return result
 
 
+def _cut_for(cut: tuple | None, s: LaurentSeries, k: int = 1) -> tuple | None:
+    """The cut of a factor x whose product x s^k is cut to cut: by mul's
+    window rule, [x^t] of x s^k reads x through t - k ord(s) (ord on the
+    cut's side), so a^e on the way to a^j is cut to _cut_for(cut, a, j - e)."""
+    if cut is None:
+        return None
+    flip, t = cut
+    return flip, t - k * (-s.hi if flip else s.lo)
+
+
 def _miller_power(a: LaurentSeries, j: int, side: Side | None,
-                  precision: int | None) -> LaurentSeries:
-    # a exact over Q with several terms: the exact polynomial a^j for j > 0,
-    # else the expansion that recip and repeated squaring give, on the same
-    # window (on the flip for a bounded-above one)
-    flip = j < 0 and side is Side.ABOVE
+                  precision: int | None, cut: tuple | None) -> LaurentSeries:
+    # a exact over Q with several terms: the exact polynomial a^j for j > 0
+    # (cut as _mul_to cuts), else the expansion that recip and repeated
+    # squaring give, on the same window (on the flip for a bounded-above one)
+    flip = j < 0 and side is Side.ABOVE if cut is None else cut[0]
     m = -a.hi if flip else a.lo
     span = a.hi - a.lo + 1
     count = j * (span - 1) + 1 if j > 0 else _known_count(a, precision)
+    n = None if j > 0 else count
+    if cut is not None and cut[1] - j * m + 1 < count:
+        count = n = max(cut[1] - j * m + 1, 0)
+        if not count:  # the cut ends below the order
+            return _packed([], 1, 0, j * m, 0, flip)
     (xs, den), _ = _window(a, min(span, count), flip)
     # a base whose terms lie g apart is one in x^g, and so is its power
     g = math.gcd(*[i for i, x in enumerate(xs) if x]) or 1
     ys, den = dense.power((xs[::g], den), j, (count - 1) // g + 1)
     xs = ys if g == 1 else {g * i: y for i, y in enumerate(ys) if y}
-    return _packed(xs, den, 0, j * m, None if j > 0 else count, flip)
+    return _packed(xs, den, 0, j * m, n, flip)
 
 
 def powers(a: LaurentSeries, exponents, side: Side | None = None,
@@ -545,35 +603,49 @@ def powers(a: LaurentSeries, exponents, side: Side | None = None,
     power(a, j) reads neither side nor precision, so a kept power is the one
     the walk would build; the exponent budget is checked before every read,
     and only values are kept, never exceptions."""
+    return _powers_to(a, exponents, side, precision, factor, None)
+
+
+def _powers_to(a: LaurentSeries, exponents, side: Side | None,
+               precision: int | None, factor: LaurentSeries | None,
+               cut: tuple | None):
+    # powers(...), each value cut as _mul_to cuts.  f a^j holds rows through
+    # t, and the next value reads it through t - ord(a): further when ord(a)
+    # < 0, so the walk to J cuts f a^j to t + (J - j) max(-ord(a), 0)
     exps = sorted(set(exponents))
     negative = [j for j in exps if j < 0]
     if negative:
         _check_exponent(a, negative[0])
         r = recip(a, side, precision)
-        up = list(powers(r, [-j for j in negative], factor=factor))
+        up = list(_powers_to(r, [-j for j in negative], None, None, factor, cut))
         yield from ((-k, pw) for k, pw in reversed(up))
     kept = _kept(a, factor)
+    climb = cut and max(a.hi if cut[0] else -a.lo, 0)
     prev = last = None
     for j in exps[len(negative):]:
         _check_exponent(a, j)
-        pw = kept.get(j)
+        c = cut and (cut[0], cut[1] + climb * (exps[-1] - j))
+        pw = _kept_at(kept, j, c)
         if pw is None:
             if last is None:
-                pw = power(a, j)
-                pw = pw if factor is None else mul(factor, pw)
+                pw = _power_to(a, j, None, None, c if factor is None else _cut_for(c, factor))
+                if factor is not None:
+                    pw = _mul_to(factor, pw, c)
+                    _field(factor, a)  # a cut power may hold no term for mul to check
             else:
-                pw = mul(last, power(a, j - prev))
+                pw = _mul_to(last, _power_to(a, j - prev, None, None, _cut_for(c, last)), c)
             if pw is not a:  # a^1 is a itself
-                kept[j] = pw
+                kept[j] = c, pw
         if j:
             prev, last = j, pw
         yield j, pw
 
 
 def _kept(a: LaurentSeries, factor: LaurentSeries | None) -> dict:
-    # {j: a^j}, or {j: factor a^j} when the factor is the last one walked
-    # with (held, so that identity stands for the value); a new factor
-    # replaces the old one's, so what a keeps grows only with its exponents
+    # {j: (cut, a^j)}, or {j: (cut, factor a^j)} when the factor is the last
+    # one walked with (held, so that identity stands for the value); a new
+    # factor replaces the old one's, so what a keeps grows only with its
+    # exponents.  cut is None for a full value (see _kept_at)
     walked = a._walked
     if walked is None:
         walked = [{}, None, None]
@@ -583,6 +655,15 @@ def _kept(a: LaurentSeries, factor: LaurentSeries | None) -> dict:
     if walked[1] is not factor:
         walked[1:] = factor, {}
     return walked[2]
+
+
+def _kept_at(kept: dict, j: int, cut: tuple | None) -> LaurentSeries | None:
+    # the value kept at j if it serves cut: a full value serves every cut, a
+    # cut one only a cut on its side that keeps no more than it does
+    held, value = kept.get(j, (None, None))
+    if held is None or cut is not None and held[0] == cut[0] and held[1] >= cut[1]:
+        return value
+    return None
 
 
 def _sum(terms, p: int) -> LaurentSeries:

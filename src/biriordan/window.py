@@ -20,7 +20,7 @@ from .errors import GuardViolationError
 from .field import format_scalar, parse_scalar
 from .record import Record
 from .riordan import RiordanMatrix, _column_sides, toeplitz
-from .series import _ZERO, LaurentSeries, Side, _side_order
+from .series import _ZERO, LaurentSeries, Side, _entries, _side_order
 
 
 class MatrixWindow(Record):
@@ -73,17 +73,27 @@ def _check_range(r, what: str):
 
 
 def extract(m: RiordanMatrix, rows, cols) -> MatrixWindow:
-    """Dense block of m; refuses (PrecisionError) when an entry is unknown."""
+    """Dense block of m; refuses (PrecisionError) when an entry is unknown.
+
+    The walk cuts each column to the coefficients the rows read, and a cut
+    column knows each of those rows exactly where the full one does, with
+    the full one's window: so the first unknown entry in row-major order
+    raises the PrecisionError of the full column's s[e].  Each column is
+    then read once, as one slice of its form."""
     rlo, rhi = rows
     clo, chi = cols
     _check_range(rows, "row")
     _check_range(cols, "column")
-    columns = m.columns(range(clo, chi + 1))
-    grid = tuple(
-        tuple(columns[j][i] for j in range(clo, chi + 1))
-        for i in range(rlo, rhi + 1)
-    )
-    return MatrixWindow(rlo, clo, grid)
+    columns = m._columns(range(clo, chi + 1), rows)
+    # a column below knows the rows through its hi, one above those from
+    # its lo: its first unknown row is rlo, or below the one after its hi
+    unknown = [(c.hi + 1 if c.known(rlo) else rlo, j)
+               for j, c in columns if not (c.known(rlo) and c.known(rhi))]
+    if unknown:
+        i, j = min(unknown)
+        dict(columns)[j][i]  # raises
+    grid = zip(*[_entries(c, rlo, rhi) for _, c in columns])
+    return MatrixWindow(rlo, clo, tuple(grid))
 
 
 def vector_from_series(chi: LaurentSeries, lo: int, hi: int) -> VectorWindow:
@@ -239,11 +249,13 @@ def _products(rows: list, cols: list) -> list:
     once per row and column, and each output is one Fraction of integer
     products.  Else the products of nonzero entries add from the int 0 in
     their prime field; a sum of none, or one that cancels, is Fraction(0),
-    as a gap of extract reads."""
+    as a gap of extract reads, and a sum of ints only is its Fraction."""
     ints = [_over_common_denominator(v) for v in (rows, cols)]
     if None in ints:
-        return [[sum(x * y for x, y in zip(row, col) if x and y) or _ZERO
-                 for col in cols] for row in rows]
+        sums = [[sum(x * y for x, y in zip(row, col) if x and y) for col in cols]
+                for row in rows]
+        return [[Fraction(s) if type(s) is int else s or _ZERO for s in row]
+                for row in sums]
     return [[Fraction(sum(map(operator.mul, xr, xc)), dr * dc) for xc, dc in ints[1]]
             for xr, dr in ints[0]]
 

@@ -611,6 +611,20 @@ def test_sparse_powers_of_a_dense_omega_stay_in_memory():
     assert out == " 0  9999      0\n 0     0  10000\n"
 
 
+def test_a_block_above_every_column_holds_no_column_in_memory():
+    # row 0 lies below the order of (x + x^60)^j for every j >= 1, so the
+    # walk makes no coefficient: a full walk held about 660 MB and, under
+    # 256 MiB of address space, died with a MemoryError
+    src = os.path.dirname(os.path.dirname(biriordan.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "biriordan", "matrix", "window", "--omega", "x+x^60",
+         "--rows", "0..0", "--cols", "9937..10000"],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28)))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == (" 0 " * 64).rstrip() + "\n"
+
+
 def test_large_inversion_takes_few_products():
     # baby steps and giant steps: about 2 sqrt(n) packed products; with one
     # product per coefficient this took about 13 s (2-core AMD EPYC VM)

@@ -1195,3 +1195,21 @@ def test_kept_powers_stay_bounded():
     assert set(powers_kept) <= set(range(0, 8))
     assert set(products) == set(range(0, 8))
     assert factor == LaurentSeries.one()
+
+
+def test_a_block_walks_only_as_far_as_its_rows(monkeypatch):
+    # rows 0..63 of R(1, x/(1-x)) read omega^j through x^63 whatever the
+    # precision: every product stops there, and a second block reads the
+    # kept columns.  [x^i] (x/(1-x))^j is C(i-1, j-1) for 0 < j <= i, and
+    # the corner entry is 1
+    made = count_products(monkeypatch)
+    m = lagrange(parse("x/(1-x)", precision=2000))
+    block = extract(m, (0, 63), (0, 63))
+    assert made and max(made) <= 64
+    assert block.entries == tuple(
+        tuple(Fraction(math.comb(i - 1, j - 1) if 0 < j <= i else int(i == j == 0))
+              for j in range(64))
+        for i in range(64))
+    made.clear()
+    assert extract(m, (0, 63), (0, 63)) == block
+    assert not made

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from biriordan.riordan import (
     riordan,
     toeplitz,
 )
-from biriordan.series import LaurentSeries, Side, mul, parse
+from biriordan.series import LaurentSeries, Side, mul, parse, recip
 from biriordan.window import (
     MatrixWindow,
     VectorWindow,
@@ -402,3 +403,95 @@ def test_oracles_over_gf_p_match_matmul_and_apply_in_every_cell():
                                              vector_from_series(chi, *guard), guard),
                         lambda: vector_from_series(apply(m, chi), *rows))
     assert compared["matmul"] >= 60 and compared["apply"] >= 60, compared
+
+
+def test_an_int_sum_of_a_block_of_two_kinds_is_a_fraction():
+    # ints beside residues leave the common-denominator path, and a sum of
+    # int products alone is the Fraction every other rational entry is
+    gf7 = PrimeField(7)
+    got = oracle_matmul(MatrixWindow(0, 0, ((2, gf7(1)),)),
+                        MatrixWindow(0, 0, ((3,), (0,))), (0, 1))
+    assert got.entries == ((Fraction(6),),) and type(got.entries[0][0]) is Fraction
+    vec = oracle_apply(MatrixWindow(0, 0, ((2, gf7(1)),)), VectorWindow(0, (3, 0)), (0, 1))
+    assert vec.values == (Fraction(6),) and type(vec.values[0]) is Fraction
+
+
+# -- extract against the full columns ---------------------------------------------------
+
+
+def _scalar(rng, field, nonzero=False):
+    c = (Fraction(rng.randint(-6, 6), rng.randint(1, 4)) if field == "q"
+         else PrimeFieldElement(rng.randrange(field), field))
+    return _scalar(rng, field, nonzero) if nonzero and not c else c
+
+
+def _any_series(rng, field, side):
+    """Over the field: an exact polynomial, monomial or sparse pair, or an
+    inexact series on side (gaps, no known term, or a rational function
+    expanded far past any block's rows)."""
+    kind = rng.choice(("exact", "monomial", "sparse", "inexact", "inexact",
+                       "unknown", "rational"))
+    step = 1 if side is Side.BELOW else -1
+    if kind == "exact":
+        lo = rng.randint(-3, 3)
+        terms = {e: _scalar(rng, field) for e in range(lo, lo + rng.randint(1, 5))}
+        return LaurentSeries.from_terms({**terms, lo: _scalar(rng, field, True)})
+    if kind == "monomial":
+        return LaurentSeries.from_terms({rng.randint(-2, 2): _scalar(rng, field, True)})
+    if kind == "sparse":
+        return LaurentSeries.from_terms({rng.choice((0, 1)): _scalar(rng, field, True),
+                                         60: _scalar(rng, field, True)})
+    if kind == "rational":
+        poly = LaurentSeries.from_terms({step * e: _scalar(rng, field, e == 0)
+                                         for e in range(3)})
+        shift = LaurentSeries.from_terms({step * rng.randint(-1, 1): _scalar(rng, field, True)})
+        return mul(shift, recip(poly, side, rng.choice((40, 150))))
+    order, count = rng.randint(-3, 3), rng.randint(1, 9)
+    window = sorted((order, order + step * (count - 1)))
+    if kind == "unknown":
+        return LaurentSeries.truncated({}, side, *window)
+    terms = {order + step * i: _scalar(rng, field) for i in range(count)}
+    return LaurentSeries.truncated({**terms, order: _scalar(rng, field, True)}, side, *window)
+
+
+def _typed(call):
+    try:
+        grid = call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [[(type(x), x) for x in row] for row in grid]
+
+
+def _read(m, rows, cols):
+    # the full columns, read entry by entry in row-major order
+    js = range(cols[0], cols[1] + 1)
+    columns = m.columns(js)
+    return [[columns[j][i] for j in js] for i in range(rows[0], rows[1] + 1)]
+
+
+def test_extract_reads_what_the_full_columns_hold():
+    # extract walks each column only as far as its rows and reads it once;
+    # the reference reads the full columns of a fresh copy entry by entry,
+    # row by row, so the first unknown entry raises its own message
+    rng = make_rng(21)
+    seen = {"values": 0, "PrecisionError": 0}
+    fields = ("q", 7, 2**31 - 1)
+    for _ in range(300):
+        field = rng.choice(fields)
+        side = rng.choice((Side.BELOW, Side.ABOVE))
+        # now and then omega over another field, which a column's first
+        # product refuses even where its cut holds no term
+        other = rng.choice(fields) if rng.random() < 0.1 else field
+        m = riordan(_any_series(rng, field, side), _any_series(rng, other, side),
+                    side, rng.choice((None, 3, 12, 150)))
+        for _ in range(3):
+            r, c = rng.randint(-20, 20), rng.randint(-8, 8)
+            rows, cols = (r, r + rng.randint(0, 10)), (c, c + rng.randint(0, 7))
+            want = _typed(lambda: _read(pickle.loads(pickle.dumps(m)), rows, cols))
+            for _ in range(2):  # the second block reads the kept columns
+                assert _typed(lambda: extract(m, rows, cols).entries) == want
+            # a cut column is never read as a full one
+            assert _typed(lambda: _read(m, rows, cols)) == want
+            kind = want[0].__name__ if isinstance(want, tuple) else "values"
+            seen[kind] = seen.get(kind, 0) + 1
+    assert seen["values"] >= 300 and seen["PrecisionError"] >= 100, seen
