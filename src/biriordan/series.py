@@ -15,14 +15,12 @@ from __future__ import annotations
 
 import enum
 import math
-import re
 from fractions import Fraction
 
 from .errors import (
     CompositionUndefinedError,
     NotInvertibleError,
     OrderIndeterminateError,
-    ParseError,
     PrecisionError,
     SideIndeterminateError,
     SideMismatchError,
@@ -896,174 +894,10 @@ def format_series(a: LaurentSeries) -> str:
 # -- parsing ------------------------------------------------------------------------
 
 
-# a run of the digits int() reads, or one non-space character; compiled on
-# first use (re caches it), not on import
-_TOKEN = r"\d+|\S"
-
-
-class _Parser:
-    """Recursive descent over: expr := term (('+'|'-') term)*;
-    term := unary (('*'|'/') unary)*; unary := '-' unary | power;
-    power := atom ('^' ['-'] INT)?; atom := INT ['x' ...] | 'x' | '(' expr ')'.
-    An integer immediately followed by 'x' is an implicit product (2x^3).
-
-    The text is read once into tokens with their offsets, so 3/4 and 2x^3
-    are tokens at adjacent offsets.  An exact value stays a dict {exponent:
-    Fraction} without zeros, summed in place; a series is built only where
-    it meets an inexact operand or leaves the parser."""
-
-    def __init__(self, text: str, side: Side, precision: int):
-        self.toks = [(m.group(), m.start()) for m in re.finditer(_TOKEN, text)]
-        self.toks.append(("", len(text)))
-        self.i, self.side, self.precision, self.depth = 0, side, precision, 0
-
-    def parse(self) -> LaurentSeries:
-        value = self.expr()
-        if self.peek():
-            raise ParseError(f"unexpected {self.peek()[0]!r}", self.toks[self.i][1])
-        return _series(value)
-
-    def peek(self, at: int | None = None) -> str:
-        # the next token ("" at the end), or "" unless it starts at offset at
-        tok, start = self.toks[self.i]
-        return tok if at in (None, start) else ""
-
-    def take(self) -> str:
-        self.i += 1
-        return self.toks[self.i - 1][0]
-
-    def expr(self):
-        value = self.term()
-        while self.peek() in ("+", "-"):
-            minus = self.take() == "-"
-            value = _add(value, self.term(), minus)
-        return value
-
-    def term(self):
-        value = self.unary()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            value = (_mul if op == "*" else self.divide)(value, self.unary())
-        return value
-
-    def divide(self, a, b):
-        ta, tb = _terms(a), _terms(b)
-        if ta is not None and tb and len(tb) == 1:  # times 1/(c x^e)
-            (e, c), = tb.items()
-            return _mul(ta, {-e: 1 / c})
-        if ta and tb:
-            return _quotient(ta, tb, self.side, self.precision)
-        return mul(_series(a), recip(_series(b), self.side, self.precision))
-
-    def unary(self):
-        negate = False
-        while self.peek() == "-":
-            self.i += 1
-            negate = not negate
-        value = self.power()
-        if not negate:
-            return value
-        return {e: -c for e, c in value.items()} if type(value) is dict else neg(value)
-
-    def power(self):
-        value = self.atom()
-        if self.peek() != "^":
-            return value
-        self.i += 1
-        j = self.signed_int()
-        if type(value) is dict and len(value) == 1:
-            (e, c), = value.items()
-            _check_bits(c.numerator, c.denominator, j)
-            return {e * j: c ** j}
-        return power(_series(value), j, self.side, self.precision)
-
-    def signed_int(self) -> int:
-        sign = -1 if self.peek() == "-" else 1
-        self.i += sign < 0
-        if not self.peek().isdecimal():
-            raise ParseError("expected integer exponent", self.toks[self.i][1])
-        return sign * int(self.take())
-
-    def atom(self):
-        tok, at = self.toks[self.i]
-        self.i += 1
-        if tok == "(":
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                raise ParseError(
-                    f"parentheses nested deeper than {MAX_NESTING} levels", at)
-            value = self.expr()
-            self.depth -= 1
-            if self.peek() != ")":
-                raise ParseError("expected ')'", self.toks[self.i][1])
-            self.i += 1
-            return value
-        if tok == "x":
-            return {1: Fraction(1)}
-        if not tok.isdecimal():
-            raise ParseError(f"unexpected {tok!r}" if tok else "unexpected end of input",
-                             at)
-        c, end = Fraction(int(tok)), at + len(tok)
-        # tight fraction is a coefficient: 3/4, 1/2x^3 (whitespace around
-        # '/' leaves it to term() as expansion-triggering division)
-        q, start = self.toks[self.i + 1] if self.peek(end) == "/" else ("", None)
-        if start == end + 1 and q.isdecimal():
-            self.i += 2
-            end = start + len(q)
-            if int(q) == 0:
-                raise ParseError("zero denominator", end)
-            c = Fraction(int(tok), int(q))
-        e = 0
-        if self.peek(end) == "x":  # implicit product: 2x, 2x^3, 1/2x
-            self.i += 1
-            e = 1
-            if self.peek(end + 1) == "^":
-                self.i += 1
-                e = self.signed_int()
-        return {e: c} if c else {}
-
-
-def _series(v) -> LaurentSeries:
-    return LaurentSeries(Side.FINITE, v, 0, -1) if type(v) is dict else v
-
-
-def _terms(v) -> dict | None:
-    # the terms of an exact parser value (a dict or an exact series), else None
-    return v if type(v) is dict else v.coeffs if v.exact else None
-
-
-def _add(a, b, minus: bool):
-    # a + b or a - b of parser values; exact ones sum in place in a's dict
-    ta, tb = _terms(a), _terms(b)
-    if ta is None or tb is None:
-        b = _series(b)
-        return add(_series(a), neg(b) if minus else b)
-    acc = a if type(a) is dict else dict(ta)
-    for e, c in tb.items():
-        c = acc.pop(e, 0) + (-c if minus else c)
-        if c:
-            acc[e] = c
-    return acc
-
-
-def _mul(a, b):
-    # a * b of parser values; exact ones stay a dict, without a series: a
-    # one-term factor shifts and scales the other, else their forms multiply
-    if type(a) is not dict or type(b) is not dict:
-        return mul(_series(a), _series(b))
-    if len(a) > len(b):
-        a, b = b, a
-    if len(a) <= 1:
-        return {e + k: v if c == 1 else c * v for e, c in a.items() for k, v in b.items()}
-    (la, ha), (lb, hb) = (min(a), max(a)), (min(b), max(b))
-    xs, den = dense.mul(_form_of(a, la, ha, 0), _form_of(b, lb, hb, 0), ha + hb - la - lb + 1, 0)
-    return dense.to_coeffs(xs, den, la + lb, 0)
-
-
 def parse(text: str, side: Side = Side.BELOW,
           precision: int = DEFAULT_PRECISION) -> LaurentSeries:
     """Parse an expression into a series; the result is exact unless division
-    or a negative power of a non-monomial forced an expansion on `side`."""
-    if side is Side.FINITE:
-        side = Side.BELOW
-    return _Parser(text, side, precision).parse()
+    or a negative power of a non-monomial forced an expansion on `side`.  The
+    parser is a module of its own, loaded on the first call."""
+    from .parser import Parser
+    return Parser(text, Side.BELOW if side is Side.FINITE else side, precision).parse()

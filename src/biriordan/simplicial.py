@@ -30,7 +30,6 @@ from .series import (
     monomial,
     mul,
     neg,
-    parse,
     power,
     recip,
 )
@@ -89,13 +88,15 @@ class HVector(Record):
         return LaurentSeries.from_terms({t: c for t, c in enumerate(self.h)})
 
 
+# the constants the transforms and the chain are built from, as their terms;
+# built directly, so that a ds process never loads the parser
+_CONSTANTS = {"1-x": {0: 1, 1: -1}, "1+x": {0: 1, 1: 1}, "x": {1: 1}, "x-1": {0: -1, 1: 1}}
+
+
 def _over(text: str, p: int) -> LaurentSeries:
-    """parse(text), its integer coefficients read in GF(p) (Q when p = 0)."""
-    s = parse(text)
-    if not p:
-        return s
+    """The constant text of _CONSTANTS over GF(p) (Q when p = 0)."""
     return LaurentSeries.from_terms(
-        {e: PrimeFieldElement(int(c), p) for e, c in s.coeffs.items()})
+        {e: PrimeFieldElement(c, p) if p else c for e, c in _CONSTANTS[text].items()})
 
 
 def _zero(p: int):
@@ -105,7 +106,7 @@ def _zero(p: int):
 
 @functools.cache
 def _transform(text: str, d: int, precision: int, p: int = 0) -> RiordanMatrix:
-    """R(b^{d+1}, x/b) for b = parse(text) over Q (p = 0) or GF(p): with b =
+    """R(b^{d+1}, x/b) for b = _over(text, p) over Q (p = 0) or GF(p): with b =
     1-x it sends the embedded f-polynomial to h, with b = 1+x it is the
     inverse transform.  Built once per argument tuple; matrices are
     immutable, so callers share them, and the powers their columns walk."""
@@ -259,7 +260,7 @@ def verify_theorem_chain(d: int, precision: int | None = None) -> ProofTrace:
 
     # 2. reversal times f-to-h collapses to R((x-1)^{d+1}, 1/(x-1))
     prod = matmul(m_pal, m_fh)
-    x_minus = parse("x-1")
+    x_minus = _over("x-1", 0)
     direct = riordan(power(x_minus, d + 1),
                      recip(x_minus, Side.ABOVE, p), precision=p)
     _require(eq_to_precision(prod.alpha, direct.alpha), "collapsed product",
@@ -280,7 +281,7 @@ def verify_theorem_chain(d: int, precision: int | None = None) -> ProofTrace:
     prod2 = matmul(m_hf, m_fh)
     _require(eq_to_precision(prod2.alpha, LaurentSeries.one()),
              "inverse transform", "alpha of the product is not 1")
-    _require(eq_to_precision(prod2.omega, parse("x")),
+    _require(eq_to_precision(prod2.omega, _over("x", 0)),
              "inverse transform", "omega of the product is not x")
     w_ident = extract(prod2, block, block)
     _require(w_ident == extract(identity(), block, block),

@@ -1,7 +1,8 @@
 """What a process loads, and the public API that lazy loading must keep.
 
 A command imports only what it runs: ds never loads window (matrix blocks
-and the proof chain do) and no command loads dataclasses or inspect.  The
+and the proof chain do) nor the parser, and no command loads dataclasses or
+inspect.  The
 records that replaced the frozen dataclasses behave as those did.
 """
 
@@ -51,6 +52,15 @@ def test_ds_loads_neither_window_nor_dataclasses(argv):
     loaded = _modules_loaded_by(*argv)
     assert "biriordan.simplicial" in loaded
     assert not loaded & {"dataclasses", "inspect", "biriordan.window"}
+
+
+@pytest.mark.parametrize("argv", [("ds", "--f", "1,4,6,4"),
+                                  ("ds", "--f", "1,4,6,4", "--trace")])
+def test_ds_never_loads_the_parser(argv):
+    # the proof chain and the f/h transforms build their constants 1-x, 1+x,
+    # x and x-1 from their terms; only an expression loads the parser
+    assert "biriordan.parser" not in _modules_loaded_by(*argv)
+    assert "biriordan.parser" in _modules_loaded_by("series", "eval", "--expr", "1+x")
 
 
 @pytest.mark.parametrize("argv", [
