@@ -466,20 +466,6 @@ def _known_count(a: LaurentSeries | None, precision: int | None) -> int:
     return count
 
 
-def _quotient(a: dict, b: dict, side: Side, precision: int | None) -> LaurentSeries:
-    """mul(a, recip(b, side, precision)) for the terms a != 0 and b of two
-    exact values over Q, b of several terms: one long division of a by b, on
-    the flips when side is above."""
-    count = _known_count(None, precision)
-    flip = side is Side.ABOVE
-    if flip:
-        a, b = ({-e: c for e, c in t.items()} for t in (a, b))
-    (la, ha), (lb, hb) = [(min(t), max(t)) for t in (a, b)]
-    num = dense.from_coeffs(a, la, min(count, ha - la + 1), 0)
-    u = dense.from_coeffs(b, lb, min(count, hb - lb + 1), 0)
-    return _packed(*dense.recip(u, count, 0, num), 0, la - lb, count, flip)
-
-
 def _check_exponent(a: LaurentSeries, j: int) -> None:
     # the one exponent budget, on every route to a power: |j| on several
     # terms, and the bits of c^j for one term c over Q (xs[0] / den of its

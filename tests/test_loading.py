@@ -2,8 +2,8 @@
 
 A command imports only what it runs: ds never loads window (matrix blocks
 and the proof chain do) nor the parser, and no command loads dataclasses or
-inspect.  The
-records that replaced the frozen dataclasses behave as those did.
+inspect.  The records that replaced the frozen dataclasses behave as those
+did.
 """
 
 from __future__ import annotations

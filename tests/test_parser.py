@@ -2,14 +2,15 @@
 
 `series.parse` reads its text as one token list and keeps exact values as
 dicts of integer (numerator, denominator) pairs, dividing an exact numerator
-by an exact divisor of several terms in one long division.  `RefParser` below is the earlier version, kept here
-as the reference: it walks the text character by character and builds a
-series for every token, sum, product and quotient, dividing by `recip` and
-then one `mul`.  The two must agree on value, side, window and coefficient
-types, or raise the same exception with the same message and position.
-The one intended difference: a character that `str.isdigit` accepts but
-`int()` does not read, such as '²', made the reference raise int()'s
-ValueError; the parser reports it as a ParseError with its position.
+by an exact divisor of several terms in one long division.  `RefParser`
+below is the earlier version, kept here as the reference: it walks the text
+character by character and builds a series for every token, sum, product
+and quotient, dividing by `recip` and then one `mul`.  The two must agree
+on value, side, window and coefficient types, or raise the same exception
+with the same message and position.  The one intended difference: a
+character that `str.isdigit` accepts but `int()` does not read, such as
+'²', made the reference raise int()'s ValueError; the parser reports it as
+a ParseError with its position.
 """
 
 from __future__ import annotations
