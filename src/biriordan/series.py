@@ -60,8 +60,8 @@ class LaurentSeries:
     or, when the span is mostly gaps, a dict of the nonzero entries.  _fill
     sets the form and the window, for the constructor and each kernel alike.
     `coeffs` is a read view, built from the form on first read.  `_walked`
-    keeps the positive powers that power and powers built; copies and
-    pickles drop it."""
+    keeps the powers that power and powers built on it and the reciprocal
+    recip built; copies and pickles drop it."""
 
     __slots__ = ("side", "coeffs", "lo", "hi", "exact", "_form", "_walked")
 
@@ -435,24 +435,46 @@ def recip(a: LaurentSeries, side: Side | None = None,
 
     An inexact input of order m with c known coefficients yields order -m with
     the same count c; an exact non-monomial input is expanded to `precision`
-    coefficients (monomials invert exactly).
+    coefficients (monomials invert exactly).  The result is kept on a, one
+    per (side, count), a new one replacing the old, so a later call reads
+    it, and every negative power of a is a power of it, kept on it as power
+    keeps a^j on a.
     """
+    return _recip_to(a, side, precision, None)
+
+
+def _recip_to(a: LaurentSeries, side: Side | None, precision: int | None,
+              cut: tuple | None) -> LaurentSeries:
+    # recip(a, side, precision), with a cut (flip, t) only through x^t as
+    # _mul_to cuts (one coefficient at least); kept on a with its cut, which
+    # None marks when the cut keeps every coefficient
     if a.is_zero():
         raise ZeroSeriesError("reciprocal of the zero series")
     if not a.exact and not _nterms(a):
         raise OrderIndeterminateError("reciprocal needs a computable order")
-    if a.exact and _nterms(a) == 1:
-        return monomial(1 / a[a.lo], -a.lo)
     if a.side not in (side or a.side, Side.FINITE):
         raise SideMismatchError(
             f"cannot expand the reciprocal of a {a.side.value} series {side.value}"
         )
     flip = (side or a.side) is Side.ABOVE  # then expand the flip bounded below
-    m = -a.hi if flip else a.lo
-    count = _known_count(a, precision)
-    u, p = _window(a, count, flip=flip)
-    xs, den = dense.recip(u, count, p)
-    return _packed(xs, den, p, -m, count, flip)
+    one = a.exact and _nterms(a) == 1  # a monomial inverts exactly on any side
+    key = None if one else (flip, _known_count(a, precision))
+    kept = _kept(a, None).setdefault(-1, {})
+    r = _kept_at(kept, key, cut)
+    if r is None:
+        if one:
+            r, cut = monomial(1 / a[a.lo], -a.lo), None
+        else:
+            m = -a.hi if flip else a.lo
+            n = key[1] if cut is None else max(min(key[1], cut[1] + m + 1), 1)
+            if n == key[1]:
+                cut = None  # the cut keeps every coefficient
+            u, p = _window(a, n, flip=flip)
+            xs, den = dense.recip(u, n, p)
+            r = _packed(xs, den, p, -m, n, flip)
+        kept.clear()
+        kept[key] = cut, r
+    return r
 
 
 def _known_count(a: LaurentSeries | None, precision: int | None) -> int:
@@ -467,9 +489,9 @@ def _known_count(a: LaurentSeries | None, precision: int | None) -> int:
 
 
 def _check_exponent(a: LaurentSeries, j: int) -> None:
-    # the one exponent budget, on every route to a power: |j| on several
-    # terms, and the bits of c^j for one term c over Q (xs[0] / den of its
-    # form, in lowest terms)
+    # the one exponent budget, checked on the base a caller passes (never on
+    # 1/a or a power on the way): |j| on several terms, and the bits of c^j
+    # for one term c over Q (xs[0] / den of its form, in lowest terms)
     terms = _nterms(a)
     if abs(j) > MAX_EXPONENT and terms > 1:
         raise ValueError(f"exponent must be at most {MAX_EXPONENT} in absolute value")
@@ -489,23 +511,25 @@ def power(a: LaurentSeries, j: int, side: Side | None = None,
           precision: int | None = None) -> LaurentSeries:
     """a ** j for integer j; negative j is expanded on the given side.
 
-    The exponent budget of _check_exponent holds wherever the power arises
-    (an expression, a composition, a matrix column).  An exact base over Q
-    of several terms is raised by Miller's recurrence (dense.power) where
-    that beats repeated squaring: for every j < 0, and for j >= 2 from half
-    its term count on when its support is dense (the recurrence walks every
-    exponent of the result).  Any other base is squared repeatedly: for
-    j < 0, the base recip(a, side, precision) to the power -j.  For j >= 2
-    the power is kept on a with those of powers, and read back from there;
-    it reads neither side nor precision."""
+    The exponent budget of _check_exponent is checked on a, the base passed
+    here, wherever the power arises (an expression, a composition, a matrix
+    column).  An exact base over Q of several terms is raised by Miller's
+    recurrence (dense.power) where that beats repeated squaring: for every
+    j < 0, and for j >= 2 from half its term count on when its support is
+    dense (the recurrence walks every exponent of the result).  Any other
+    base is squared repeatedly: for j < 0, the kept recip(a, side,
+    precision) to the power -j.  For j >= 2 the power is kept on its base
+    (a, or 1/a for j < 0) with those of powers, and read back from there;
+    a^j for j > 0 reads neither side nor precision."""
+    _check_exponent(a, j)
     return _power_to(a, j, side, precision, None)
 
 
 def _power_to(a: LaurentSeries, j: int, side: Side | None,
               precision: int | None, cut: tuple | None) -> LaurentSeries:
-    # power(a, j, side, precision), cut for j >= 2 as _mul_to cuts: each
-    # square and product a^e on the way is cut to what a^j reads of it
-    _check_exponent(a, j)
+    # power(a, j, side, precision) past the budget check, cut for j >= 2 as
+    # _mul_to cuts: each square and product a^e on the way is cut to what
+    # a^j reads of it
     if j == 0:
         return _one_like(a)
     if j == 1:
@@ -520,7 +544,7 @@ def _power_to(a: LaurentSeries, j: int, side: Side | None,
             and _field(a) == 0):
         result = _miller_power(a, j, side, precision, cut)
     elif j < 0:
-        return power(recip(a, side, precision), -j)
+        return _power_to(recip(a, side, precision), -j, None, None, None)
     else:
         result, sq, k, e, done = None, a, j, 1, 0  # sq = a^e, result = a^done
         while k:
@@ -572,42 +596,61 @@ def powers(a: LaurentSeries, exponents, side: Side | None = None,
            precision: int | None = None, factor: LaurentSeries | None = None):
     """Yield (j, a ** j) for the distinct exponents in ascending order, each
     power built from the one before it on the same side of 0 by power(a,
-    gap).  The negative exponents are the positive ones of one r =
-    recip(a, side, precision), walked upward over r (the columns of m J, for
-    m a matrix of column generator a).  Values, windows and exceptions are
-    those of power(a, j, side, precision) taken for each j in turn.  With a
-    factor f, yield (j, f * a ** j) instead, the values of mul(f,
-    power(...)): f goes into the first power on each side of 0 and each
-    later one is the one before it times a power of a (the window rule of
-    mul is associative: lo adds up and the fewest known binds).
+    gap).  The negative exponents are the positive ones of the kept r =
+    recip(a, side, precision), walked upward over r (the columns of m J =
+    R(f, r), for m = R(f, a)).  Values, windows and exceptions are those of
+    power(a, j, side, precision) taken for each j in turn.  With a factor
+    f, yield (j, f * a ** j) instead, the values of mul(f, power(...)): f
+    goes into the first power on each side of 0 and each later one is the
+    one before it times a power of a (the window rule of mul is
+    associative: lo adds up and the fewest known binds).
 
-    a keeps what the walk over its positive exponents built: each a^j (j >=
-    2, the gaps included, as power keeps them), and each f a^j for the last
-    factor f walked with, so a later walk, and power, read them.  For j > 0,
-    power(a, j) reads neither side nor precision, so a kept power is the one
-    the walk would build; the exponent budget is checked before every read,
-    and only values are kept, never exceptions."""
+    The base of each walk, a or r, keeps what the walk built: each power
+    (j >= 2, the gaps included, as power keeps them), and each f times a
+    power for the last factor f walked with, so a later walk, power, and
+    m J's columns read them.  For j > 0, power(a, j) reads neither side nor
+    precision, so a kept power is the one the walk would build.  The
+    exponent budget is checked on a alone, lazily in ascending order: on
+    the least exponent before r is read, then on each j >= 0; only values
+    are kept, never exceptions."""
     return _powers_to(a, exponents, side, precision, factor, None)
 
 
 def _powers_to(a: LaurentSeries, exponents, side: Side | None,
                precision: int | None, factor: LaurentSeries | None,
                cut: tuple | None):
-    # powers(...), each value cut as _mul_to cuts.  f a^j holds rows through
-    # t, and the next value reads it through t - ord(a): further when ord(a)
-    # < 0, so the walk to J cuts f a^j to t + (J - j) max(-ord(a), 0)
+    # powers(...), each value cut as _mul_to cuts
     exps = sorted(set(exponents))
-    negative = [j for j in exps if j < 0]
-    if negative:
-        _check_exponent(a, negative[0])
-        r = recip(a, side, precision)
-        up = list(_powers_to(r, [-j for j in negative], None, None, factor, cut))
+    ks = [-j for j in reversed(exps) if j < 0]
+    if ks:
+        _check_exponent(a, -ks[-1])
+        rcut = None
+        if cut is not None:
+            # r = 1/a is cut to what the walk's first power reads of it, the
+            # most any value reads: through t - ord(f) - (k - 1) ord(r), ord(r)
+            # = -ord(a), for k the least exponent, or the greatest when
+            # ord(r) < 0 climbs the first column's cut (see _walk)
+            k = ks[-1] if (-a.hi if cut[0] else a.lo) > 0 else ks[0]
+            first = cut if factor is None else _cut_for(cut, factor)
+            rcut = _cut_for(first, a, 1 - k)
+        up = list(_walk(_recip_to(a, side, precision, rcut), ks, factor, cut, False))
         yield from ((-k, pw) for k, pw in reversed(up))
+    yield from _walk(a, exps[len(ks):], factor, cut, True)
+
+
+def _walk(a: LaurentSeries, exps: list, factor: LaurentSeries | None,
+          cut: tuple | None, check: bool):
+    # (j, f a^j) for the ascending exps >= 0, kept on a, each j checked
+    # against a's budget first when check (not over r = 1/a, whose caller
+    # checked a).  f a^j holds rows through t, and the next value reads it through
+    # t - ord(a): further when ord(a) < 0, so the walk to J cuts f a^j to
+    # t + (J - j) max(-ord(a), 0)
     kept = _kept(a, factor)
     climb = cut and max(a.hi if cut[0] else -a.lo, 0)
     prev = last = None
-    for j in exps[len(negative):]:
-        _check_exponent(a, j)
+    for j in exps:
+        if check:
+            _check_exponent(a, j)
         c = cut and (cut[0], cut[1] + climb * (exps[-1] - j))
         pw = _kept_at(kept, j, c)
         if pw is None:
@@ -629,7 +672,8 @@ def _kept(a: LaurentSeries, factor: LaurentSeries | None) -> dict:
     # {j: (cut, a^j)}, or {j: (cut, factor a^j)} when the factor is the last
     # one walked with (held, so that identity stands for the value); a new
     # factor replaces the old one's, so what a keeps grows only with its
-    # exponents.  cut is None for a full value (see _kept_at)
+    # exponents.  cut is None for a full value (see _kept_at).  Beside the
+    # powers, key -1 holds recip's {key: (cut, 1/a)}, one key at a time
     walked = a._walked
     if walked is None:
         walked = [{}, None, None]

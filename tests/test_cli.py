@@ -9,10 +9,14 @@ import resource
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import biriordan
+from biriordan import dense
 from biriordan.cli import main
-from biriordan.series import parse
+from biriordan.riordan import riordan
+from biriordan.series import Side, parse
+from biriordan.window import extract
 from test_dense_kernels import ref_reversion
 
 
@@ -623,6 +627,55 @@ def test_a_block_above_every_column_holds_no_column_in_memory():
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28)))
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout == (" 0 " * 64).rstrip() + "\n"
+
+
+def _negative_block(side: str) -> list:
+    """Rows 0..63 above (-63..0 below) of columns -63..0 of R(1/(1-2x),
+    x/(1-x-x^2)): column -j is x^-j (1-x-x^2)^j times 1/(1-2x), which is
+    the sum of 2^n x^n over n >= 0, or of -2^n x^n over n <= -1 above."""
+    def alpha(n):
+        if side == "below":
+            return Fraction(2) ** n if n >= 0 else 0
+        return -Fraction(2) ** n if n <= -1 else 0
+
+    rows = range(0, 64) if side == "above" else range(-63, 1)
+    poly, columns = [1], {}  # (1-x-x^2)^j from x^0 up
+    for j in range(64):
+        columns[-j] = [sum(c * alpha(i - (e - j)) for e, c in enumerate(poly)) for i in rows]
+        poly = [a - b - c for a, b, c in zip(poly + [0, 0], [0] + poly + [0], [0, 0] + poly)]
+    return [[columns[j][k] for j in range(-63, 1)] for k in range(64)]
+
+
+def test_a_negative_block_cuts_the_reciprocal_to_its_rows(monkeypatch, capsys):
+    # the walk over 1/omega reads it through x^62 (from x^-62 above, on the
+    # flip), so recip and every product stop there, not at the 10000
+    # coefficients omega knows
+    src = os.path.dirname(os.path.dirname(biriordan.__file__))
+    for side, rows in (("below", "-63..0"), ("above", "0..63")):
+        argv = ["matrix", "window", "--alpha", "1/(1-2x)", "--omega", "x/(1-x-x^2)",
+                "--side", side, "--rows", rows, "--cols", "-63..0"]
+        want = _negative_block(side)
+        on = Side(side)
+        m = riordan(parse("1/(1-2x)", on, 10000), parse("x/(1-x-x^2)", on, 10000), on, 10000)
+        asked = []
+        for name, at in (("recip", 1), ("product", 2)):  # the count each asks for
+            def spy(*args, real=getattr(dense, name), at=at):
+                asked.append(args[at])
+                return real(*args)
+            monkeypatch.setattr(dense, name, spy)
+        lo = int(rows.split("..")[0])
+        assert [list(row) for row in extract(m, (lo, lo + 63), (-63, 0)).entries] == want
+        assert asked and max(asked) <= 130, max(asked)
+        monkeypatch.undo()
+        code, out, _ = run(capsys, *argv, "--prec", "200")
+        assert code == 0
+        assert [[Fraction(e.strip("[]")) for e in line.split()]
+                for line in out.splitlines()] == want
+        done = subprocess.run(
+            [sys.executable, "-m", "biriordan", *argv, "--prec", "10000"],
+            capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28)))
+        assert (done.returncode, done.stdout, done.stderr) == (0, out, "")
 
 
 def test_large_inversion_takes_few_products():

@@ -29,7 +29,7 @@ import pytest
 
 from biriordan import dense, series
 from biriordan.field import PrimeField, PrimeFieldElement, field_of
-from biriordan.riordan import apply, lagrange, riordan
+from biriordan.riordan import apply, j_conjugate, lagrange, riordan
 from biriordan.series import (
     DEFAULT_PRECISION,
     MAX_EXPONENT,
@@ -1114,14 +1114,88 @@ def test_a_second_extract_or_apply_reads_the_kept_powers(monkeypatch):
         assert extract(m, rows, (0, 11)) == first
         assert extract(m, rows, (2, 7)) == first.sub(rows, (2, 7))
         assert not made
-        # an exact chi walks the same powers of omega (its positive ones: a
-        # negative one is a power of a new 1/omega): a second apply makes
+        # an exact chi walks the same powers of omega (its positive ones; a
+        # negative one is a power of the kept 1/omega): a second apply makes
         # only the product by alpha
         chi = LaurentSeries.from_terms({e: (e + 3) * one for e in range(9)})
         first = apply(m, chi)
         made.clear()
         assert apply(m, chi) == first
         assert len(made) == 1
+
+
+def test_a_second_negative_block_and_the_reflection_read_the_kept_reciprocal(monkeypatch):
+    # columns -15..-1 are a walk over the one 1/omega that recip keeps on
+    # omega, so a second block reads its kept columns, and so does the block
+    # 1..15 of m J = R(alpha, 1/omega), mirrored: neither makes a product
+    made = count_products(monkeypatch)
+    for field, side in (("q", Side.BELOW), (2**31 - 1, Side.BELOW),
+                        ("q", Side.ABOVE), (2**31 - 1, Side.ABOVE)):
+        one = Fraction(1) if field == "q" else prime_field(field)(1)
+        flip = -1 if side is Side.ABOVE else 1
+
+        def poly(terms):  # over the field, in powers of 1/x when above
+            return LaurentSeries.from_terms({flip * e: c * one for e, c in terms.items()})
+
+        # R(1/(1-2x), x/(1-x-x^2))
+        omega = mul(poly({1: 1}), recip(poly({0: 1, 1: -1, 2: -1}), side, 32))
+        m = riordan(recip(poly({0: 1, 1: -2}), side, 32), omega, side, 32)
+        rows = (-15, 16) if side is Side.BELOW else (-16, 15)
+        made.clear()
+        first = extract(m, rows, (-15, -1))
+        assert made
+        made.clear()
+        assert extract(m, rows, (-15, -1)) == first
+        assert not made
+        mirror = extract(j_conjugate(m, "right"), rows, (1, 15))
+        assert not made
+        assert mirror.entries == tuple(row[::-1] for row in first.entries)
+        assert recip(omega, side, 32) is recip(omega, side, 32)
+    # one reciprocal per series: each new precision replaces the last one
+    w = LaurentSeries.from_terms({1: Fraction(1), 2: Fraction(1)})
+    for prec in range(1, 1001):
+        r = recip(w, Side.BELOW, prec)
+    powers_kept, factor, products = w._walked
+    assert list(powers_kept[-1].values()) == [(None, r)]
+    assert r.count_from_order() == 1000
+
+
+def test_recip_keeps_its_value_and_raises_as_before():
+    # a second call reads the kept value, and the checks come in their old
+    # order: a monomial inverts at precision 0, the zero series raises first
+    x = LaurentSeries.from_terms({1: Fraction(1)})
+    assert [recip(x, None, 0) for _ in range(2)] == [monomial(Fraction(1), -1)] * 2
+    assert recip(x, None, 0) is recip(x, Side.ABOVE, 5)
+    cases = [
+        (LaurentSeries.zero(), None, 0, (series.ZeroSeriesError,
+                                         "reciprocal of the zero series")),
+        (LaurentSeries.truncated({}, Side.BELOW, 2, 6), None, 4,
+         (series.OrderIndeterminateError, "reciprocal needs a computable order")),
+        (parse("1/(1-x)", precision=4), Side.ABOVE, 4,
+         (series.SideMismatchError, "cannot expand the reciprocal of a below series above")),
+        (parse("1+x"), None, 0, (ValueError, "precision must be at least 1")),
+    ]
+    for a, side, prec, raised in cases:
+        assert [outcome(lambda: recip(a, side, prec)) for _ in range(2)] == [raised] * 2
+    a = parse("1+x")
+    r = recip(a)
+    assert r == recip(a, Side.BELOW, DEFAULT_PRECISION)
+    assert (r.lo, r.hi) == (0, DEFAULT_PRECISION - 1)
+    assert recip(a) is r and recip(a, Side.BELOW, DEFAULT_PRECISION) is r
+
+
+def test_the_budget_is_checked_on_the_base_of_the_power():
+    # 1/a at precision 8 is one term, (2^117 + 1)^-1 + O(x^8), whose 8963rd
+    # power passes the bit budget; a has two terms, and 8963 is inside its
+    # budget, so every route gives the value Miller's recurrence gives
+    a = LaurentSeries.from_terms({0: Fraction(2**117 + 1), 20: Fraction(1)})
+    want = power(a, -8963, None, 8)
+    assert (want.side, want.lo, want.hi) == (Side.BELOW, 0, 7)
+    assert want[0] == Fraction(1, (2**117 + 1) ** 8963)
+    assert dict(powers(a, [-8963], None, 8)) == {-8963: want}
+    assert riordan(LaurentSeries.one(), a, precision=8).column(-8963) == want
+    with pytest.raises(ValueError, match="at most 10000"):
+        list(powers(a, [-10001], None, 8))
 
 
 def test_a_second_apply_of_one_power_makes_only_the_product_by_alpha(monkeypatch):
