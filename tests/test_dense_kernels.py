@@ -20,9 +20,11 @@ exactness, window and every coefficient.
 from __future__ import annotations
 
 import functools
+import gc
 import math
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -654,6 +656,113 @@ def test_packed_product_by_one_term_is_a_scale():
         for i, x in enumerate(xs[:n]):
             want[i] += c * x
         assert dense.product([c], xs, n) == dense.product(xs, [c], n) == want
+
+
+def schoolbook(xa: list, xb: list, n: int) -> list:
+    """The first n coefficients of xa * xb, one product per pair of terms."""
+    out = [0] * min(n, len(xa) + len(xb) - 1) if n > 0 and xa and xb else []
+    for i, x in enumerate(xa[:len(out)]):
+        for j, y in enumerate(xb[:len(out) - i], i):
+            out[j] += x * y
+    return out
+
+
+def slot_bits(xa: list, xb: list, n: int) -> int:
+    """The bits dense.product sizes its slots to for two lists of at least
+    two terms each, cut to n."""
+    xa, xb = xa[:n], xb[:n]
+    return (max(map(abs, xa)).bit_length() + max(map(abs, xb)).bit_length()
+            + min(len(xa), len(xb)).bit_length() + 1)
+
+
+def test_packed_products_match_the_schoolbook_at_every_slot_edge():
+    # machine words of 1, 2, 4 and 8 bytes up to 64 bits, 8 and a high part
+    # of 1, 2, 4 or 8 up to 128 bits for entries below 2^63, bytes beyond
+    rng = random.Random(125)
+    p = 2**31 - 1
+    cases = []
+    # full same-sign lists of m = 2^k - 1 terms: the middle coefficient
+    # needs every bit of its slot, so a slot one bit short would overflow
+    for bits in (64, 65, 128, 129):
+        for k in (2, 3, 4):
+            rest = bits - k - 1
+            for ea, eb in ((rest - rest // 2, rest // 2), (rest - 40, 40)):
+                if max(ea, eb) > 63 or min(ea, eb) < 8:
+                    continue
+                m = 2**k - 1
+                for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                    xa, xb = [sa * (2**ea - 1)] * m, [sb * (2**eb - 1)] * m
+                    assert slot_bits(xa, xb, 2 * m) == bits
+                    want = schoolbook(xa, xb, 2 * m - 1)
+                    assert max(map(abs, want)).bit_length() == bits - 1
+                    cases.append((xa, xb, 2 * m - 1))
+                    xa = [sa * (2**ea - 1)] + [rng.randint(-2**ea + 1, 2**ea - 1)
+                                               for _ in range(m - 1)]
+                    cases.append((xa, xb, 2 * m - 1))
+    # the entries at the edge of a word, each beside small and edge entries
+    edges = (2**63 - 1, -(2**63 - 1), -2**63, 2**63, 2**64, -2**64)
+    for e in edges:
+        for other in ((1,), (-1, 2), (3, -5, 7), edges, (2**62, -1, 0, 0)):
+            for la in (1, 2, 5):
+                xa = [e] + [rng.choice((0, 1, -1, e)) for _ in range(la - 1)]
+                cases.append((xa, list(other), len(xa) + len(other) - 1))
+                cases.append((list(other), xa[::-1], len(xa) + len(other) - 1))
+    # GF(2^31-1) residues at every length from 2 to 130, the largest first
+    for length in range(2, 131):
+        xa = [p - 1] + [rng.randrange(p) for _ in range(length - 1)]
+        xb = [rng.randrange(p) for _ in range(length - 1)] + [p - 1]
+        cases.append((xa, xb, 2 * length - 1))
+    # every word and the bytes, narrow to wide: bits of 8 to 140, counts of
+    # 2 to 300, with words wider than the byte slot on either side of their
+    # limit on the product's bytes
+    for e in (1, 3, 6, 7, 10, 12, 15, 20, 28, 30, 40, 50, 56, 62, 63, 64, 66):
+        for length in (2, 9, 64, 65, 150, 300):
+            if e > 40 and length > 65:
+                continue
+            xa = [rng.randint(-2**e + 1, 2**e - 1) for _ in range(length)]
+            xb = [rng.randint(-2**e + 1, 2**e - 1) for _ in range(rng.randint(2, length))]
+            cases.append((xa, xb, len(xa) + len(xb) - 1))
+    # n below, at and above len(xa) + len(xb) - 1, n <= 0, one-term factors
+    # and zero tails
+    for xa, xb, n in list(cases[::7]):
+        for cut in (n - 1, n // 2, 2, 1, n + 1, n + 10, 0, -3):
+            cases.append((xa, xb, cut))
+        cases.append((xa[:1], xb, n))
+        cases.append((xa + [0] * 5, xb + [0] * 3, n + 8))
+        cases.append((xa + [0] * 5, xb, n))
+        cases.append(([0] * len(xa), xb, n))
+    for xa, xb, n in cases:
+        want = schoolbook(xa, xb, n)
+        assert dense.product(xa, xb, n) == want, (xa[:3], xb[:3], n)
+        assert dense.product(xb, xa, n) == want
+
+
+def test_products_at_many_counts_keep_no_memory():
+    # a product leaves nothing behind whose size grows with its count, such
+    # as a struct format per count: products at 300 distinct counts from 100
+    # to 6000, each third on the narrow words, the wide words or the bytes,
+    # retain less than 1 MiB at every 25th product.  struct keeps up to 100
+    # formats and empties its cache when it is full, so a check at the end
+    # alone could fall just after it was emptied.  The operands are one term
+    # and zeros, so the tracing costs little
+    rng = random.Random(126)
+    one = [1] + [0] * 5999
+    factors = [one, [2**62] + [0] * 5999, [2**64] + [0] * 5999]
+    counts = rng.sample(range(100, 6001), 300)
+    dense.product(one, one, 100)  # struct's first use, before the counts
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start, kept = tracemalloc.get_traced_memory()[0], 0
+        for i, count in enumerate(counts, 1):
+            x = factors[i % 3]
+            assert dense.product(x, one, count) == [x[0]] + [0] * (count - 1)
+            if i % 25 == 0:
+                gc.collect()
+                kept = max(kept, tracemalloc.get_traced_memory()[0] - start)
+    finally:
+        tracemalloc.stop()
+    assert kept < 2**20
 
 
 # -- the power walk behind columns and compositions --------------------------------------
