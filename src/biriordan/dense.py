@@ -10,6 +10,10 @@ substitution), any other one a loop over the term pairs, truncated to the
 coefficients needed.  The packed slots are machine words that struct packs
 and reads when the entries are below 2^63 in magnitude and a slot needs at
 most 128 bits, and bytes, one object per coefficient, above.
+
+Exact polynomials are forms too: a series that carries a ratio N/D holds two
+of them, multiplies and sums them with `mul` and `combine`, and expands them
+with `recip(D, n, p, num=N)`, long division for a short D.
 """
 
 from __future__ import annotations

@@ -24,8 +24,8 @@ from fractions import Fraction
 
 from . import dense
 from .errors import ParseError
-from .series import (MAX_NESTING, LaurentSeries, Side, _check_bits, _known_count, _packed,
-                     add, mul, neg, power, recip)
+from .series import (MAX_NESTING, LaurentSeries, Side, _carry, _check_bits, _fits,
+                     _known_count, _packed, add, mul, neg, power, recip)
 
 # a run of the digits int() reads, or one non-space character, each after
 # the whitespace before it
@@ -95,15 +95,19 @@ class Parser:
 
     def quotient(self, a: dict, b: dict) -> LaurentSeries:
         # mul(a, recip(b, side, precision)) for exact a != 0 and b of several
-        # terms: one long division of a by b, on the flips when side is above
+        # terms: one long division of a by b, on the flips when side is above;
+        # the series carries the ratio (a, b) when _fits, else a and b are
+        # cut to the count
         count = _known_count(None, self.precision)
         flip = self.side is Side.ABOVE
         if flip:
             a, b = ({-e: c for e, c in t.items()} for t in (a, b))
         la, lb = min(a), min(b)
-        num = _form(a, la, min(count, max(a) - la + 1), True)
-        u = _form(b, lb, min(count, max(b) - lb + 1), True)
-        return _packed(*dense.recip(u, count, 0, num), 0, la - lb, count, flip)
+        whole = _fits(max(a) - la + max(b) - lb, count)
+        num, u = (_form(t, lo, max(t) - lo + 1 if whole else min(count, max(t) - lo + 1), True)
+                  for t, lo in ((a, la), (b, lb)))
+        value = _packed(*dense.recip(u, count, 0, num), 0, la - lb, count, flip)
+        return _carry(value, (num, u) if whole else None)
 
     def unary(self):
         negate = False
