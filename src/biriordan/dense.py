@@ -13,7 +13,10 @@ most 128 bits, and bytes, one object per coefficient, above.
 
 Exact polynomials are forms too: a series that carries a ratio N/D holds two
 of them, multiplies and sums them with `mul` and `combine`, and expands them
-with `recip(D, n, p, num=N)`, long division for a short D.
+with `recip(D, n, p, num=N)`, long division for a short D.  The
+compositional inverse of x A/B solves y A(y) = x B(y), one coefficient at a
+time from short dot products (`invert`), while A and B are short; any other
+inverse takes Lagrange's scheme over packed products (`reversion`).
 """
 
 from __future__ import annotations
@@ -364,6 +367,61 @@ def reversion(psi: tuple, n: int, p: int) -> tuple:
         out.append((dot % p, 1) if p else (dot, gd * bd))
     den = math.lcm(*{d for _, d in out})
     return _normal([x * (den // d) for x, d in out], den, p)
+
+
+def invert(a: tuple, b: tuple, n: int, p: int) -> tuple:
+    """The coefficients of x^1 .. x^n of the compositional inverse y of
+    x A/B, for polynomial forms a = A and b = B (A[0], B[0] nonzero), in
+    the working form: the same as reversion(recip(a, n, p, b), n, p).
+
+    y solves y A(y) = x B(y) one coefficient at a time.  With R = max(deg
+    A + 1, deg B), each power y^2 .. y^R gains its coefficient m by one dot
+    product with y, and then y_m solves one linear equation: A_0 y_m = sum
+    over i of B_i [x^(m-1)] y^i - sum over i >= 1 of A_i [x^m] y^(i+1).
+    That is about R n^2 / 2 products of scalars, no packed product and no
+    division by k, so it holds in every characteristic.  Over GF(p) the
+    equation is scaled by A_0^-1 and every residue is kept in (-p/2, p/2),
+    where a dot product's running sum stays a machine word longer.  Over Q,
+    with a = db xa and b = da xb in integers, Y_m = a_0^(2m-1) y_m and
+    P_i[m] = a_0^(2m-i) [x^m] y^i are integers: P_i[m] = sum over l of Y_l
+    P_(i-1)[m-l] and Y_m = sum over i of b_i a_0^i P_i[m-1] - sum over
+    i >= 1 of a_i a_0^(i-1) P_(i+1)[m], with P_0 = 1; the result is divided
+    by a_0^(2n-1) once."""
+    (xa, da), (xb, db) = a, b
+    half = p // 2
+    if p:
+        inv = pow(xa[0], -1, p)
+        bs, as_ = [x * inv % p for x in xb], [x * inv % p for x in xa[1:]]
+    else:
+        xa, xb = [db * x for x in xa], [da * x for x in xb]
+        a0 = xa[0]
+        bs = [x * a0 ** i for i, x in enumerate(xb)]
+        as_ = [x * a0 ** i for i, x in enumerate(xa[1:])]
+    cols = [[0] for _ in range(max(len(xa), len(xb) - 1))]  # P_1 .. P_R from x^0
+    ys = cols[0]  # P_1 = Y
+    steps = list(zip(cols, cols[1:]))  # P_(i-1), P_i
+    pb = list(zip(bs, [[1] + [0] * n] + cols))  # b_i with P_i, P_0 = 1
+    pa = list(zip(as_, cols[1:]))  # a_i with P_(i+1), i >= 1
+    rev = [0]  # 0, Y_(m-1) .. Y_1: its dot with P_(i-1) is P_i[m]
+    for m in range(1, n + 1):
+        for lower, col in steps:
+            s = sum(map(operator.mul, rev, lower))
+            col.append((s + half) % p - half if p else s)
+        y = sum([f * col[m - 1] for f, col in pb]) - sum([f * col[m] for f, col in pa])
+        y = (y + half) % p - half if p else y
+        ys.append(y)
+        rev[0] = y
+        rev.insert(0, 0)
+    if p:
+        return [y % p for y in ys[1:]], 1
+    scale, square = 1, a0 * a0
+    for m in range(n, 0, -1):  # Y_m a_0^(2(n-m)) over a_0^(2n-1)
+        ys[m] *= scale
+        scale *= square
+    den = scale // a0
+    if den < 0:
+        return _normal([-y for y in ys[1:]], -den, 0)
+    return _normal(ys[1:], den, 0)
 
 
 def compose(c: tuple, t: tuple, w: int, n: int, p: int) -> tuple:

@@ -11,12 +11,12 @@ it can certify from its inputs and never reports a coefficient it cannot
 prove.
 
 A quotient of two Laurent polynomials may also carry its numerator and
-denominator (a ratio, see LaurentSeries): `recip`, `power`, `mul` and the
-composition kernel then work on those short polynomials and take the known
-coefficients of their result from one division, and the compositional
-inverse takes Lagrange's x/omega from one.  The windows are those of the
-expansions, so the ratio changes how a coefficient is computed, never which
-ones are known.
+denominator (a ratio, see LaurentSeries): `recip`, `power`, `mul`, `add`
+and the composition kernel then work on those short polynomials and take
+the known coefficients of their result from one division, and the
+compositional inverse solves the quotient's equation y N(y) = x D(y).  The
+windows are those of the expansions, so the ratio changes how a coefficient
+is computed, never which ones are known.
 """
 
 from __future__ import annotations
@@ -390,14 +390,22 @@ _ONE = ([1], 1)  # the form of the polynomial 1, over every field
 # GF(p) 1.45 at 3.25 n; at n = 256 0.002-0.2 up to n
 _RATIO_DEGREE = 1
 
+# the inverse of x^(+-1) N/D solves its equation (dense.invert) while it
+# needs at most this many powers R.  Measured against Lagrange's scheme with
+# its division (n = 16..1000, R = 1..33, best of 3): over GF(2^31-1) the
+# equation took 0.03-0.5 of the time at R <= 4, 0.6-0.96 at R = 5..7,
+# 0.8-1.3 at 8 and 1.1-1.9 at 9; over Q (n <= 256) 0.07-0.66 at R <= 7,
+# 0.4-0.94 at 8..12 and 0.8-1.9 from 16
+_EQUATION_POWERS = 7
+
 
 def _ratios(flip: bool, n: int, *series: LaurentSeries) -> list | None:
     """(N, D) for each series s, s = x^ord N/D on the side flip: the ratio an
     inexact s carries, an exact s over 1; None when an inexact one has none,
-    or when an exact one is alone too long to fit n coefficients (its list
+    an exact one is 0, or is alone too long to fit n coefficients (its list
     would be built for nothing)."""
-    if any(s._ratio is None if not s.exact else not _fits(s.hi - s.lo, n)
-           for s in series):
+    if any(s._ratio is None if not s.exact
+           else not (s._form[0] and _fits(s.hi - s.lo, n)) for s in series):
         return None
     return [s._ratio or (_window(s, s.hi - s.lo + 1, flip)[0], _ONE) for s in series]
 
@@ -452,12 +460,38 @@ def add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
             "certified bounded on either side"
         )
     p = _field(a, b)
-    return _sum([(_unit(p), a), (_unit(p), b)], p)
+    s = _sum([(_unit(p), a), (_unit(p), b)], p)
+    # a sum of values that are exact or carry a ratio carries (Na Db x^(i-k)
+    # + Nb Da x^(j-k)) / (Da Db), for orders i and j and k the lesser, its
+    # numerator from s's order on: when s knows a nonzero coefficient, the
+    # first nonzero one of the value (the _sum of the walks carries none)
+    flip, count = s.side is Side.ABOVE, s.count_from_order()
+    ratios = count and _ratios(flip, count, a, b)
+    if not ratios:
+        return s
+    (na, da), (nb, db) = ratios
+    i, j = (_view(v, flip)[3] for v in (a, b))
+    k = min(i, j)
+    size = max(i - k + _degree(na, db), j - k + _degree(nb, da)) + 1
+    if not _fits(size - 1 + _degree(da, db), count):
+        return s
+    xs, den = dense.combine([(_unit(p), i - k, _times(na, db, p)),
+                             (_unit(p), j - k, _times(nb, da, p))], size, p)
+    if type(xs) is dict:  # a sum mostly of gaps is sparse
+        xs = [xs.get(e, 0) for e in range(size)]
+    xs = xs[_view(s, flip)[3] - k:]
+    while not xs[-1]:
+        xs.pop()
+    return _carry(s, ((xs, den), _times(da, db, p)))
 
 
 def neg(a: LaurentSeries) -> LaurentSeries:
     p = _field(a)
-    return _sum([(-_unit(p), a)], p)
+    s = _sum([(-_unit(p), a)], p)
+    if a._ratio:  # -N/D
+        num, den = a._ratio
+        _carry(s, (dense.combine([(-_unit(p), 0, num)], len(num[0]), p), den))
+    return s
 
 
 def _unit(p: int):
@@ -997,16 +1031,25 @@ def compositional_inverse(omega: LaurentSeries,
 
 
 def _reversion(omega: LaurentSeries, precision: int | None) -> LaurentSeries:
-    # omega viewable below with order 1: its compositional inverse, by
-    # Lagrange's psi = x/omega; or with order -1: that of r = 1/omega, known
-    # on as many coefficients, whose psi = x/r = x omega needs no division
+    # omega viewable below with order 1, or -1, for which the inverse of r =
+    # 1/omega is taken, known on as many coefficients.  With a ratio, or when
+    # exact (D = 1), omega = x^(+-1) N/D and its inverse y solves y A(y) =
+    # x B(y), A, B = N, D for order 1 and D, N for -1: dense.invert, while
+    # it needs R = max(deg A + 1, deg B) <= _EQUATION_POWERS powers of y.
+    # Else by Lagrange, from psi = x/omega: one division (of D by N with a
+    # ratio), or for order -1 x/r = x omega, none
     if omega.exact and _nterms(omega) == 1:
         return monomial(1 / omega[1] if omega.lo == 1 else omega[-1], 1)
-    cap = _known_count(omega, precision)
-    u, p = _window(omega, cap)
+    cap, p = _known_count(omega, precision), omega._form[2]
+    ratios = _ratios(False, cap, omega)
+    if ratios:
+        a, b = ratios[0] if omega.lo == 1 else ratios[0][::-1]
+        if max(len(a[0]), len(b[0]) - 1) <= _EQUATION_POWERS:
+            return _packed(*dense.invert(a, b, cap, p), p, 1, cap)
+    u, _ = _window(omega, cap)
     if omega.lo == -1:
         psi = u
-    elif omega._ratio:  # x/omega = D/N
+    elif omega._ratio:
         num, den = omega._ratio
         psi = dense.recip(num, cap, p, den)
     else:

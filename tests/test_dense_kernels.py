@@ -13,8 +13,10 @@ for an exact chi over its support), reversion by back-substitution,
 powering by repeated squaring, matrix columns as alpha times each power,
 and the packed kernels they were replaced by first: Newton iteration for
 every divisor, Horner's rule and Lagrange inversion with one product per
-coefficient.  Results must be equal with `==`, which compares side,
-exactness, window and every coefficient.
+coefficient.  The inverse of a ratio by its equation (`dense.invert`) is
+checked against Lagrange's scheme, the route it replaced.  Results must be
+equal with `==`, which compares side, exactness, window and every
+coefficient.
 """
 
 from __future__ import annotations
@@ -1185,6 +1187,108 @@ def test_order_minus_one_inverse_makes_no_division(monkeypatch):
         got = compositional_inverse(omega, prec)
         assert got == want and (got.side, got.lo, got.hi) == (want.side, want.lo, want.hi)
         assert len(routes) == divisions
+
+
+# -- the inverse of a ratio by its equation --------------------------------------------
+
+
+def _poly(rng: random.Random, p: int, degree: int) -> tuple:
+    """A polynomial form of the given degree with a nonzero constant term:
+    over Q integers over a denominator up to 6, the constant negative half
+    the time; sometimes with top zeros."""
+    if p:
+        xs = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(degree - 1)]
+        xs += [rng.randrange(1, p)] if degree else []
+        den = 1
+    else:
+        xs = [rng.choice([-1, 1]) * rng.randint(1, 9)]
+        xs += [rng.randint(-9, 9) for _ in range(degree - 1)]
+        xs += [rng.choice([-3, -1, 2, 5])] if degree else []
+        den = rng.randint(1, 6)
+    return xs + [0] * rng.choice([0, 0, 0, 1, 3]), den
+
+
+def test_the_equation_matches_lagrange():
+    # dense.invert against Lagrange's scheme on psi = B/A, the route it
+    # replaced, over Q, GF(7) past its characteristic and GF(2^31-1), for R =
+    # max(deg A + 1, deg B) on both sides of the bound
+    rng = random.Random(127)
+    bound = series._EQUATION_POWERS
+    for p in (0, 7, 2**31 - 1):
+        for _ in range(120):
+            r = rng.randint(1, bound + 3)
+            da = rng.randint(0, r - 1)
+            db = r if da < r - 1 else rng.randint(0, r)
+            a, b = _poly(rng, p, da), _poly(rng, p, db)
+            n = rng.randint(1, 40 if p == 7 else 70)
+            assert dense.invert(a, b, n, p) == dense.reversion(dense.recip(a, n, p, b), n, p)
+    a, b = ([-3, 1, 2], 4), ([5, -1, 0, 7], 3)  # a_0 < 0, dens != 1, at 300
+    assert dense.invert(a, b, 300, 0) == dense.reversion(dense.recip(a, 300, 0, b), 300, 0)
+
+
+def test_inverses_of_ratios_take_the_equation_within_the_bound(monkeypatch):
+    # x^(+-1) N/D made by mul and recip carries its ratio; an exact
+    # polynomial is one over 1.  Each inverse, on both sides and through the
+    # flip, equals that of a copy without the ratio, which takes Lagrange's
+    # route; the equation serves R <= _EQUATION_POWERS, Lagrange the rest
+    rng = random.Random(128)
+    routes = []
+    for name in ("invert", "reversion"):
+        def spy(*args, real=getattr(dense, name), name=name):
+            routes.append(name)
+            return real(*args)
+        monkeypatch.setattr(dense, name, spy)
+    bound, seen = series._EQUATION_POWERS, set()
+    for field in FIELDS:
+        one = Fraction(1) if field == "q" else prime_field(field)(1)
+        for _ in range(40):
+            order, side = rng.choice([1, -1]), rng.choice([Side.BELOW, Side.ABOVE])
+            prec = rng.choice([16, 33])  # within _RATIO_DEGREE
+            na, nd = rng.randint(0, bound), rng.randint(1, bound + 1)
+            step = -1 if side is Side.ABOVE else 1
+            num = {step * (order + i): nonzero(rng, field) for i in range(na + 1)}
+            den = {step * i: nonzero(rng, field) for i in range(nd + 1)}
+            omega = mul(LaurentSeries.from_terms(num),
+                        recip(LaurentSeries.from_terms(den), side, prec))
+            inner = [scalar(rng, field) for _ in range(na - 1)] + [nonzero(rng, field)] * (na > 0)
+            exact = LaurentSeries.from_terms({order + i: c * one for i, c in enumerate(
+                [nonzero(rng, field)] + inner)})
+            cases = [(omega, (na, nd) if order == 1 else (nd, na))]
+            if na:  # a monomial inverts exactly
+                cases.append((exact, (na, 0) if order == 1 else (0, na)))
+            for w, (deg_a, deg_b) in cases:
+                if w.exact:
+                    top = w.lo + prec - 1
+                    bare = LaurentSeries.truncated(
+                        {e: c for e, c in w.coeffs.items() if e <= top}, Side.BELOW, w.lo, top)
+                else:
+                    assert w._ratio is not None
+                    bare = LaurentSeries.truncated(w.coeffs, w.side, w.lo, w.hi)
+                want = compositional_inverse(bare, prec)
+                routes.clear()
+                got = compositional_inverse(w, prec)
+                assert got == want and (got.side, got.lo, got.hi) == (want.side, want.lo, want.hi)
+                route = "invert" if max(deg_a + 1, deg_b) <= bound else "reversion"
+                assert routes == [route]
+                seen.add(route)
+    assert seen == {"invert", "reversion"}
+    # an inexact omega without a ratio and a sparse one with R = 40 keep
+    # Lagrange's route
+    gf = prime_field(2**31 - 1)
+    for omega in (LaurentSeries.truncated({1: gf(3), 2: gf(5)}, Side.BELOW, 1, 30),
+                  LaurentSeries.from_terms({1: gf(2), 40: gf(7)})):
+        routes.clear()
+        compositional_inverse(omega, 80)
+        assert routes == ["reversion"]
+
+
+def test_inverses_of_quotients_make_no_packed_product(monkeypatch):
+    made = count_products(monkeypatch)
+    for text, prec in (("x/(1-x-x^2)", 2000), ("x-x^2-x^3", 500)):
+        omega = parse(text, precision=prec)
+        made.clear()
+        assert compositional_inverse(omega, prec).hi == prec
+        assert made == []
 
 
 # -- powers kept on the series they walk -----------------------------------------------

@@ -1,7 +1,8 @@
 """Series that carry a ratio: the same outputs as their expansions.
 
 A series parsed from a quotient, or made by `recip` of an exact polynomial,
-carries its numerator and denominator, and the kernels pass them on.  The
+carries its numerator and denominator, and the kernels and sums pass them
+on.  The
 ratio changes only how the known coefficients are computed: every operation
 on operands that carry one must give the side, window, coefficients and
 exception of the same operation on copies rebuilt without it, through
@@ -36,6 +37,7 @@ from biriordan.series import (  # noqa: E402
     compose,
     compositional_inverse,
     mul,
+    neg,
     parse,
     power,
     recip,
@@ -106,7 +108,8 @@ def _operands(draw, count: int = 2):
     prec = draw(st.sampled_from([1, 2, 5, 16, 40, 64]))
     ops = [draw(_rational(p, side, draw(st.sampled_from([1, -1, 2, -2])), prec))]
     ops += [draw(_rational(p, side, draw(st.integers(-2, 2)), prec)) for _ in range(count - 1)]
-    made = draw(st.sampled_from(["none", "mul", "recip", "power", "compose", "flip"]))
+    made = draw(st.sampled_from(["none", "mul", "recip", "power", "compose", "flip",
+                                 "add", "neg"]))
     a, b = ops[-2:] if count > 1 else (ops[0], ops[0])
     if made == "mul":
         ops[-1] = mul(a, b)
@@ -121,6 +124,13 @@ def _operands(draw, count: int = 2):
             pass
     elif made == "flip":
         ops[-1] = substitute_reciprocal(substitute_reciprocal(b))
+    elif made == "add":  # a, or an exact polynomial, plus b
+        step = -1 if side is Side.ABOVE else 1
+        exps = draw(st.sets(st.integers(-2, 3), min_size=1, max_size=3))
+        ops[-1] = add(a if draw(st.booleans()) else LaurentSeries.from_terms(
+            {step * e: _scalar(draw, p, True) for e in exps}), b)
+    elif made == "neg":
+        ops[-1] = neg(b)
     return p, side, prec, ops
 
 
@@ -202,6 +212,33 @@ def test_ratios_are_made_and_passed_on_below_the_bound():
     num, den = compose(q, w, 8)._ratio
     assert dense.to_coeffs(*dense.recip(den, 30, 0, num), 0, 0) == \
         {k: Fraction(3 ** (k - 1) if k else 1) for k in range(30)}
+
+
+def test_sums_carry_the_ratio_of_their_terms():
+    # x/(1-2x) + x^2 = (x+x^2-2x^3)/(1-2x), below and through the flip;
+    # 1/(1-x) - 1 = x/(1-x) from past the cancelled constant; neg gives
+    # -N/D; a sum whose window cancels, a value minus itself and a sum past
+    # the bound carry none
+    w = parse("x/(1-2x)", precision=8)
+    want = (([1, 1, -2], 1), ([1, -2], 1))
+    assert add(w, parse("x^2"))._ratio == want
+    assert parse("x/(1-2x)+x^2", precision=8)._ratio == want
+    assert add(parse("x^-1/(1-2x^-1)", Side.ABOVE, 8), parse("x^-2"))._ratio == want
+    d = add(parse("1/(1-x)", precision=8), neg(LaurentSeries.one()))
+    assert (d.lo, d.hi, d._ratio) == (1, 7, (([1], 1), ([1, -1], 1)))
+    assert neg(w)._ratio == (([-1], 1), ([1, -2], 1))
+    assert neg(plain(w))._ratio is None
+    gone = add(parse("1/(1-x)", precision=3), parse("-1-x-x^2"))
+    assert gone.count_from_order() == 0 and gone._ratio is None
+    assert add(w, neg(w))._ratio is None
+    assert add(w, parse("x^20"))._ratio is None
+
+
+def test_a_sum_composes_as_its_quotient_at_large_precision():
+    outs = [_run_limited("series", "compose", "--chi", "1/(1-x)", "--omega", omega,
+                         "--prec", "2000", budget=2.0)
+            for omega in ("x/(1-2x)+x^2", "(x+x^2-2x^3)/(1-2x)")]
+    assert outs[0] == outs[1] and outs[0].endswith("side: bounded-below\n")
 
 
 def test_copy_pickle_and_equality_ignore_the_ratio():
