@@ -10,10 +10,15 @@ The text is read once into tokens, each beside the whitespace before it, so
 {exponent: (numerator, denominator)} of ints, the denominator positive and
 the numerator nonzero, not always in lowest terms: a sum adds pairs in
 place and a one-term factor scales them, with no common denominator.  Only
-a product of several terms by several, a quotient by several terms and a
-meeting with an inexact operand take one (math.lcm) to the working form.
-An inexact value is a series, kernel output; an exact result leaves as one
-series, its Fractions built then.
+a product of several terms by several, a quotient and a meeting with an
+inexact operand take one (math.lcm) to the working form.  An inexact value
+is a series, kernel output; an exact result leaves as one series, its
+Fractions built then.
+
+The parser has no division of its own: an exact quotient whose ratio fits
+its count (series._fits) is series._rational's one long division, and
+every other quotient, by one term or past _fits, is the dividend times
+series.recip of the divisor.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ from fractions import Fraction
 
 from . import dense
 from .errors import ParseError
-from .series import (MAX_NESTING, LaurentSeries, Side, _carry, _check_bits, _fits,
-                     _known_count, _packed, add, mul, neg, power, recip)
+from .series import (MAX_NESTING, LaurentSeries, Side, _check_bits, _fits, _known_count,
+                     _packed, _rational, add, mul, neg, power, recip)
 
 # a run of the digits int() reads, or one non-space character, each after
 # the whitespace before it
@@ -84,30 +89,22 @@ class Parser:
         return value
 
     def divide(self, a, b):
+        # a / b: an exact quotient whose ratio _fits the count is one long
+        # division (series._rational, on the flips when side is above) and
+        # carries the ratio; any other is a times recip(b), kept on b: a
+        # one-term b inverts exactly, a longer one expands once
         tb = _pairs(b)
-        if tb and len(tb) == 1:  # times 1/(c x^e), the sign on the numerator
-            (e, (x, d)), = tb.items()
-            return _mul(a, {-e: (d, x) if x > 0 else (-d, -x)})
-        ta = _pairs(a)
-        if ta and tb:
-            return self.quotient(ta, tb)
+        ta = tb and len(tb) > 1 and _pairs(a)
+        if ta:
+            count = _known_count(None, self.precision)
+            flip = self.side is Side.ABOVE
+            if flip:
+                ta, tb = ({-e: c for e, c in t.items()} for t in (ta, tb))
+            la, lb = min(ta), min(tb)
+            if _fits(max(ta) - la + max(tb) - lb, count):
+                return _rational((_form(ta, la, True), _form(tb, lb, True)), 0, la - lb,
+                                 count, flip)
         return mul(_series(a), recip(_series(b), self.side, self.precision))
-
-    def quotient(self, a: dict, b: dict) -> LaurentSeries:
-        # mul(a, recip(b, side, precision)) for exact a != 0 and b of several
-        # terms: one long division of a by b, on the flips when side is above;
-        # the series carries the ratio (a, b) when _fits, else a and b are
-        # cut to the count
-        count = _known_count(None, self.precision)
-        flip = self.side is Side.ABOVE
-        if flip:
-            a, b = ({-e: c for e, c in t.items()} for t in (a, b))
-        la, lb = min(a), min(b)
-        whole = _fits(max(a) - la + max(b) - lb, count)
-        num, u = (_form(t, lo, max(t) - lo + 1 if whole else min(count, max(t) - lo + 1), True)
-                  for t, lo in ((a, la), (b, lb)))
-        value = _packed(*dense.recip(u, count, 0, num), 0, la - lb, count, flip)
-        return _carry(value, (num, u) if whole else None)
 
     def unary(self):
         negate = False
@@ -195,16 +192,15 @@ def _pairs_of(xs, den: int, lo: int) -> dict:
             if x}
 
 
-def _form(t: dict, lo: int, n: int, packed: bool = False) -> tuple:
-    """(xs, den): the pairs of t at x^lo .. x^(lo+n-1) (t has none below) over
-    one common denominator, the least: one math.lcm of the pairs' own, each
-    first reduced by a gcd.  A list, or sparse when mostly gaps unless
-    packed."""
+def _form(t: dict, lo: int, packed: bool = False) -> tuple:
+    """(xs, den): the pairs of t from x^lo (t has none below) over one common
+    denominator, the least: one math.lcm of the pairs' own, each first
+    reduced by a gcd.  A list, or sparse when mostly gaps unless packed."""
     terms = []
     for e, (x, d) in t.items():
-        if e - lo < n:
-            g = math.gcd(x, d)
-            terms.append((e - lo, x // g, d // g))
+        g = math.gcd(x, d)
+        terms.append((e - lo, x // g, d // g))
+    n = max(t, default=lo - 1) - lo + 1
     den = math.lcm(*[d for *_, d in terms])
     if packed or dense.worth_packing(n - 1, len(terms)):
         xs = [0] * n
@@ -219,7 +215,7 @@ def _series(v) -> LaurentSeries:
     if type(v) is not dict:
         return v
     lo = min(v, default=0)
-    return _packed(*_form(v, lo, max(v, default=-1) - lo + 1), 0, lo, None)
+    return _packed(*_form(v, lo), 0, lo, None)
 
 
 def _add(a, b, minus: bool):
@@ -253,7 +249,6 @@ def _mul(a, b):
         return {e + k: v if c == (1, 1) else (c[0] * v[0], c[1] * v[1])
                 for e, c in a.items() for k, v in b.items()}
     (la, ha), (lb, hb) = (min(a), max(a)), (min(b), max(b))
-    xs, den = dense.mul(_form(a, la, ha - la + 1), _form(b, lb, hb - lb + 1),
-                        ha + hb - la - lb + 1, 0)
+    xs, den = dense.mul(_form(a, la), _form(b, lb), ha + hb - la - lb + 1, 0)
     return _pairs_of(xs, den, la + lb)
 

@@ -75,7 +75,7 @@ class LaurentSeries:
     of two exact polynomials on its side (of its flip when bounded above),
     N[0] and D[0] nonzero: then it is x^ord N/D, every coefficient inside
     its window and past it.  A kernel whose operands are each exact or carry
-    one gives its result one, within _RATIO_DEGREE, and takes the known
+    one gives its result one, within _fits, and takes the known
     coefficients from it; equality and hashing ignore it."""
 
     __slots__ = ("side", "coeffs", "lo", "hi", "exact", "_form", "_walked", "_ratio")
@@ -381,15 +381,6 @@ def _window(s: LaurentSeries, n: int, flip: bool = False) -> tuple:
 
 _ONE = ([1], 1)  # the form of the polynomial 1, over every field
 
-# a result keeps a ratio (N, D) only while deg N + deg D is at most this
-# many times its n known coefficients.  Measured on compositions of two
-# random quotients, the ratio's algebra and division against Paterson and
-# Stockmeyer's scheme on the expansions: at n = 16 the ratio took 0.35-0.8
-# of the time up to deg = n, and over GF(2^31-1) 1.0 times at 1.5 n and
-# 1.7 at 3.5 n (over Q 0.75 and 1.1); at n = 64 0.04-0.45 up to n, over
-# GF(p) 1.45 at 3.25 n; at n = 256 0.002-0.2 up to n
-_RATIO_DEGREE = 1
-
 # the inverse of x^(+-1) N/D solves its equation (dense.invert) while it
 # needs at most this many powers R.  Measured against Lagrange's scheme with
 # its division (n = 16..1000, R = 1..33, best of 3): over GF(2^31-1) the
@@ -411,8 +402,14 @@ def _ratios(flip: bool, n: int, *series: LaurentSeries) -> list | None:
 
 
 def _fits(degree: int, n: int) -> bool:
-    # does a ratio of degree deg N + deg D pay for n known coefficients?
-    return degree <= _RATIO_DEGREE * n
+    # does a ratio of degree deg N + deg D pay for n known coefficients?  Up
+    # to deg = n.  Measured on compositions of two random quotients, the
+    # ratio's algebra and division against Paterson and Stockmeyer's scheme
+    # on the expansions: at n = 16 the ratio took 0.35-0.8 of the time up to
+    # deg = n, and over GF(2^31-1) 1.0 times at 1.5 n and 1.7 at 3.5 n (over
+    # Q 0.75 and 1.1); at n = 64 0.04-0.45 up to n, over GF(p) 1.45 at 3.25
+    # n; at n = 256 0.002-0.2 up to n
+    return degree <= n
 
 
 def _degree(*forms: tuple) -> int:
@@ -436,6 +433,17 @@ def _to_the(u: tuple, k: int, p: int) -> tuple:
         if k:
             u = _times(u, u, p)
     return out
+
+
+def _poly(terms: list, size: int, p: int) -> tuple:
+    # the polynomial form of dense.combine(terms, size, p), a nonzero sum, as
+    # a list (a sum mostly of gaps is sparse), its top zeros dropped
+    xs, den = dense.combine(terms, size, p)
+    if type(xs) is dict:
+        xs = [xs.get(i, 0) for i in range(max(xs) + 1)]
+    while not xs[-1]:
+        xs.pop()
+    return xs, den
 
 
 def _carry(s: LaurentSeries, ratio: tuple) -> LaurentSeries:
@@ -475,14 +483,9 @@ def add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     size = max(i - k + _degree(na, db), j - k + _degree(nb, da)) + 1
     if not _fits(size - 1 + _degree(da, db), count):
         return s
-    xs, den = dense.combine([(_unit(p), i - k, _times(na, db, p)),
-                             (_unit(p), j - k, _times(nb, da, p))], size, p)
-    if type(xs) is dict:  # a sum mostly of gaps is sparse
-        xs = [xs.get(e, 0) for e in range(size)]
-    xs = xs[_view(s, flip)[3] - k:]
-    while not xs[-1]:
-        xs.pop()
-    return _carry(s, ((xs, den), _times(da, db, p)))
+    xs, den = _poly([(_unit(p), i - k, _times(na, db, p)),
+                     (_unit(p), j - k, _times(nb, da, p))], size, p)
+    return _carry(s, ((xs[_view(s, flip)[3] - k:], den), _times(da, db, p)))
 
 
 def neg(a: LaurentSeries) -> LaurentSeries:
@@ -490,7 +493,7 @@ def neg(a: LaurentSeries) -> LaurentSeries:
     s = _sum([(-_unit(p), a)], p)
     if a._ratio:  # -N/D
         num, den = a._ratio
-        _carry(s, (dense.combine([(-_unit(p), 0, num)], len(num[0]), p), den))
+        _carry(s, (_poly([(-_unit(p), 0, num)], len(num[0]), p), den))
     return s
 
 
@@ -988,13 +991,8 @@ def _composed(chi: tuple, omega: tuple, w: int, m: int, n: int, p: int) -> tuple
     one = PrimeFieldElement(1, p) if p else 1
 
     def homogeneous(c: tuple) -> tuple:
-        # sum over k of c_k Y^k Do^(d-k) as a list, its top zeros dropped
-        xs, den = dense.combine([(x * one, 0, t) for x, t in zip(c[0], terms) if x],
-                                size, p)
-        if type(xs) is dict:  # a sum mostly of gaps is sparse
-            xs = [xs.get(i, 0) for i in range(max(xs) + 1)]
-        while not xs[-1]:
-            xs.pop()
+        # sum over k of c_k Y^k Do^(d-k)
+        xs, den = _poly([(x * one, 0, t) for x, t in zip(c[0], terms) if x], size, p)
         return xs, den * c[1]
 
     top, bottom = homogeneous(nc), homogeneous(dc)
@@ -1036,8 +1034,9 @@ def _reversion(omega: LaurentSeries, precision: int | None) -> LaurentSeries:
     # exact (D = 1), omega = x^(+-1) N/D and its inverse y solves y A(y) =
     # x B(y), A, B = N, D for order 1 and D, N for -1: dense.invert, while
     # it needs R = max(deg A + 1, deg B) <= _EQUATION_POWERS powers of y.
-    # Else by Lagrange, from psi = x/omega: one division (of D by N with a
-    # ratio), or for order -1 x/r = x omega, none
+    # Else by Lagrange, from psi = x/omega: x times the kept recip(omega)
+    # (the one the negative columns, m J and compose read), or for order -1
+    # x/r = x omega, no division
     if omega.exact and _nterms(omega) == 1:
         return monomial(1 / omega[1] if omega.lo == 1 else omega[-1], 1)
     cap, p = _known_count(omega, precision), omega._form[2]
@@ -1046,14 +1045,7 @@ def _reversion(omega: LaurentSeries, precision: int | None) -> LaurentSeries:
         a, b = ratios[0] if omega.lo == 1 else ratios[0][::-1]
         if max(len(a[0]), len(b[0]) - 1) <= _EQUATION_POWERS:
             return _packed(*dense.invert(a, b, cap, p), p, 1, cap)
-    u, _ = _window(omega, cap)
-    if omega.lo == -1:
-        psi = u
-    elif omega._ratio:
-        num, den = omega._ratio
-        psi = dense.recip(num, cap, p, den)
-    else:
-        psi = dense.recip(u, cap, p)
+    psi, _ = _window(omega if omega.lo == -1 else recip(omega, Side.BELOW, cap), cap)
     return _packed(*dense.reversion(psi, cap, p), p, 1, cap)
 
 

@@ -1291,6 +1291,30 @@ def test_inverses_of_quotients_make_no_packed_product(monkeypatch):
         assert made == []
 
 
+def test_an_inverse_by_lagrange_keeps_its_reciprocal_on_omega(monkeypatch):
+    # Lagrange's psi is x times the reciprocal that recip keeps on omega, so
+    # the negative columns, m J and compose read it without a second
+    # division: an exact omega past _EQUATION_POWERS (R = 8), a quotient
+    # past it (R = 9) and an inexact omega without a ratio
+    calls = []
+    real = dense.recip
+
+    def spy(u, n, p, num=None):
+        calls.append(n)
+        return real(u, n, p, num)
+
+    fib = parse("x/(1-x-x^2)", precision=40)
+    omegas = (parse("x-x^2-x^3+x^8", precision=40), parse("x/(1-x)^9", precision=40),
+              LaurentSeries.truncated(fib.coeffs, Side.BELOW, fib.lo, fib.hi))
+    monkeypatch.setattr(dense, "recip", spy)
+    for omega in omegas:
+        got = compositional_inverse(omega, 40)
+        assert got == ref_lagrange_reversion(omega, 40)
+        calls.clear()
+        r = recip(omega, Side.BELOW, 40)
+        assert calls == [] and r.count_from_order() == 40
+
+
 # -- powers kept on the series they walk -----------------------------------------------
 
 

@@ -251,6 +251,29 @@ def test_division_of_exact_values_is_one_long_division(monkeypatch):
     assert (s.side, s.lo, s.hi) == (Side.ABOVE, -63 + 3 - 2, 3 - 2)
 
 
+def test_other_quotients_divide_through_recip(monkeypatch):
+    # a quotient past _fits is the dividend times recip of the divisor, one
+    # expansion and no ratio (a sparse dividend among them), and a one-term
+    # divisor inverts exactly, with no expansion
+    calls = []
+    real = series.dense.recip
+
+    def spy(u, n, p, num=None):
+        calls.append(n)
+        return real(u, n, p, num)
+
+    monkeypatch.setattr(series.dense, "recip", spy)
+    cases = [(text, side, 1) for text in ("(x^5000+1)/(1-x)", "(1+x)^40/(1-x-x^2)")
+             for side in (Side.BELOW, Side.ABOVE)]
+    cases += [("(1+x)/(2x)", Side.ABOVE, 0), ("x^3*(1+x)/(3x^-2)", Side.ABOVE, 0)]
+    for text, side, divisions in cases:
+        calls.clear()
+        s = parse(text, side, 16)
+        assert len(calls) == divisions and s._ratio is None, text
+        want = ref_parse(text, side, 16)
+        assert (s.side, s.lo, s.hi, s.coeffs) == (want.side, want.lo, want.hi, want.coeffs)
+
+
 def test_zero_and_monomial_divisors_keep_their_errors():
     with pytest.raises(ZeroSeriesError):
         parse("(1+x)/(x-x)")
