@@ -16,7 +16,9 @@ and the composition kernel then work on those short polynomials and take
 the known coefficients of their result from one division, and the
 compositional inverse solves the quotient's equation y N(y) = x D(y).  The
 windows are those of the expansions, so the ratio changes how a coefficient
-is computed, never which ones are known.
+is computed, never which ones are known.  A kernel whose result is such a
+quotient defers that division: like `coeffs`, the expansion is built on its
+first read, and a kernel that reads the result only as a ratio makes none.
 """
 
 from __future__ import annotations
@@ -76,9 +78,13 @@ class LaurentSeries:
     N[0] and D[0] nonzero: then it is x^ord N/D, every coefficient inside
     its window and past it.  A kernel whose operands are each exact or carry
     one gives its result one, within _fits, and takes the known
-    coefficients from it; equality and hashing ignore it."""
+    coefficients from it; equality and hashing ignore it.  Such a result
+    is pending (see _rational): its side, window, field and ratio are set,
+    and its form, the one division of N by D, is built on first read, as
+    `coeffs` is; `_pending` holds what builds it and is None once built."""
 
-    __slots__ = ("side", "coeffs", "lo", "hi", "exact", "_form", "_walked", "_ratio")
+    __slots__ = ("side", "coeffs", "lo", "hi", "exact", "_form", "_walked", "_ratio",
+                 "_pending")
 
     def __init__(self, side: Side, coeffs: dict, lo: int, hi: int):
         p = field_of(coeffs.values())  # one field, or TypeError before any arithmetic
@@ -97,7 +103,20 @@ class LaurentSeries:
         object.__setattr__(self, "coeffs", coeffs)
 
     def __getattr__(self, name):
-        # only an unset `coeffs` gets here: build it from the form, once
+        # only an unset `coeffs` or `_form` gets here: build it, once.  The
+        # form of a pending ratio is its division, or, for the flip of a
+        # pending root, the root's form (one division for both)
+        if name == "_form":
+            p, root = self._pending
+            if root is None:
+                num, den = self._ratio
+                n = self.hi - self.lo + 1
+                form = _packed(*dense.recip(den, n, p, num), p, 0, n)._form
+            else:
+                form = root._form
+            object.__setattr__(self, "_form", form)
+            object.__setattr__(self, "_pending", None)
+            return form
         if name != "coeffs":
             raise AttributeError(name)
         (xs, den, p), above = self._form, self.side is Side.ABOVE
@@ -175,7 +194,7 @@ class LaurentSeries:
             raise ValueError("order needs a one-sided convention")
         if self.side not in (side, Side.FINITE):
             raise SideMismatchError(f"{self.side.value} series has no {side.value} order")
-        if not _nterms(self):
+        if not _has_term(self):
             raise OrderIndeterminateError(
                 "no nonzero coefficient inside the known window"
             )
@@ -319,6 +338,7 @@ def _fill(s: LaurentSeries, xs, den: int, p: int, base: int, n: int | None,
     put(s, "_form", (xs, den, p))
     put(s, "_walked", None)
     put(s, "_ratio", None)
+    put(s, "_pending", None)
     return s
 
 
@@ -328,11 +348,24 @@ def _nterms(s: LaurentSeries) -> int:
     return len(xs) if type(xs) is dict else len(xs) - xs.count(0)
 
 
+def _has_term(s: LaurentSeries) -> bool:
+    # a nonzero coefficient inside the known window; a pending ratio has
+    # N[0]/D[0] at its order, so its form is not built to tell
+    return bool(s._pending or s._form[0])
+
+
+def _p(s: LaurentSeries) -> int:
+    # the field of s's form, a pending one's without building it
+    return s._pending[0] if s._pending else s._form[2]
+
+
 def _field(*series: LaurentSeries) -> int:
     """The one field of the series' coefficients, 0 for Q (and for no term).
     Series over two fields raise what a product of their scalars raises:
     TypeError for Q with GF(p), ValueError for two primes."""
-    fields = [s._form[2] for s in series if s._form[0]]
+    # _p of each s that _has_term, written out: every kernel asks
+    fields = [s._pending[0] if s._pending else s._form[2] for s in series
+              if s._pending or s._form[0]]
     for q in fields[1:]:
         if q != fields[0]:
             _unit(fields[0]) * _unit(q)  # raises
@@ -451,11 +484,23 @@ def _carry(s: LaurentSeries, ratio: tuple) -> LaurentSeries:
     return s
 
 
-def _rational(ratio: tuple, p: int, base: int, n: int, flip: bool) -> LaurentSeries:
-    """x^base N/D (its flip when flip) known for n coefficients, carrying
-    its ratio (N, D): one division of N by D."""
-    num, den = ratio
-    return _carry(_packed(*dense.recip(den, n, p, num), p, base, n, flip), ratio)
+def _rational(ratio: tuple, p: int, base: int, n: int, flip: bool,
+              root: LaurentSeries | None = None) -> LaurentSeries:
+    """x^base N/D over GF(p) (its flip when flip) known for n coefficients,
+    carrying its ratio (N, D), pending: N[0] and D[0] are nonzero, so its
+    window is x^base .. x^(base+n-1) before any coefficient is built, and its
+    form, one division of N by D, is built on first read (see LaurentSeries).
+    A root, a pending value this one is the flip of, divides for both."""
+    s = LaurentSeries.__new__(LaurentSeries)
+    put = object.__setattr__
+    put(s, "side", Side.ABOVE if flip else Side.BELOW)
+    put(s, "lo", 1 - base - n if flip else base)
+    put(s, "hi", -base if flip else base + n - 1)
+    put(s, "exact", False)
+    put(s, "_walked", None)
+    put(s, "_ratio", ratio)
+    put(s, "_pending", (p, root))
+    return s
 
 
 # -- addition ----------------------------------------------------------------
@@ -506,25 +551,22 @@ def _unit(p: int):
 
 
 def mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    # an inexact product of factors that are exact or carry a ratio carries
-    # the product of their ratios (the walks' products, by _mul_to, do not)
-    s = _mul_to(a, b, None)
-    flip, count = s.side is Side.ABOVE, s.count_from_order()
-    ratios = count and _ratios(flip, count, a, b)
-    if ratios and _fits(_degree(*ratios[0], *ratios[1]), count):
-        (na, ua), (nb, ub) = ratios
-        p = s._form[2]
-        _carry(s, (_times(na, nb, p), _times(ua, ub, p)))
-    return s
+    return _mul_to(a, b, None, True)
 
 
-def _mul_to(a: LaurentSeries, b: LaurentSeries, cut: tuple | None) -> LaurentSeries:
+def _mul_to(a: LaurentSeries, b: LaurentSeries, cut: tuple | None,
+            ratio: bool = False) -> LaurentSeries:
     """mul(a, b), or with a cut (flip, t) only its coefficients through x^t
     (of its flip when flip): known through the lesser of t and mul's window,
     or through its order - 1 when that lies past t.  With each factor cut
     as _cut_for says, every exponent through t is known, and holds the
     coefficient it holds, exactly where the full product knows it; so a cut
-    product known short of t is the full product."""
+    product known short of t is the full product.  With ratio (mul's
+    product; the walks' carry none), an inexact product of factors that are
+    exact or carry a ratio carries the product of their ratios, within
+    _fits: pending while a factor is, else beside the product of the forms
+    (over Q one packed product costs less than dividing the product's
+    ratio)."""
     if a.is_zero() or b.is_zero():
         return LaurentSeries.zero()
     sides = {s.side for s in (a, b) if not s.exact}
@@ -543,6 +585,14 @@ def _mul_to(a: LaurentSeries, b: LaurentSeries, cut: tuple | None) -> LaurentSer
     if cut is not None and cut[1] < (ahi + bhi if hi is None else hi):
         hi = cut[1]
     count = ahi + bhi - alo - blo + 1 if hi is None else max(hi - alo - blo + 1, 0)
+    r = None
+    if ratio and hi is not None:
+        ratios = _ratios(flip, count, a, b)
+        if ratios and _fits(_degree(*ratios[0], *ratios[1]), count):
+            (na, ua), (nb, ub) = ratios
+            r = _times(na, nb, p), _times(ua, ub, p)
+            if a._pending or b._pending:
+                return _rational(r, p, alo + blo, count, flip)
     (xa, da, _, la), (xb, db, _, lb) = _view(a, flip), _view(b, flip)
     if type(xa) is list and type(xb) is list and ([1], 1) in ((xa, da), (xb, db)):
         # the exact 1 shifts the other factor
@@ -550,7 +600,8 @@ def _mul_to(a: LaurentSeries, b: LaurentSeries, cut: tuple | None) -> LaurentSer
         xs = xs if len(xs) <= count else xs[:count]
     else:
         xs, den = dense.mul((xa, da), (xb, db), count, p)
-    return _packed(xs, den, p, la + lb, None if hi is None else count, flip)
+    s = _packed(xs, den, p, la + lb, None if hi is None else count, flip)
+    return _carry(s, r) if r else s
 
 
 # -- reciprocal and powers -----------------------------------------------------
@@ -577,7 +628,7 @@ def _recip_to(a: LaurentSeries, side: Side | None, precision: int | None,
     # None marks when the cut keeps every coefficient
     if a.is_zero():
         raise ZeroSeriesError("reciprocal of the zero series")
-    if not a.exact and not _nterms(a):
+    if not a.exact and not _has_term(a):
         raise OrderIndeterminateError("reciprocal needs a computable order")
     if a.side not in (side or a.side, Side.FINITE):
         raise SideMismatchError(
@@ -599,7 +650,7 @@ def _recip_to(a: LaurentSeries, side: Side | None, precision: int | None,
             ratios = cut is None and _ratios(flip, n, a)
             if ratios and _fits(_degree(*ratios[0]), n):
                 (num, den), = ratios
-                r = _rational((den, num), a._form[2], -m, n, flip)
+                r = _rational((den, num), _p(a), -m, n, flip)
             else:
                 u, p = _window(a, n, flip=flip)
                 xs, den = dense.recip(u, n, p)
@@ -623,7 +674,15 @@ def _known_count(a: LaurentSeries | None, precision: int | None) -> int:
 def _check_exponent(a: LaurentSeries, j: int) -> None:
     # the one exponent budget, checked on the base a caller passes (never on
     # 1/a or a power on the way): |j| on several terms, and the bits of c^j
-    # for one term c over Q (xs[0] / den of its form, in lowest terms)
+    # for one term c over Q (xs[0] / den of its form, in lowest terms).  A
+    # pending ratio passes with its form unbuilt when |j| is within
+    # MAX_EXPONENT and c^j stays short of MAX_POWER_BITS for c = N[0]/D[0],
+    # its first coefficient, unreduced: then neither budget binds, however
+    # many terms it has; else the form decides
+    if a._pending and abs(j) <= MAX_EXPONENT:
+        (nx, nd), (dx, dd) = a._ratio
+        if a._pending[0] or not _wide(nx[0] * dd, nd * dx[0], j):
+            return
     terms = _nterms(a)
     if abs(j) > MAX_EXPONENT and terms > 1:
         raise ValueError(f"exponent must be at most {MAX_EXPONENT} in absolute value")
@@ -633,10 +692,14 @@ def _check_exponent(a: LaurentSeries, j: int) -> None:
 
 
 def _check_bits(num: int, den: int, j: int) -> None:
-    # (num / den)^j in lowest terms has over |j| (b - 1) bits, b the longer of
-    # num's and den's bits
-    if abs(j) * (max(num.bit_length(), den.bit_length()) - 1) >= MAX_POWER_BITS:
+    if _wide(num, den, j):
         raise ValueError(f"the power would have more than {MAX_POWER_BITS} bits")
+
+
+def _wide(num: int, den: int, j: int) -> bool:
+    # (num / den)^j in lowest terms has over |j| (b - 1) bits, b the longer of
+    # num's and den's bits: at least MAX_POWER_BITS?
+    return abs(j) * (max(num.bit_length(), den.bit_length()) - 1) >= MAX_POWER_BITS
 
 
 def power(a: LaurentSeries, j: int, side: Side | None = None,
@@ -670,15 +733,15 @@ def _power_to(a: LaurentSeries, j: int, side: Side | None,
     result = _kept_at(kept, j, cut)
     if result is not None:
         return result
-    terms = _nterms(a)
-    if (a.exact and terms > 1
+    terms = _nterms(a) if a.exact else 0
+    if (terms > 1
             and (j < 0 or j > 1 and 2 * j >= terms and dense.worth_packing(a.hi - a.lo, terms))
             and _field(a) == 0):
         result = _miller_power(a, j, side, precision, cut)
     elif j < 0:
         return _power_to(recip(a, side, precision), -j, None, None, None)
     elif cut is None and a._ratio and _fits(j * _degree(*a._ratio), a.hi - a.lo + 1):
-        (num, den), p = a._ratio, a._form[2]
+        (num, den), p = a._ratio, _p(a)
         result = _rational((_to_the(num, j, p), _to_the(den, j, p)), p,
                            j * (-a.hi if a.side is Side.ABOVE else a.lo),
                            a.hi - a.lo + 1, a.side is Side.ABOVE)
@@ -853,9 +916,14 @@ def _sum(terms, p: int) -> LaurentSeries:
 
 def substitute_reciprocal(a: LaurentSeries) -> LaurentSeries:
     """Exponent negation x -> 1/x; flips the side, preserves exactness."""
-    # an inexact series shares its form and its ratio with its flip
-    return _carry(_packed(*_view(a, a.side is Side.ABOVE), a.count_from_order(),
-                          a.side is not Side.ABOVE), a._ratio)
+    # an inexact series shares its form and its ratio with its flip, and a
+    # pending one the division that builds its form
+    flip = a.side is not Side.ABOVE
+    if a._pending:
+        p, root = a._pending
+        return _rational(a._ratio, p, a.lo if flip else -a.hi, a.hi - a.lo + 1, flip,
+                         root or a)
+    return _carry(_packed(*_view(a, not flip), a.count_from_order(), flip), a._ratio)
 
 
 # -- composition ---------------------------------------------------------------
@@ -867,7 +935,7 @@ def _side_order(omega: LaurentSeries, side: Side) -> int | None:
     if not omega.exact:
         if omega.side is not side:
             return None
-        if not _nterms(omega):
+        if not _has_term(omega):
             raise OrderIndeterminateError("inner series has indeterminate order")
     return omega.lo if side is Side.BELOW else omega.hi
 
@@ -931,16 +999,17 @@ def _compose_kernel(chi: LaurentSeries, omega: LaurentSeries,
     w = omega.lo
     m = chi.lo
     cap = (chi.hi + 1) * w - 1  # chi's own truncation
-    if not _nterms(chi):
+    if not _has_term(chi):
         return LaurentSeries.truncated({}, Side.BELOW, m * w, cap)
     head = power(omega, m, Side.BELOW, precision)
     # chi_k omega^k is known through the hi of omega^k, which grows with k,
     # so the first inexact term binds: omega^m when inexact, else (m = 0,
     # omega inexact) omega^k of the next nonzero chi_k, known through
-    # omega.hi + (k - 1) w
+    # omega.hi + (k - 1) w, no less than omega.hi: chi is read only when
+    # that may bind
     if not head.exact:
         cap = min(cap, head.hi)
-    elif not omega.exact:
+    elif not omega.exact and omega.hi < cap:
         later = next((k for k in range(1, chi.hi + 1) if chi[k]), None)
         if later is not None:
             cap = min(cap, omega.hi + (later - 1) * w)
@@ -1012,7 +1081,7 @@ def compositional_inverse(omega: LaurentSeries,
     """
     if omega.is_zero():
         raise ZeroSeriesError("compositional inverse of the zero series")
-    if not omega.exact and not _nterms(omega):
+    if not omega.exact and not _has_term(omega):
         raise OrderIndeterminateError("compositional inverse needs a computable order")
     bo = _side_order(omega, Side.BELOW)
     if bo == 1:
@@ -1039,7 +1108,7 @@ def _reversion(omega: LaurentSeries, precision: int | None) -> LaurentSeries:
     # x/r = x omega, no division
     if omega.exact and _nterms(omega) == 1:
         return monomial(1 / omega[1] if omega.lo == 1 else omega[-1], 1)
-    cap, p = _known_count(omega, precision), omega._form[2]
+    cap, p = _known_count(omega, precision), _p(omega)
     ratios = _ratios(False, cap, omega)
     if ratios:
         a, b = ratios[0] if omega.lo == 1 else ratios[0][::-1]
