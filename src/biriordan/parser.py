@@ -15,11 +15,10 @@ inexact operand take one (math.lcm) to the working form.  An inexact value
 is a series, kernel output; an exact result leaves as one series, its
 Fractions built then.
 
-The parser has no division of its own: an exact quotient by one term scales
-the dividend's pairs, an exact quotient whose ratio fits its count
-(series._fits) is series._rational's one long division, done before parse
-returns, and every other quotient, past _fits or of an inexact dividend, is
-the dividend times series.recip of the divisor.
+The parser has no division of its own: an exact quotient whose ratio fits
+its count (series._fits) is series._rational's one long division, done
+before parse returns, and every other quotient, by one term or past _fits,
+is the dividend times series.recip of the divisor.
 """
 
 from __future__ import annotations
@@ -91,16 +90,12 @@ class Parser:
         return value
 
     def divide(self, a, b):
-        # a / b: an exact a over a one-term b is a times the inverted term,
-        # its pairs scaled; an exact quotient whose ratio _fits the count is
-        # one long division (series._rational, on the flips when side is
-        # above) and carries the ratio; any other is a times recip(b), kept
-        # on b: a one-term b inverts exactly, a longer one expands once
+        # a / b: an exact quotient whose ratio _fits the count is one long
+        # division (series._rational, on the flips when side is above) and
+        # carries the ratio; any other is a times recip(b), kept on b: a
+        # one-term b inverts exactly, a longer one expands once
         tb = _pairs(b)
-        ta = _pairs(a) if tb else None
-        if ta is not None and len(tb) == 1:
-            (e, (x, d)), = tb.items()
-            return _mul(ta, {-e: (d, x) if x > 0 else (-d, -x)})  # the sign on the numerator
+        ta = tb and len(tb) > 1 and _pairs(a)
         if ta:
             count = _known_count(None, self.precision)
             flip = self.side is Side.ABOVE

@@ -104,8 +104,8 @@ class LaurentSeries:
 
     def __getattr__(self, name):
         # only an unset `coeffs` or `_form` gets here: build it, once.  The
-        # form of a pending ratio is its division, or, for the flip of a
-        # pending root, the root's form (one division for both)
+        # form of a pending ratio is its division, or, for the flip or shift
+        # of a pending root, the root's form (one division for both)
         if name == "_form":
             p, root = self._pending
             if root is None:
@@ -490,7 +490,8 @@ def _rational(ratio: tuple, p: int, base: int, n: int, flip: bool,
     carrying its ratio (N, D), pending: N[0] and D[0] are nonzero, so its
     window is x^base .. x^(base+n-1) before any coefficient is built, and its
     form, one division of N by D, is built on first read (see LaurentSeries).
-    A root, a pending value this one is the flip of, divides for both."""
+    A root, a pending value this one is the flip or a shift of, divides for
+    both."""
     s = LaurentSeries.__new__(LaurentSeries)
     put = object.__setattr__
     put(s, "side", Side.ABOVE if flip else Side.BELOW)
@@ -562,11 +563,13 @@ def _mul_to(a: LaurentSeries, b: LaurentSeries, cut: tuple | None,
     as _cut_for says, every exponent through t is known, and holds the
     coefficient it holds, exactly where the full product knows it; so a cut
     product known short of t is the full product.  With ratio (mul's
-    product; the walks' carry none), an inexact product of factors that are
-    exact or carry a ratio carries the product of their ratios, within
-    _fits: pending while a factor is, else beside the product of the forms
-    (over Q one packed product costs less than dividing the product's
-    ratio)."""
+    product), an inexact product of factors that are exact or carry a ratio
+    carries the product of their ratios, within _fits: pending while a
+    factor is, else beside the product of the forms (over Q one packed
+    product costs less than dividing the product's ratio).  The walks'
+    products (columns f a^j, powers for a sum) carry none: they are read as
+    forms at once, so a ratio would be built for nothing and a pending one
+    divided at once, where one packed product costs less."""
     if a.is_zero() or b.is_zero():
         return LaurentSeries.zero()
     sides = {s.side for s in (a, b) if not s.exact}
@@ -592,7 +595,12 @@ def _mul_to(a: LaurentSeries, b: LaurentSeries, cut: tuple | None,
             (na, ua), (nb, ub) = ratios
             r = _times(na, nb, p), _times(ua, ub, p)
             if a._pending or b._pending:
-                return _rational(r, p, alo + blo, count, flip)
+                # the exact x^k shifts a pending factor: one division for both
+                one, other = (a, b) if b._pending else (b, a)
+                root = None
+                if one.exact and one._form[:2] == _ONE:
+                    root = other._pending[1] or other
+                return _rational(r, p, alo + blo, count, flip, root)
     (xa, da, _, la), (xb, db, _, lb) = _view(a, flip), _view(b, flip)
     if type(xa) is list and type(xb) is list and ([1], 1) in ((xa, da), (xb, db)):
         # the exact 1 shifts the other factor

@@ -110,6 +110,36 @@ def test_a_pending_value_and_its_flip_share_one_division(monkeypatch):
             calls.clear()
 
 
+def test_a_pending_value_shifted_by_an_exact_power_of_x_shares_its_division(monkeypatch):
+    # mul by the exact x^k (the exact 1 among them), on either side of the
+    # product and after a flip, reads the pending factor's one division; a
+    # monomial c x^k with c != 1 is a product of its own
+    rng = random.Random(31)
+    calls = count_divisions(monkeypatch)
+    for p in FIELDS:
+        one = PrimeFieldElement(1, p) if p else Fraction(1)
+        for side in SIDES:
+            s = 1 if side is Side.BELOW else -1
+            num = {s * i: _scalar(rng, p, True) for i in range(3)}
+            den = {s * i: _scalar(rng, p, True) for i in range(3)}
+            a = quotient(num, den, side, 20)
+            shifts = [mul(LaurentSeries.from_terms({k: one}), a) for k in (0, 3, -2)]
+            shifts += [mul(a, LaurentSeries.from_terms({0: one})),
+                       mul(LaurentSeries.from_terms({1: one}), substitute_reciprocal(a))]
+            scaled = mul(LaurentSeries.from_terms({1: one + one}), a)
+            assert calls == [] and all(v._pending for v in shifts + [scaled])
+            for v in shifts:
+                str(v)
+            assert calls == [20] and all(v._form is a._form for v in shifts)
+            str(scaled)
+            assert calls == [20, 20]
+            twin = plain(a)
+            for v, k, b in zip(shifts, (0, 3, -2, 0, 1), (a, a, a, a, substitute_reciprocal(twin))):
+                want = mul(LaurentSeries.from_terms({k: one}), b if b is not a else twin)
+                assert outcome(lambda: v) == outcome(lambda: want)
+            calls.clear()
+
+
 def _scalar(rng, p: int, nonzero: bool):
     if p:
         return PrimeFieldElement(rng.randrange(1 if nonzero else 0, p), p)
