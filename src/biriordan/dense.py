@@ -13,12 +13,13 @@ most 128 bits, and bytes, one object per coefficient, above.
 
 Exact polynomials are forms too: a series that carries a ratio N/D holds two
 of them, multiplies and sums them with `mul` and `combine`, and expands them
-with `recip(D, n, p, num=N)`, long division for a short D.  Only
-`series._rational` (a ratio) and `series.recip` (a window) call `recip`;
-the parser's quotients and Lagrange's psi divide through them.  The
-compositional inverse of x A/B solves y A(y) = x B(y), one coefficient at a
-time from short dot products (`invert`), while A and B are short; any other
-inverse takes Lagrange's scheme over packed products (`reversion`).
+with `recip(D, n, p, num=N)`, long division for a short D.  Only a ratio
+(`series._rational`, whole or through a cut) and `series.recip` (a window)
+call `recip`; the parser's quotients and Lagrange's psi divide through
+them.  The compositional inverse of x A/B solves y A(y) = x B(y), one
+coefficient at a time from short dot products (`invert`), while A and B are
+short; any other inverse takes Lagrange's scheme over packed products
+(`reversion`).
 """
 
 from __future__ import annotations

@@ -16,9 +16,10 @@ is a series, kernel output; an exact result leaves as one series, its
 Fractions built then.
 
 The parser has no division of its own: an exact quotient whose ratio fits
-its count (series._fits) is series._rational's one long division, done
-before parse returns, and every other quotient, by one term or past _fits,
-is the dividend times series.recip of the divisor.
+its count (series._fits) is series._rational's pending value, which parse
+returns undivided (its one long division runs on the first read, and a
+read through a cut divides only through it), and every other quotient, by
+one term or past _fits, is the dividend times series.recip of the divisor.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ class Parser:
         if self.peek():
             raise ParseError(f"unexpected {self.peek()[0]!r}", self.at())
         if type(value) is not dict:
-            value._form  # a parsed value is expanded: a pending ratio divides here
             return value
         return LaurentSeries(Side.FINITE, {e: Fraction(x, d) for e, (x, d) in value.items()},
                              0, -1)
@@ -90,10 +90,10 @@ class Parser:
         return value
 
     def divide(self, a, b):
-        # a / b: an exact quotient whose ratio _fits the count is one long
-        # division (series._rational, on the flips when side is above) and
-        # carries the ratio; any other is a times recip(b), kept on b: a
-        # one-term b inverts exactly, a longer one expands once
+        # a / b: an exact quotient whose ratio _fits the count carries the
+        # ratio, pending (series._rational, on the flips when side is
+        # above); any other is a times recip(b), kept on b: a one-term b
+        # inverts exactly, a longer one expands once
         tb = _pairs(b)
         ta = tb and len(tb) > 1 and _pairs(a)
         if ta:

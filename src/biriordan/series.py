@@ -17,8 +17,10 @@ the known coefficients of their result from one division, and the
 compositional inverse solves the quotient's equation y N(y) = x D(y).  The
 windows are those of the expansions, so the ratio changes how a coefficient
 is computed, never which ones are known.  A kernel whose result is such a
-quotient defers that division: like `coeffs`, the expansion is built on its
-first read, and a kernel that reads the result only as a ratio makes none.
+quotient defers that division, and so does `parse` for a quotient: like
+`coeffs`, the expansion is built on its first read, a kernel that reads the
+result only as a ratio makes none, and one that reads it through a cut
+divides only through the cut.
 """
 
 from __future__ import annotations
@@ -81,10 +83,12 @@ class LaurentSeries:
     coefficients from it; equality and hashing ignore it.  Such a result
     is pending (see _rational): its side, window, field and ratio are set,
     and its form, the one division of N by D, is built on first read, as
-    `coeffs` is; `_pending` holds what builds it and is None once built."""
+    `coeffs` is; `_pending` holds what builds it and is None once built.  A
+    read of fewer coefficients than its window holds divides only through
+    them (see _prefix); `_head` keeps the longest such division."""
 
     __slots__ = ("side", "coeffs", "lo", "hi", "exact", "_form", "_walked", "_ratio",
-                 "_pending")
+                 "_pending", "_head")
 
     def __init__(self, side: Side, coeffs: dict, lo: int, hi: int):
         p = field_of(coeffs.values())  # one field, or TypeError before any arithmetic
@@ -116,6 +120,7 @@ class LaurentSeries:
                 form = root._form
             object.__setattr__(self, "_form", form)
             object.__setattr__(self, "_pending", None)
+            object.__setattr__(self, "_head", None)
             return form
         if name != "coeffs":
             raise AttributeError(name)
@@ -381,6 +386,24 @@ def _view(s: LaurentSeries, flip: bool = False):
     return xs, den, p, -s.hi if flip else s.lo
 
 
+def _prefix(s: LaurentSeries, t: int, flip: bool) -> tuple:
+    """_view(s, flip) of a pending s, its xs through x^(base+t-1) at least.
+    For t below s's count that is one short division (of one coefficient at
+    least: a read may ask for none), kept on the root that divides for s
+    (see _rational) while it is the longest, so a read no longer than it
+    divides nothing again; from t = count on, the whole form."""
+    p, root = s._pending
+    root = root or s
+    if not root._pending or t >= s.hi - s.lo + 1:
+        return _view(s, flip)
+    head = root._head
+    if head is None or len(head[0]) < t:
+        num, den = root._ratio
+        head = dense.recip(den, max(t, 1), p, num)
+        object.__setattr__(root, "_head", head)
+    return (*head, p, -s.hi if flip else s.lo)
+
+
 def _entries(s: LaurentSeries, lo: int, hi: int) -> list:
     """The coefficients of x^lo .. x^hi of s, every one known, as s[e] reads
     them: one slice of the form, a Fraction or a prime field element for
@@ -404,7 +427,7 @@ def _entries(s: LaurentSeries, lo: int, hi: int) -> list:
 def _window(s: LaurentSeries, n: int, flip: bool = False) -> tuple:
     """((xs, den), p): n coefficients of s (of its flip when flip) from its
     order over its field p, as a list."""
-    xs, den, p, _ = _view(s, flip)
+    xs, den, p, _ = _prefix(s, n, flip) if s._pending else _view(s, flip)
     if type(xs) is dict:
         return ([xs.get(i, 0) for i in range(n)], den), p
     return (xs if len(xs) == n else xs[:n] + [0] * (n - len(xs)), den), p
@@ -501,6 +524,7 @@ def _rational(ratio: tuple, p: int, base: int, n: int, flip: bool,
     put(s, "_walked", None)
     put(s, "_ratio", ratio)
     put(s, "_pending", (p, root))
+    put(s, "_head", None)
     return s
 
 
@@ -601,7 +625,9 @@ def _mul_to(a: LaurentSeries, b: LaurentSeries, cut: tuple | None,
                 if one.exact and one._form[:2] == _ONE:
                     root = other._pending[1] or other
                 return _rational(r, p, alo + blo, count, flip, root)
-    (xa, da, _, la), (xb, db, _, lb) = _view(a, flip), _view(b, flip)
+    # a pending factor is read through the count alone
+    (xa, da, _, la), (xb, db, _, lb) = [_prefix(s, count, flip) if s._pending else _view(s, flip)
+                                        for s in (a, b)]
     if type(xa) is list and type(xb) is list and ([1], 1) in ((xa, da), (xb, db)):
         # the exact 1 shifts the other factor
         xs, den = (xb, db) if (xa, da) == ([1], 1) else (xa, da)
@@ -1014,11 +1040,13 @@ def _compose_kernel(chi: LaurentSeries, omega: LaurentSeries,
     # so the first inexact term binds: omega^m when inexact, else (m = 0,
     # omega inexact) omega^k of the next nonzero chi_k, known through
     # omega.hi + (k - 1) w, no less than omega.hi: chi is read only when
-    # that may bind
+    # that may bind, and only through the last k for which it may
     if not head.exact:
         cap = min(cap, head.hi)
     elif not omega.exact and omega.hi < cap:
-        later = next((k for k in range(1, chi.hi + 1) if chi[k]), None)
+        last = min(chi.hi, (cap - omega.hi - 1) // w + 1)
+        cs = _window(chi, last + 1)[0][0]
+        later = next((k for k in range(1, last + 1) if cs[k]), None)
         if later is not None:
             cap = min(cap, omega.hi + (later - 1) * w)
     n = cap - m * w + 1
@@ -1187,7 +1215,10 @@ def format_series(a: LaurentSeries) -> str:
 def parse(text: str, side: Side = Side.BELOW,
           precision: int = DEFAULT_PRECISION) -> LaurentSeries:
     """Parse an expression into a series; the result is exact unless division
-    or a negative power of a non-monomial forced an expansion on `side`.  The
-    parser is a module of its own, loaded on the first call."""
+    or a negative power of a non-monomial forced an expansion on `side`.  An
+    exact quotient whose ratio fits `precision` comes back pending: its
+    window is set and its one division runs on the first read of its
+    coefficients (see _rational).  The parser is a module of its own, loaded
+    on the first call."""
     from .parser import Parser
     return Parser(text, Side.BELOW if side is Side.FINITE else side, precision).parse()

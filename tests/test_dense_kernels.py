@@ -1243,7 +1243,7 @@ def test_inverses_of_ratios_take_the_equation_within_the_bound(monkeypatch):
         one = Fraction(1) if field == "q" else prime_field(field)(1)
         for _ in range(40):
             order, side = rng.choice([1, -1]), rng.choice([Side.BELOW, Side.ABOVE])
-            prec = rng.choice([16, 33])  # within _RATIO_DEGREE
+            prec = rng.choice([16, 33])  # within _fits
             na, nd = rng.randint(0, bound), rng.randint(1, bound + 1)
             step = -1 if side is Side.ABOVE else 1
             num = {step * (order + i): nonzero(rng, field) for i in range(na + 1)}

@@ -1,9 +1,10 @@
 """Pending ratios: a kernel result that is a quotient N/D divides when read.
 
 `recip` of an exact polynomial, `mul` with a pending factor, `power` and the
-composition kernel on ratios, and `substitute_reciprocal` of a pending value
-return a series whose side, window, field and ratio are set and whose form,
-one long division (`dense.recip`), is built on the first read.  These tests
+composition kernel on ratios, `substitute_reciprocal` of a pending value and
+`parse` of a quotient return a series whose side, window, field and ratio
+are set and whose form, one long division (`dense.recip`), is built on the
+first read; a read through a cut divides only through it.  These tests
 count that division, and check each pending value against its forced twin:
 the same value built again and read at once, and the copy of that twin
 rebuilt from its coefficients alone.
@@ -21,17 +22,21 @@ import pytest
 from biriordan import dense
 from biriordan.errors import ComputationError
 from biriordan.field import PrimeFieldElement
+from biriordan.riordan import riordan
 from biriordan.series import (
     MAX_EXPONENT,
     MAX_POWER_BITS,
     LaurentSeries,
     Side,
+    _window,
     compose,
     mul,
+    parse,
     power,
     recip,
     substitute_reciprocal,
 )
+from biriordan.window import extract
 
 GF = 2**31 - 1
 FIELDS = (0, 7, GF)
@@ -247,3 +252,136 @@ def test_the_exponent_budget_of_a_pending_ratio_is_that_of_its_expansion():
         far = build()
         assert power(far, 1) is far and power(far, -1, Side.BELOW, count)._pending
         assert far._pending
+
+
+# -- parsed quotients and reads through a cut ----------------------------------------
+
+
+def _text(terms: dict) -> str:
+    # the parser's text of an exact polynomial {exponent: Fraction}
+    out = ""
+    for e, c in terms.items():
+        sign = "-" if c < 0 else "+"
+        out += f" {sign} {abs(c.numerator)}/{c.denominator}x^{e}"
+    return out.lstrip(" +")
+
+
+def _assert_like_forced_twin(build, where, side: Side, prec: int) -> None:
+    """build() is pending each time, and every observable of it equals that
+    of its forced twin (built and read at once) and of that twin rebuilt
+    from its coefficients."""
+    r = build()
+    twin = build()
+    twin.coeffs  # forced
+    ref = plain(twin)
+    assert (r.side, r.exact, r.lo, r.hi) == (ref.side, ref.exact, ref.lo, ref.hi), where
+    assert r._pending and r._ratio == twin._ratio, where
+    probes = [lambda v, j=j: power(v, j, side, prec) for j in (2, -1, -3, MAX_EXPONENT + 1)]
+    probes += [lambda v, s=s: recip(v, s, prec) for s in SIDES]
+    for probe in probes:
+        fresh = build()
+        assert fresh._pending
+        got = outcome(lambda: probe(fresh))
+        assert got == outcome(lambda: probe(twin)) == outcome(lambda: probe(ref)), where
+    assert r.coeffs == twin.coeffs == ref.coeffs, where
+    assert [type(r[e]) for e in range(r.lo, r.hi + 1)] == \
+        [type(ref[e]) for e in range(r.lo, r.hi + 1)], where
+    assert build() == twin and hash(build()) == hash(twin) == hash(ref), where
+    assert copy.copy(build()) == twin and copy.deepcopy(build()) == twin, where
+    assert pickle.loads(pickle.dumps(build())) == twin, where
+
+
+def test_a_parsed_quotient_is_pending_and_matches_its_forced_twin(monkeypatch):
+    # parse divides nothing for an exact quotient within _fits: its value is
+    # that of the same text read at once
+    rng = random.Random(2030)
+    calls = count_divisions(monkeypatch)
+    for side in SIDES:
+        for prec in (1, 2, 5, 16, 40, 64):
+            for _ in range(3):
+                # deg N + deg D <= prec: within _fits
+                dd = rng.randint(1, min(3, prec))
+                num = _poly(rng, 0, rng.randint(-2, 2), rng.randint(0, min(3, prec - dd)),
+                            Side.BELOW)
+                den = _poly(rng, 0, rng.randint(-1, 1), dd, Side.BELOW)
+                text = f"({_text(num)})/({_text(den)})"
+                calls.clear()
+                assert parse(text, side, prec)._pending and calls == [], text
+                _assert_like_forced_twin(lambda: parse(text, side, prec), text, side, prec)
+
+
+def test_a_read_through_a_cut_divides_only_through_it(monkeypatch):
+    # a pending value read through t < its count divides through t alone,
+    # keeps the longest such division for the reads after it (its flip's
+    # too) and leaves its form unbuilt; the first read of the whole window
+    # divides once, over the whole count
+    calls = count_divisions(monkeypatch)
+    a = parse("(1+x)/(1-x-x^2)", Side.BELOW, 100)
+    flip = substitute_reciprocal(a)
+    assert calls == []
+    head = _window(a, 10)
+    assert calls == [10] and a._pending
+    assert _window(a, 5)[0] == (head[0][0][:5], head[0][1])
+    assert _window(flip, 8, True)[0][0] == head[0][0][:8]
+    assert calls == [10] and a._pending and flip._pending
+    longer = _window(a, 20)
+    assert calls == [10, 20] and a._pending
+    full = _window(a, 100)
+    assert calls == [10, 20, 100] and not a._pending
+    for (xs, den), _ in (head, longer):
+        assert [Fraction(x, den) for x in xs] == [Fraction(x, full[0][1])
+                                                   for x in full[0][0][:len(xs)]]
+    assert flip._form is a._form and calls == [10, 20, 100]
+    assert a == plain(a) and flip == substitute_reciprocal(plain(a))
+
+
+def test_the_composition_reads_a_pending_chi_only_where_it_binds(monkeypatch):
+    # chi of order 0 and omega of order 2: the first later chi_k binds only
+    # while omega.hi + (k - 1) 2 < cap, so chi is read through k = 249 of
+    # its 500 coefficients, and the composition stays pending
+    texts = ("(1+x)/(1-x-x^2)", "x^2/(1-x)")
+    want = compose(*(plain(parse(t, Side.BELOW, 500)) for t in texts), 500)
+    calls = count_divisions(monkeypatch)
+    got = compose(*(parse(t, Side.BELOW, 500) for t in texts), 500)
+    assert calls == [250] and got._pending
+    assert got == want and str(got) == str(want)
+    assert calls == [250, 502]
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_a_positive_block_divides_only_through_its_rows(monkeypatch, side):
+    # rows and columns 0..63 of R(1/(1-2x), x/(1-x-x^2)) (rows -63..0
+    # above, where the columns run down), each parsed at 10000: parse
+    # divides nothing, and the block reads each column only through its
+    # rows, so no kernel asks for more than 130 coefficients
+    rows = (0, 63) if side is Side.BELOW else (-63, 0)
+    texts = ("1/(1-2x)", "x/(1-x-x^2)")
+    want = extract(riordan(*(plain(parse(t, side, 200)) for t in texts), side, 200),
+                   rows, (0, 63)).entries
+    asked = []
+    for name, at in (("recip", 1), ("product", 2)):  # the count each asks for
+        def spy(*args, real=getattr(dense, name), at=at):
+            asked.append(args[at])
+            return real(*args)
+        monkeypatch.setattr(dense, name, spy)
+    m = riordan(*(parse(t, side, 10000) for t in texts), side, 10000)
+    assert asked == []
+    assert extract(m, rows, (0, 63)).entries == want
+    assert asked and max(asked) <= 130, max(asked)
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_a_composition_shorter_than_the_inner_order_reads_no_tail(side):
+    # chi of order 1 below and omega of order w >= 2 below (-w above, read
+    # through its flip), each known for one coefficient: the composition
+    # knows n = 1 < w of them, so it reads omega / x^w through n - w < 1
+    # coefficients, which a pending omega gives as its expansion does
+    s = 1 if side is Side.BELOW else -1
+    for c, w in ((3, 2), (1, 3)):
+        def build():
+            return [parse(f"{c}x/(2-x)", Side.BELOW, 1), parse(f"x^{w * s}/(3-x^{s})", side, 1)]
+
+        args = build()
+        assert all(a._pending for a in args)
+        want = compose(*map(plain, build()), 1)
+        assert outcome(lambda: compose(*args, 1)) == outcome(lambda: want)
