@@ -18,6 +18,7 @@ from .errors import ComputationError
 from .field import format_scalar
 from .riordan import apply, classify, format_class_set, inverse, matmul, riordan
 from .series import (
+    DEFAULT_PRECISION,
     LaurentSeries,
     Side,
     compose,
@@ -156,8 +157,8 @@ def _series_args(p: argparse.ArgumentParser, formats: bool = True):
     p.add_argument("--side", choices=sorted(_SIDES), default="below",
                    help="side expressions and matrix columns expand on "
                         "(default below)")
-    p.add_argument("--prec", type=_precision, default=16,
-                   help="known coefficients per expansion (default 16)")
+    p.add_argument("--prec", type=_precision, default=DEFAULT_PRECISION,
+                   help=f"known coefficients per expansion (default {DEFAULT_PRECISION})")
     if formats:
         p.add_argument("--format", choices=["text", "json"], default="text")
 
@@ -196,7 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="side omega is expanded on (default: --side)")
     _series_args(p)
 
-    p = series_sub.add_parser("invert", help="compositional inverse of omega")
+    p = series_sub.add_parser("invert", help="compositional inverse of omega", description=(
+        "The compositional inverse of omega. --side is not read for a finite omega: the "
+        "inverse takes no side, and inverts where omega has order +1 or -1, below first."))
     p.add_argument("--omega", type=_expression, required=True)
     _series_args(p)
 

@@ -85,7 +85,7 @@ class LaurentSeries:
     and its form, the one division of N by D, is built on first read, as
     `coeffs` is; `_pending` holds what builds it and is None once built.  A
     read of fewer coefficients than its window holds divides only through
-    them (see _prefix); `_head` keeps the longest such division."""
+    them (see _view); `_head` keeps the longest such division."""
 
     __slots__ = ("side", "coeffs", "lo", "hi", "exact", "_form", "_walked", "_ratio",
                  "_pending", "_head")
@@ -276,11 +276,6 @@ def monomial(coeff, exp: int = 0) -> LaurentSeries:
     return LaurentSeries.from_terms({exp: coeff})
 
 
-def _one_like(a: LaurentSeries) -> LaurentSeries:
-    # multiplicative identity with coefficients from a's field
-    return monomial(_unit(_field(a)))
-
-
 # -- the working form ----------------------------------------------------------
 
 
@@ -377,31 +372,28 @@ def _field(*series: LaurentSeries) -> int:
     return fields[0] if fields else 0
 
 
-def _view(s: LaurentSeries, flip: bool = False):
+def _view(s: LaurentSeries, flip: bool = False, t: int | None = None):
     """(xs, den, p, base), xs[i] / den at x^(base+i) of s or, when flip, of
-    its flip, for xs its form's list or dict."""
+    its flip, for xs its form's list or dict; through x^(base+t-1) at least
+    when t is given.  A pending s read through t below its count makes one
+    short division (of one coefficient at least: a read may ask for none),
+    kept on the root that divides for s (see _rational) while it is the
+    longest, so a read no longer than it divides nothing again."""
+    base = -s.hi if flip else s.lo
+    if s._pending and t is not None and t < s.hi - s.lo + 1:
+        p, root = s._pending
+        root = root or s
+        if root._pending:
+            head = root._head
+            if head is None or len(head[0]) < t:
+                num, den = root._ratio
+                head = dense.recip(den, max(t, 1), p, num)
+                object.__setattr__(root, "_head", head)
+            return (*head, p, base)
     xs, den, p = s._form
     if flip and s.exact:
         xs = xs[::-1] if type(xs) is list else {s.hi - s.lo - i: x for i, x in xs.items()}
-    return xs, den, p, -s.hi if flip else s.lo
-
-
-def _prefix(s: LaurentSeries, t: int, flip: bool) -> tuple:
-    """_view(s, flip) of a pending s, its xs through x^(base+t-1) at least.
-    For t below s's count that is one short division (of one coefficient at
-    least: a read may ask for none), kept on the root that divides for s
-    (see _rational) while it is the longest, so a read no longer than it
-    divides nothing again; from t = count on, the whole form."""
-    p, root = s._pending
-    root = root or s
-    if not root._pending or t >= s.hi - s.lo + 1:
-        return _view(s, flip)
-    head = root._head
-    if head is None or len(head[0]) < t:
-        num, den = root._ratio
-        head = dense.recip(den, max(t, 1), p, num)
-        object.__setattr__(root, "_head", head)
-    return (*head, p, -s.hi if flip else s.lo)
+    return xs, den, p, base
 
 
 def _entries(s: LaurentSeries, lo: int, hi: int) -> list:
@@ -427,7 +419,7 @@ def _entries(s: LaurentSeries, lo: int, hi: int) -> list:
 def _window(s: LaurentSeries, n: int, flip: bool = False) -> tuple:
     """((xs, den), p): n coefficients of s (of its flip when flip) from its
     order over its field p, as a list."""
-    xs, den, p, _ = _prefix(s, n, flip) if s._pending else _view(s, flip)
+    xs, den, p, _ = _view(s, flip, n)
     if type(xs) is dict:
         return ([xs.get(i, 0) for i in range(n)], den), p
     return (xs if len(xs) == n else xs[:n] + [0] * (n - len(xs)), den), p
@@ -492,12 +484,12 @@ def _to_the(u: tuple, k: int, p: int) -> tuple:
 
 
 def _poly(terms: list, size: int, p: int) -> tuple:
-    # the polynomial form of dense.combine(terms, size, p), a nonzero sum, as
-    # a list (a sum mostly of gaps is sparse), its top zeros dropped
+    # the polynomial form of dense.combine(terms, size, p) as a list (a sum
+    # mostly of gaps is sparse), its top zeros dropped: empty for 0
     xs, den = dense.combine(terms, size, p)
     if type(xs) is dict:
-        xs = [xs.get(i, 0) for i in range(max(xs) + 1)]
-    while not xs[-1]:
+        xs = [xs.get(i, 0) for i in range(max(xs, default=-1) + 1)]
+    while xs and not xs[-1]:
         xs.pop()
     return xs, den
 
@@ -538,33 +530,34 @@ def add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
             "certified bounded on either side"
         )
     p = _field(a, b)
-    s = _sum([(_unit(p), a), (_unit(p), b)], p)
     # a sum of values that are exact or carry a ratio carries (Na Db x^(i-k)
     # + Nb Da x^(j-k)) / (Da Db), for orders i and j and k the lesser, its
-    # numerator from s's order on: when s knows a nonzero coefficient, the
-    # first nonzero one of the value (the _sum of the walks carries none)
-    flip, count = s.side is Side.ABOVE, s.count_from_order()
-    ratios = count and _ratios(flip, count, a, b)
-    if not ratios:
-        return s
-    (na, da), (nb, db) = ratios
-    i, j = (_view(v, flip)[3] for v in (a, b))
+    # numerator from its first nonzero entry z on, when the sum knows x^(k+z)
+    # (through hi, the least inexact one): pending while an operand is, else
+    # beside the _sum of the forms (the _sum of the walks carries none)
+    flip = Side.ABOVE in (a.side, b.side)
+    i, j = (-v.hi if flip else v.lo for v in (a, b))
     k = min(i, j)
-    size = max(i - k + _degree(na, db), j - k + _degree(nb, da)) + 1
-    if not _fits(size - 1 + _degree(da, db), count):
-        return s
-    xs, den = _poly([(_unit(p), i - k, _times(na, db, p)),
-                     (_unit(p), j - k, _times(nb, da, p))], size, p)
-    return _carry(s, ((xs[_view(s, flip)[3] - k:], den), _times(da, db, p)))
+    hi = min((-v.lo if flip else v.hi for v in (a, b) if not v.exact), default=None)
+    ratios = hi is not None and _ratios(flip, hi - k + 1, a, b)
+    r = None
+    if ratios:
+        (na, da), (nb, db) = ratios
+        size = max(i - k + _degree(na, db), j - k + _degree(nb, da)) + 1
+        if _fits(size - 1 + _degree(da, db), hi - k + 1):
+            xs, den = _poly([(_unit(p), i - k, _times(na, db, p)),
+                             (_unit(p), j - k, _times(nb, da, p))], size, p)
+            z = next((e for e, x in enumerate(xs) if x), hi - k + 1)  # past hi for 0
+            if k + z <= hi:
+                r = (xs[z:], den), _times(da, db, p)
+                if a._pending or b._pending:
+                    return _rational(r, p, k + z, hi - k - z + 1, flip)
+    s = _sum([(_unit(p), a), (_unit(p), b)], p)
+    return _carry(s, r) if r else s
 
 
 def neg(a: LaurentSeries) -> LaurentSeries:
-    p = _field(a)
-    s = _sum([(-_unit(p), a)], p)
-    if a._ratio:  # -N/D
-        num, den = a._ratio
-        _carry(s, (_poly([(-_unit(p), 0, num)], len(num[0]), p), den))
-    return s
+    return mul(monomial(-_unit(_field(a))), a)
 
 
 def _unit(p: int):
@@ -626,8 +619,7 @@ def _mul_to(a: LaurentSeries, b: LaurentSeries, cut: tuple | None,
                     root = other._pending[1] or other
                 return _rational(r, p, alo + blo, count, flip, root)
     # a pending factor is read through the count alone
-    (xa, da, _, la), (xb, db, _, lb) = [_prefix(s, count, flip) if s._pending else _view(s, flip)
-                                        for s in (a, b)]
+    (xa, da, _, la), (xb, db, _, lb) = [_view(s, flip, count) for s in (a, b)]
     if type(xa) is list and type(xb) is list and ([1], 1) in ((xa, da), (xb, db)):
         # the exact 1 shifts the other factor
         xs, den = (xb, db) if (xa, da) == ([1], 1) else (xa, da)
@@ -658,8 +650,9 @@ def recip(a: LaurentSeries, side: Side | None = None,
 def _recip_to(a: LaurentSeries, side: Side | None, precision: int | None,
               cut: tuple | None) -> LaurentSeries:
     # recip(a, side, precision), with a cut (flip, t) only through x^t as
-    # _mul_to cuts (one coefficient at least); kept on a with its cut, which
-    # None marks when the cut keeps every coefficient
+    # _mul_to cuts (one coefficient at least); kept on a with its cut, None
+    # when r keeps every coefficient.  A ratio that fits gives the pending
+    # D/N whatever the cut: a read through the cut divides only through it
     if a.is_zero():
         raise ZeroSeriesError("reciprocal of the zero series")
     if not a.exact and not _has_term(a):
@@ -679,16 +672,16 @@ def _recip_to(a: LaurentSeries, side: Side | None, precision: int | None,
         else:
             m = -a.hi if flip else a.lo
             n = key[1] if cut is None else max(min(key[1], cut[1] + m + 1), 1)
-            if n == key[1]:
-                cut = None  # the cut keeps every coefficient
-            ratios = cut is None and _ratios(flip, n, a)
-            if ratios and _fits(_degree(*ratios[0]), n):
+            ratios = _ratios(flip, key[1], a)
+            if ratios and _fits(_degree(*ratios[0]), key[1]):
                 (num, den), = ratios
-                r = _rational((den, num), _p(a), -m, n, flip)
+                r, n = _rational((den, num), _p(a), -m, key[1], flip), key[1]
             else:
                 u, p = _window(a, n, flip=flip)
                 xs, den = dense.recip(u, n, p)
                 r = _packed(xs, den, p, -m, n, flip)
+            if n == key[1]:
+                cut = None  # r keeps every coefficient
         kept.clear()
         kept[key] = cut, r
     return r
@@ -759,8 +752,8 @@ def _power_to(a: LaurentSeries, j: int, side: Side | None,
     # power(a, j, side, precision) past the budget check, cut for j >= 2 as
     # _mul_to cuts: each square and product a^e on the way is cut to what
     # a^j reads of it
-    if j == 0:
-        return _one_like(a)
+    if j == 0:  # the 1 of a's field
+        return monomial(_unit(_field(a)))
     if j == 1:
         return a
     kept = _kept(a, None) if j > 0 else {}
@@ -1093,7 +1086,7 @@ def _composed(chi: tuple, omega: tuple, w: int, m: int, n: int, p: int) -> tuple
         ds.append(_times(ds[-1], do, p))
     terms = [_times(ys[k], ds[d - k], p) for k in range(d + 1)]
     size = max(len(xs) for xs, _ in terms)
-    one = PrimeFieldElement(1, p) if p else 1
+    one = _unit(p)
 
     def homogeneous(c: tuple) -> tuple:
         # sum over k of c_k Y^k Do^(d-k)

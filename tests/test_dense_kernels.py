@@ -843,8 +843,8 @@ def test_walk_packs_no_sparse_power(monkeypatch):
     packed = []
     real = series._view
 
-    def spy(s, flip=False):
-        value = real(s, flip)
+    def spy(s, flip=False, t=None):
+        value = real(s, flip, t)
         if type(value[0]) is list:
             packed.append(value[0])
         return value

@@ -1,13 +1,14 @@
 """Pending ratios: a kernel result that is a quotient N/D divides when read.
 
-`recip` of an exact polynomial, `mul` with a pending factor, `power` and the
-composition kernel on ratios, `substitute_reciprocal` of a pending value and
-`parse` of a quotient return a series whose side, window, field and ratio
-are set and whose form, one long division (`dense.recip`), is built on the
-first read; a read through a cut divides only through it.  These tests
-count that division, and check each pending value against its forced twin:
-the same value built again and read at once, and the copy of that twin
-rebuilt from its coefficients alone.
+`recip` of an exact polynomial or of a quotient (under a cut too), `mul`,
+`neg` and `add` with a pending operand, `power` and the composition kernel
+on ratios, `substitute_reciprocal` of a pending value and `parse` of a
+quotient return a series whose side, window, field and ratio are set and
+whose form, one long division (`dense.recip`), is built on the first read;
+a read through a cut divides only through it.  These tests count that
+division, and check each pending value against its forced twin: the same
+value built again and read at once, and the copy of that twin rebuilt from
+its coefficients alone.
 """
 
 from __future__ import annotations
@@ -20,14 +21,16 @@ from fractions import Fraction
 import pytest
 
 from biriordan import dense
-from biriordan.errors import ComputationError
+from biriordan.errors import ComputationError, OrderIndeterminateError
 from biriordan.field import PrimeFieldElement
-from biriordan.riordan import riordan
+from biriordan.riordan import j_conjugate, riordan
 from biriordan.series import (
     MAX_EXPONENT,
     MAX_POWER_BITS,
     LaurentSeries,
     Side,
+    _field,
+    _rational,
     _window,
     compose,
     mul,
@@ -385,3 +388,92 @@ def test_a_composition_shorter_than_the_inner_order_reads_no_tail(side):
         assert all(a._pending for a in args)
         want = compose(*map(plain, build()), 1)
         assert outcome(lambda: compose(*args, 1)) == outcome(lambda: want)
+
+
+# -- one route per job: a quotient's reciprocal, neg and sums stay pending -----------
+
+
+def test_a_mirrored_block_reads_the_negative_blocks_reciprocal(monkeypatch):
+    # after the negative block of m = R(1/(1-2x), x/(1-x-x^2)) at 10000, the
+    # kept 1/omega is whole and pending (its walk read it through the rows
+    # alone), so j_conjugate(m, "right") is R(alpha, that 1/omega) and its
+    # mirrored block reads the columns m's walk kept: no product, no division
+    m = riordan(parse("1/(1-2x)", Side.BELOW, 10000), parse("x/(1-x-x^2)", Side.BELOW, 10000),
+                Side.BELOW, 10000)
+    negative = extract(m, (-63, 0), (-63, -1)).entries
+    (cut, r), = m.omega._walked[0][-1].values()
+    assert cut is None and r._pending and r.count_from_order() == 10000
+    calls = []
+    for name in ("product", "recip"):
+        def spy(*args, real=getattr(dense, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(dense, name, spy)
+    mirrored = extract(j_conjugate(m, "right"), (-63, 0), (1, 63)).entries
+    assert calls == []
+    assert tuple(row[::-1] for row in mirrored) == negative
+    assert r._pending
+
+
+def _ratio_value(s: LaurentSeries) -> dict:
+    # the coefficients x^lo N/D gives on s's window, divided afresh
+    flip = s.side is Side.ABOVE
+    return _rational(s._ratio, _field(s), -s.hi if flip else s.lo, s.hi - s.lo + 1,
+                     flip).coeffs
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_neg_and_differences_of_pending_quotients_divide_nothing_until_read(monkeypatch,
+                                                                            side):
+    # neg is a product by -1, and a sum of values that carry ratios is
+    # pending while one of them is; each equals its forced twin and the same
+    # operation on values rebuilt without a ratio, and its ratio expands to
+    # its coefficients.  Sums that cancel their first terms, or entirely,
+    # stay right
+    rng = random.Random(31 if side is Side.BELOW else 32)
+    calls = count_divisions(monkeypatch)
+
+    def check(build, where, prec):
+        calls.clear()
+        got = build()
+        assert got._pending and calls == [], where
+        _assert_like_forced_twin(build, where, side, prec)
+        assert _ratio_value(got) == got.coeffs, where
+        return got
+
+    cases = [("neg", lambda a, b: -a), ("a - b", lambda a, b: a - b),
+             ("b - a", lambda a, b: b - a), ("a + b", lambda a, b: a + b)]
+    texts = ["(1+x)/(1-x-x^2)", "1/(1-x)", "1/(1-2x)", "(2-3x)/(1+x^3)", "x^2/(3-x)"]
+    for prec in (12, 16, 25, 40):  # every ratio here fits 12 coefficients
+        for _ in range(3):
+            ta, tb = rng.sample(texts, 2)
+            for name, op in cases + [
+                    ("exact - a", lambda a, b: parse("1 + x", side) - a),
+                    ("a - exact", lambda a, b: a - parse("x^-1 - 2", side))]:
+                got = check(lambda: op(parse(ta, side, prec), parse(tb, side, prec)),
+                            (name, ta, tb, side, prec), prec)
+                want = op(plain(parse(ta, side, prec)), plain(parse(tb, side, prec)))
+                assert outcome(lambda: got) == outcome(lambda: want), (name, ta, tb)
+    for p in (7, GF):
+        a, b = [(_poly(rng, p, 0, 2, side), _poly(rng, p, 0, 2, side)) for _ in range(2)]
+        for name, op in cases:
+            check(lambda: op(quotient(*a, side, 16), quotient(*b, side, 16)),
+                  (name, a, b, side, p), 16)
+    # below, the first three cancel their first terms: orders 1, 1 and 0
+    for text, order in (("1 - (1+x)/(1-x-x^2)", 1), ("1/(1-x) - 1/(1-2x)", 1),
+                        ("2x^-1 - (2+x)/(x - x^2)", 0), ("-((1+x)/(1-x-x^2))", 0)):
+        got = check(lambda: parse(text, side, 30), text, 30)
+        assert side is Side.ABOVE or got.order() == order, text
+    same = parse("(1+x)/(1-x-x^2)", side, 20)
+    assert outcome(lambda: same - parse("(1+x)/(1-x-x^2)", side, 20)) == \
+        outcome(lambda: plain(same) - plain(same))
+    # 1 - x (its ratio over 1, pending) known through x^7, less the exact
+    # 1 - x - x^8 (mirrored above): x^8 is past the window, so it knows no
+    # nonzero coefficient and has no order
+    s = 1 if side is Side.BELOW else -1
+    whole = recip(parse(f"1/(1-x^{s})", side, 8), side, 8)
+    tail = parse(f"1 - x^{s} - x^{8 * s}", side)
+    gone, twin = whole - tail, plain(whole) - tail
+    assert not gone._pending and outcome(lambda: gone) == outcome(lambda: twin)
+    with pytest.raises(OrderIndeterminateError):
+        gone.order()

@@ -3,7 +3,10 @@ biriordan: reciprocals and compositions of random rational functions over Q
 against sympy.series, compositional inverses against the reversion of
 sympy's ring series, both on both sides (the bounded-above expansion of f(x)
 is the expansion of f(1/y) in y = 1/x), and one block of a Riordan matrix.
-Every coefficient the library certifies must be sympy's."""
+Pending quotients over Q and GF(7), their reciprocals read through a cut,
+their negations and negative-column blocks go against the truncated
+products and inversions of sympy's ring series.  Every coefficient the
+library certifies must be sympy's."""
 
 from __future__ import annotations
 
@@ -14,15 +17,24 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from sympy.polys.ring_series import rs_series_reversion  # noqa: E402
+from sympy.polys.ring_series import (  # noqa: E402
+    rs_mul,
+    rs_pow,
+    rs_series_inversion,
+    rs_series_reversion,
+)
 
+from biriordan.field import PrimeFieldElement  # noqa: E402
 from biriordan.riordan import riordan  # noqa: E402
 from biriordan.series import (  # noqa: E402
     LaurentSeries,
     Side,
+    _window,
     compose,
     compositional_inverse,
     mul,
+    neg,
+    parse,
     recip,
 )
 from biriordan.window import extract  # noqa: E402
@@ -117,3 +129,91 @@ def test_a_riordan_block_matches_sympy():
     for j in range(4):
         want = expansion(alpha_f * omega_f**j, X, 6)
         assert [row[j] for row in block.entries] == [want.get(i, 0) for i in range(6)]
+
+
+# -- against sympy's ring series, over Q and GF(7) ------------------------------------
+
+
+def ring_poly(rng, p: int, degree: int) -> dict:
+    """{k: int} of a polynomial of the degree over Q (p = 0) or GF(p), its
+    constant nonzero."""
+    top = p - 1 if p else 4
+    terms = {k: rng.randint(-top, top) for k in range(degree + 1)}
+    for k in (0, degree):
+        terms[k] = (terms[k] % p if p else terms[k]) or 1
+    return terms
+
+
+def library_quotient(num: dict, den: dict, shift: int, p: int, side: Side,
+                     prec: int) -> LaurentSeries:
+    """The library's pending x^shift N/D on side, x read as 1/x above: parsed
+    over Q, a product with a reciprocal over GF(p)."""
+    sign = -1 if side is Side.ABOVE else 1
+    if not p:
+        num, den = (" + ".join(f"{c}x^{sign * k}" for k, c in t.items()) for t in (num, den))
+        return parse(f"x^{sign * shift}*({num})/({den})", side, prec)
+    f = lambda terms: LaurentSeries.from_terms(  # noqa: E731
+        {sign * k: PrimeFieldElement(c, p) for k, c in terms.items()})
+    return mul(f({k + shift: c for k, c in num.items()}), recip(f(den), side, prec))
+
+
+def ring_expansion(x, num: dict, den: dict, top: int):
+    """N/D through x^(top-1) in sympy's ring of x."""
+    n, d = (sum(c * x**k for k, c in t.items()) for t in (num, den))
+    return rs_mul(n, rs_series_inversion(d, x, top), x, top)
+
+
+def scalar(c, p: int):
+    # the library's scalar of a coefficient of sympy's ring
+    return PrimeFieldElement(int(c), p) if p else Fraction(int(c.numerator), int(c.denominator))
+
+
+def assert_ring_certified(s: LaurentSeries, series, shift: int, p: int, top: int) -> None:
+    """s's window lies inside what x^shift times the ring series through
+    x^(top-1) knows (x read as 1/x above), and each coefficient s knows is
+    that series' term."""
+    sign = -1 if s.side is Side.ABOVE else 1
+    assert (s.hi if sign > 0 else -s.lo) < shift + top, s
+    want = {sign * (k + shift): c for (k,), c in series.terms()}
+    for e in range(s.lo, s.hi + 1):
+        assert s[e] == (scalar(want[e], p) if e in want else 0), (e, s)
+
+
+@pytest.mark.parametrize("p", [0, 7])
+@pytest.mark.parametrize("side", [Side.BELOW, Side.ABOVE])
+def test_pending_quotients_match_sympys_ring_series(p, side):
+    # q = x^shift N/D, pending: its reciprocal read through a cut first (one
+    # head division), then whole; neg q; and a block of the columns -c..-1
+    # of R(q, x No/Do), which read 1/omega through the block's rows
+    _, x = sympy.polys.rings.ring("x", sympy.GF(p) if p else sympy.QQ)
+    rng = random.Random(95 + p + (side is Side.ABOVE))
+    sign = -1 if side is Side.ABOVE else 1
+    for _ in range(25):
+        prec, shift = rng.randint(6, 20), rng.randint(-2, 2)
+        top = prec + 2
+        num, den = ring_poly(rng, p, rng.randint(0, 2)), ring_poly(rng, p, rng.randint(1, 2))
+        q = library_quotient(num, den, shift, p, side, prec)
+        assert q._pending
+        series = ring_expansion(x, num, den, top)
+        assert_ring_certified(neg(q), -series, shift, p, top)
+        r = recip(q, side, prec)
+        inverse = ring_expansion(x, den, num, top)
+        (xs, d), _ = _window(r, rng.randint(1, prec - 1), side is Side.ABOVE)
+        assert r._pending
+        assert [Fraction(c, d) if not p else PrimeFieldElement(c, p) for c in xs] == \
+            [scalar(inverse.coeff(x**i), p) for i in range(len(xs))]
+        assert_ring_certified(r, inverse, -shift, p, top)
+        assert_ring_certified(q, series, shift, p, top)
+        no, do = ring_poly(rng, p, rng.randint(0, 2)), ring_poly(rng, p, rng.randint(1, 2))
+        c = rng.randint(1, 4)
+        last = shift - c + prec - 1  # the last row column -c knows
+        rows = (-last, c + 1 - shift) if sign < 0 else (shift - c - 1, last)
+        m = riordan(q, library_quotient(no, do, 1, p, side, prec), side, prec)
+        block = extract(m, rows, (-c, -1)).entries
+        step = ring_expansion(x, do, no, top)  # x / omega
+        for j in range(-c, 0):
+            col = rs_mul(series, rs_pow(step, -j, x, top), x, top)
+            want = {sign * (k + shift + j): v for (k,), v in col.terms()}
+            got = [row[j + c] for row in block]
+            assert got == [scalar(want[e], p) if e in want else 0
+                           for e in range(rows[0], rows[1] + 1)], (j, got)
