@@ -5,11 +5,12 @@ denominator, over GF(p) the residues over 1.  Its xs is a list, or, for a
 span mostly made of gaps, a dict {i: xs[i]} of its nonzero entries (the
 sparse form).  A series keeps the form its kernel returned
 (series.LaurentSeries): each operand is converted in once, and out once when
-first read.  A product of two lists is one packed integer product (Kronecker
-substitution), any other one a loop over the term pairs, truncated to the
-coefficients needed.  The packed slots are machine words that struct packs
-and reads when the entries are below 2^63 in magnitude and a slot needs at
-most 128 bits, and bytes, one object per coefficient, above.
+first read.  A product of two lists of more than _LOOP_PAIRS term pairs is
+one packed integer product (Kronecker substitution), any other one a loop
+over the term pairs, truncated to the coefficients needed.  The packed
+slots are machine words that struct packs and reads when the entries are
+below 2^63 in magnitude and a slot needs at most 128 bits, and bytes, one
+object per coefficient, above.
 
 Exact polynomials are forms too: a series that carries a ratio N/D holds two
 of them, multiplies and sums them with `mul` and `combine`, and expands them
@@ -18,8 +19,9 @@ with `recip(D, n, p, num=N)`, long division for a short D.  Only a ratio
 call `recip`; the parser's quotients and Lagrange's psi divide through
 them.  The compositional inverse of x A/B solves y A(y) = x B(y), one
 coefficient at a time from short dot products (`invert`), while A and B are
-short; any other inverse takes Lagrange's scheme over packed products
-(`reversion`).
+short; the same loop gives x/y instead, from the equation that x/y solves,
+for an inverse above the line, which is 1/y.  Any other inverse takes
+Lagrange's scheme over packed products (`reversion`).
 """
 
 from __future__ import annotations
@@ -84,7 +86,13 @@ def _normal(xs, den: int, p: int) -> tuple:
                 {i: y for i, y in zip(xs, ys) if y}), den
     if p:
         return [x % p for x in xs], 1
-    g = math.gcd(den, *xs) if den != 1 else 1
+    if den == 1:
+        return xs, den
+    # gcd(den, sum) first, a multiple of the gcd and most often 1 or short:
+    # gcd(den, *xs) alone may stay as long as den for thousands of entries
+    g = math.gcd(den, sum(xs))
+    if g != 1:
+        g = math.gcd(g, *xs)
     if g == 1:
         return xs, den
     return [x // g for x in xs], den // g
@@ -154,9 +162,11 @@ def join(a: tuple, b: tuple, p: int) -> tuple:
 
 
 def product(xa: list, xb: list, n: int) -> list:
-    """The first n coefficients of the product of two integer lists.
+    """The first n coefficients of the product of two integer lists: a loop
+    over the term pairs for at most _LOOP_PAIRS of them, else Kronecker
+    substitution.
 
-    Kronecker substitution: each list becomes the base-2^(8*width) digits of
+    There each list becomes the base-2^(8*width) digits of
     one int, so a single big-integer product yields every output coefficient
     at once.  A slot of at most 64 bits is a word of 1, 2, 4 or 8 bytes, one
     of at most 128 bits, for entries below 2^63 in magnitude, 8 bytes and a
@@ -172,6 +182,15 @@ def product(xa: list, xb: list, n: int) -> list:
         return [xa[0] * x for x in xb[:n]]
     xa, xb = xa[:n], xb[:n]
     count = min(n, len(xa) + len(xb) - 1)  # at least either length
+    if len(xa) * len(xb) <= _LOOP_PAIRS:  # a loop over the term pairs
+        if len(xa) > len(xb):
+            xa, xb = xb, xa
+        out = [0] * count
+        for i, x in enumerate(xa):
+            if x:
+                for j, y in enumerate(xb[:count - i], i):
+                    out[j] += x * y
+        return out
     # a coefficient of the product sums at most min(len) products: size the
     # slots so that it fits with a sign bit to spare
     ba, bb = max(map(abs, xa)).bit_length(), max(map(abs, xb)).bit_length()
@@ -216,6 +235,12 @@ _WIDE = {width: (Struct(f"<q{width - 8}x").pack, Struct(f"<Q{high}").iter_unpack
 # beyond, one of 5 widened to 8 took up to 1.2 times at 256 coefficients and
 # 1.7 at 10000, one of 3 widened to 4 1.06 at 10000)
 _WIDENED_BYTES = 1024
+
+# a product of at most this many term pairs loops over them (measured, 2 to
+# 8 terms times 4 to 128 of 4 to 300 bits: up to 48 pairs the loop took 0.3
+# to 0.85 of the packed time, at most 1.13 for 6 times 8 of 4 to 8 bits;
+# from 64 pairs those took up to 2 times, 31-bit ones up to 1.3)
+_LOOP_PAIRS = 48
 
 
 def _multiply(ra: bytes, rb: bytes, width: int, count: int, sign: int) -> bytes:
@@ -372,10 +397,12 @@ def reversion(psi: tuple, n: int, p: int) -> tuple:
     return _normal([x * (den // d) for x, d in out], den, p)
 
 
-def invert(a: tuple, b: tuple, n: int, p: int) -> tuple:
+def invert(a: tuple, b: tuple, n: int, p: int, ratio: bool = False) -> tuple:
     """The coefficients of x^1 .. x^n of the compositional inverse y of
     x A/B, for polynomial forms a = A and b = B (A[0], B[0] nonzero), in
-    the working form: the same as reversion(recip(a, n, p, b), n, p).
+    the working form: the same as reversion(recip(a, n, p, b), n, p).  With
+    ratio, those of x^0 .. x^(n-1) of v = x/y instead (1/y = x^-1 v), the
+    same as recip of y to n coefficients, from the same loop.
 
     y solves y A(y) = x B(y) one coefficient at a time.  With R = max(deg
     A + 1, deg B), each power y^2 .. y^R gains its coefficient m by one dot
@@ -389,42 +416,67 @@ def invert(a: tuple, b: tuple, n: int, p: int) -> tuple:
     P_i[m] = a_0^(2m-i) [x^m] y^i are integers: P_i[m] = sum over l of Y_l
     P_(i-1)[m-l] and Y_m = sum over i of b_i a_0^i P_i[m-1] - sum over
     i >= 1 of a_i a_0^(i-1) P_(i+1)[m], with P_0 = 1; the result is divided
-    by a_0^(2n-1) once."""
+    by a_0^(2n-1) once.
+
+    v solves sum over i of A_i x^i v^(K-i) = B_i x^i v^(K+1-i), K = R - 1,
+    v_0 = a_0/b_0; in t = (b_0/a_0) x, u = v/v_0 solves it for b_0 a and
+    a_0 b, both with the constant g = a_0 b_0.  Then U_m = g^m u_m and
+    P_i[m] = g^m [t^m] u^i are integers, U_0 = 1, P_i by the same dot
+    products less the i U_m that U_m adds, and U_m = P_K[m] - P_(K+1)[m] +
+    sum over i >= 1 of g^(i-1) (b_0 a_i P_(K-i)[m-i] - a_0 b_i
+    P_(K+1-i)[m-i]), no division: v_m = U_m / (a_0^(2m-1) b_0)."""
     (xa, da), (xb, db) = a, b
     half = p // 2
-    if p:
+    if p:  # a_0 = 1
         inv = pow(xa[0], -1, p)
-        bs, as_ = [x * inv % p for x in xb], [x * inv % p for x in xa[1:]]
+        xa, xb = [x * inv % p for x in xa], [x * inv % p for x in xb]
     else:
         xa, xb = [db * x for x in xa], [da * x for x in xb]
-        a0 = xa[0]
-        bs = [x * a0 ** i for i, x in enumerate(xb)]
-        as_ = [x * a0 ** i for i, x in enumerate(xa[1:])]
-    cols = [[0] for _ in range(max(len(xa), len(xb) - 1))]  # P_1 .. P_R from x^0
-    ys = cols[0]  # P_1 = Y
-    steps = list(zip(cols, cols[1:]))  # P_(i-1), P_i
-    pb = list(zip(bs, [[1] + [0] * n] + cols))  # b_i with P_i, P_0 = 1
-    pa = list(zip(as_, cols[1:]))  # a_i with P_(i+1), i >= 1
-    rev = [0]  # 0, Y_(m-1) .. Y_1: its dot with P_(i-1) is P_i[m]
-    for m in range(1, n + 1):
-        for lower, col in steps:
-            s = sum(map(operator.mul, rev, lower))
-            col.append((s + half) % p - half if p else s)
-        y = sum([f * col[m - 1] for f, col in pb]) - sum([f * col[m] for f, col in pa])
-        y = (y + half) % p - half if p else y
-        ys.append(y)
-        rev[0] = y
-        rev.insert(0, 0)
+    a0, b0 = xa[0], xb[0]
+    r = max(len(xa), len(xb) - 1)
+    if ratio:  # (factor, i, shift): the factor of P_i[m - shift]
+        g = a0 * b0
+        terms = [(1, r - 1, 0), (-1, r, 0)]
+        terms += [(g ** (i - 1) * b0 * x, r - 1 - i, i) for i, x in enumerate(xa) if i]
+        terms += [(-g ** (i - 1) * a0 * x, r - i, i) for i, x in enumerate(xb) if i]
+    else:
+        terms = [(x * a0 ** i, i, 1) for i, x in enumerate(xb)]
+        terms += [(-x * a0 ** (i - 1), i + 1, 0) for i, x in enumerate(xa) if i]
+    first = 0 if ratio else 1  # Z_first is the first coefficient returned
+    # P_0 .. P_R on x^0 .. x^n; a term reads P_i[m - s] for m < s as a 0 at
+    # the end of its column, not yet reached
+    cols = [[1] + [0] * n] + [[1 - first] + [0] * n for _ in range(r)]
     if p:
-        return [y % p for y in ys[1:]], 1
-    scale, square = 1, a0 * a0
-    for m in range(n, 0, -1):  # Y_m a_0^(2(n-m)) over a_0^(2n-1)
-        ys[m] *= scale
+        terms = [((f + half) % p - half, i, s) for f, i, s in terms]
+    terms = [(f, cols[i], s) for f, i, s in terms if f and s <= n]
+    steps = list(zip(cols[1:], cols[2:]))  # P_(i-1), P_i
+    fix = list(enumerate(cols[2:], 2)) if ratio else []  # P_i gains i Z_m, i >= 2
+    rev = [0, 1] if ratio else [0]  # 0, Z_(m-1) .. Z_1 (, Z_0 = 1), Z = U or Y
+    for m in range(1, n + first):
+        for lower, col in steps:  # its dot with P_(i-1) is P_i[m] but for i Z_0 Z_m
+            s = sum(map(operator.mul, rev, lower))
+            col[m] = (s + half) % p - half if p else s
+        z = sum([f * col[m - s] for f, col, s in terms])
+        z = (z + half) % p - half if p else z
+        for i, col in fix:
+            s = col[m] + i * z
+            col[m] = (s + half) % p - half if p else s
+        cols[1][m] = z
+        rev[0] = z
+        rev.insert(0, 0)
+    zs = cols[1][first:n + first]
+    c = 1 if first else b0
+    if p:
+        c = pow(c, -1, p)
+        return [z * c % p for z in zs], 1
+    scale, square = a0 ** (1 - first), a0 * a0
+    for m in range(n - 1, -1, -1):  # zs[m] a_0^(2(n-1-m)+1-first) over c a_0^(2n-2+first)
+        zs[m] *= scale
         scale *= square
-    den = scale // a0
+    den = c * a0 ** (2 * n - 2 + first)
     if den < 0:
-        return _normal([-y for y in ys[1:]], -den, 0)
-    return _normal(ys[1:], den, 0)
+        return _normal([-z for z in zs], -den, 0)
+    return _normal(zs, den, 0)
 
 
 def compose(c: tuple, t: tuple, w: int, n: int, p: int) -> tuple:

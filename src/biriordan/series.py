@@ -14,7 +14,8 @@ A quotient of two Laurent polynomials may also carry its numerator and
 denominator (a ratio, see LaurentSeries): `recip`, `power`, `mul`, `add`
 and the composition kernel then work on those short polynomials and take
 the known coefficients of their result from one division, and the
-compositional inverse solves the quotient's equation y N(y) = x D(y).  The
+compositional inverse solves the quotient's equation y N(y) = x D(y); above
+the line, where the inverse is 1/y, the equation gives 1/y itself.  The
 windows are those of the expansions, so the ratio changes how a coefficient
 is computed, never which ones are known.  A kernel whose result is such a
 quotient defers that division, and so does `parse` for a quotient: like
@@ -529,6 +530,8 @@ def add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
             "sum of a bounded-below and a bounded-above series cannot be "
             "certified bounded on either side"
         )
+    if a.is_zero() or b.is_zero():  # the other operand, pending or not
+        return b if a.is_zero() else a
     p = _field(a, b)
     # a sum of values that are exact or carry a ratio carries (Na Db x^(i-k)
     # + Nb Da x^(j-k)) / (Da Db), for orders i and j and k the lesser, its
@@ -1118,33 +1121,38 @@ def compositional_inverse(omega: LaurentSeries,
     if bo == -1:  # the flip of the inverse of 1/omega
         return substitute_reciprocal(_reversion(omega, precision))
     if _side_order(omega, Side.ABOVE) in (1, -1):
-        # with psi the inverse of J omega, omega(1/psi) = (J omega)(psi) = x
-        return recip(compositional_inverse(substitute_reciprocal(omega), precision),
-                     None, precision)
+        # with psi the inverse of J omega, omega(1/psi) = (J omega)(psi) = x:
+        # 1/psi is 1/y for y = _reversion(J omega), flipped for order 1
+        r = _reversion(substitute_reciprocal(omega), precision, True)
+        return substitute_reciprocal(r) if omega.hi == 1 else r
     raise NotInvertibleError(
         "compositional inverse requires order +1 or -1 on the series' side"
     )
 
 
-def _reversion(omega: LaurentSeries, precision: int | None) -> LaurentSeries:
+def _reversion(omega: LaurentSeries, precision: int | None,
+               reciprocal: bool = False) -> LaurentSeries:
     # omega viewable below with order 1, or -1, for which the inverse of r =
-    # 1/omega is taken, known on as many coefficients.  With a ratio, or when
-    # exact (D = 1), omega = x^(+-1) N/D and its inverse y solves y A(y) =
-    # x B(y), A, B = N, D for order 1 and D, N for -1: dense.invert, while
-    # it needs R = max(deg A + 1, deg B) <= _EQUATION_POWERS powers of y.
-    # Else by Lagrange, from psi = x/omega: x times the kept recip(omega)
-    # (the one the negative columns, m J and compose read), or for order -1
-    # x/r = x omega, no division
-    if omega.exact and _nterms(omega) == 1:
+    # 1/omega is taken, known on as many coefficients; with reciprocal, 1/y
+    # for that inverse y.  With a ratio, or when exact (D = 1), omega =
+    # x^(+-1) N/D and y solves y A(y) = x B(y), A, B = N, D for order 1 and
+    # D, N for -1: dense.invert, which gives 1/y = x^-1 (x/y) from the same
+    # equation, while it needs R = max(deg A + 1, deg B) <= _EQUATION_POWERS
+    # powers of y.  Else by Lagrange, from psi = x/omega: x times the kept
+    # recip(omega) (the one the negative columns, m J and compose read), or
+    # for order -1 x/r = x omega, no division; 1/y is then its recip
+    if omega.exact and _nterms(omega) == 1:  # not J of an omega above: two terms
         return monomial(1 / omega[1] if omega.lo == 1 else omega[-1], 1)
     cap, p = _known_count(omega, precision), _p(omega)
     ratios = _ratios(False, cap, omega)
     if ratios:
         a, b = ratios[0] if omega.lo == 1 else ratios[0][::-1]
         if max(len(a[0]), len(b[0]) - 1) <= _EQUATION_POWERS:
-            return _packed(*dense.invert(a, b, cap, p), p, 1, cap)
+            return _packed(*dense.invert(a, b, cap, p, reciprocal), p,
+                           -1 if reciprocal else 1, cap)
     psi, _ = _window(omega if omega.lo == -1 else recip(omega, Side.BELOW, cap), cap)
-    return _packed(*dense.reversion(psi, cap, p), p, 1, cap)
+    y = _packed(*dense.reversion(psi, cap, p), p, 1, cap)
+    return recip(y) if reciprocal else y
 
 
 # -- comparison up to precision ---------------------------------------------------

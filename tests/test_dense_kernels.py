@@ -739,6 +739,61 @@ def test_packed_products_match_the_schoolbook_at_every_slot_edge():
         assert dense.product(xb, xa, n) == want
 
 
+def test_short_products_loop_over_their_term_pairs(monkeypatch):
+    # a product of at most _LOOP_PAIRS term pairs, each factor cut to n,
+    # packs nothing; a longer one packs.  Both equal the schoolbook, with
+    # entries at the edges of the machine words among small and wide ones
+    packed = []
+    real = dense._multiply
+
+    def spy(*args):
+        packed.append(args[3])
+        return real(*args)
+
+    monkeypatch.setattr(dense, "_multiply", spy)
+    rng = random.Random(135)
+    edges = (2**63 - 1, -(2**63 - 1), -2**63, 2**63, 2**64, -2**64, 2**31 - 2, 1, -1, 0)
+    seen = set()
+    for _ in range(400):
+        bits = rng.choice([3, 8, 31, 64, 200])
+        xa, xb = [[rng.choice(edges) if rng.random() < 0.2 else rng.randint(-2**bits, 2**bits)
+                   for _ in range(rng.randint(2, 30))] for _ in range(2)]
+        n = rng.choice([len(xa) + len(xb) - 1, rng.randint(1, len(xa) + len(xb) + 3)])
+        packed.clear()
+        assert dense.product(xa, xb, n) == schoolbook(xa, xb, n) == dense.product(xb, xa, n)
+        short = min(len(xa), n) * min(len(xb), n) <= dense._LOOP_PAIRS
+        assert (packed == []) == short
+        seen.add(short)
+    assert seen == {True, False}
+
+
+def test_a_long_sum_normalizes_without_a_long_running_gcd(monkeypatch):
+    # the two halves of the sum of (k+1)/(k+2) x^k, k < 2000, add over one
+    # denominator of about 2900 bits.  A math.gcd call costs about the bits
+    # of its first argument for each further one (the running gcd never
+    # exceeds it): gcd(den, *xs) cost 2000 times den's bits, since den's gcd
+    # with x_0, x_1, .. stays long; the sum's gcd with den comes first now
+    n = 2000
+    half = {k: Fraction(k + 1, k + 2) for k in range(n // 2)}
+    rest = {k: Fraction(k + 1, k + 2) for k in range(n // 2, n)}
+    a, b = LaurentSeries.from_terms(half), LaurentSeries.from_terms(rest)
+    work = []
+
+    def spy(*args):
+        work.append(args[0].bit_length() * (len(args) - 1))
+        return math.gcd(*args)
+
+    fake = type(math)("math")
+    fake.__dict__.update(math.__dict__, gcd=spy)
+    monkeypatch.setattr(dense, "math", fake)
+    got = add(a, b)
+    monkeypatch.undo()
+    want = LaurentSeries.from_terms({**half, **rest})
+    assert got == want and got._form[:2] == want._form[:2]
+    den_bits = want._form[1].bit_length()
+    assert den_bits > 2500 and sum(work) < 10 * den_bits
+
+
 def test_products_at_many_counts_keep_no_memory():
     # a product leaves nothing behind whose size grows with its count, such
     # as a struct format per count: products at 300 distinct counts from 100
@@ -1313,6 +1368,118 @@ def test_an_inverse_by_lagrange_keeps_its_reciprocal_on_omega(monkeypatch):
         calls.clear()
         r = recip(omega, Side.BELOW, 40)
         assert calls == [] and r.count_from_order() == 40
+
+
+def test_the_equations_x_over_y_times_y_over_x_is_one():
+    # dense.invert's second output v = x/y times its first, y/x, is 1 to n
+    # coefficients, and v is the reciprocal of y/x that dense.recip gives:
+    # over Q, GF(7) past its characteristic and GF(2^31-1), R up to the
+    # bound and past it, n up to 70
+    rng = random.Random(131)
+    for p in (0, 7, 2**31 - 1):
+        for _ in range(100):
+            r = rng.randint(1, series._EQUATION_POWERS + 2)
+            da = rng.randint(0, r - 1)
+            db = r if da < r - 1 else rng.randint(0, r)
+            a, b = _poly(rng, p, da), _poly(rng, p, db)
+            n = rng.randint(1, 70)
+            y, v = dense.invert(a, b, n, p), dense.invert(a, b, n, p, True)
+            assert dense.mul(v, y, n, p) == ([1] + [0] * (n - 1), 1), (a, b, n, p)
+            assert v == dense._normal(*dense.recip(y, n, p), p)
+    a, b = ([-3, 1, 2], 4), ([5, -1, 0, 7], 3)  # a_0 < 0, b_0 != 1, dens != 1
+    v = dense.invert(a, b, 300, 0, True)
+    assert dense.mul(v, dense.invert(a, b, 300, 0), 300, 0) == ([1] + [0] * 299, 1)
+
+
+def _above(rng: random.Random, field, order: int, exact: bool, prec: int) -> LaurentSeries:
+    """An omega bounded above of the given order (+-1) within the equation's
+    bound: x^order N/D with its ratio, or an exact polynomial whose least
+    exponent is below -1 (so its order below is not +-1); coefficients over
+    Q are not +-1 at the order."""
+    bound = series._EQUATION_POWERS
+    lead = nonzero(rng, field)
+    while field == "q" and abs(lead) == 1:
+        lead = nonzero(rng, field)
+    if exact:
+        low = rng.randint(2, bound - 1)
+        terms = {-e: scalar(rng, field) for e in range(-order + 1, low)}
+        terms.update({order: lead, -low: nonzero(rng, field)})
+        return LaurentSeries.from_terms(terms)
+    na, nd = rng.randint(0, bound - 1), rng.randint(1, bound - 1)
+    num = {order - i: scalar(rng, field) for i in range(1, na + 1)}
+    num[order] = lead
+    den = {-i: scalar(rng, field) for i in range(1, nd + 1)}
+    den[0] = nonzero(rng, field)
+    return mul(LaurentSeries.from_terms(num),
+               recip(LaurentSeries.from_terms(den), Side.ABOVE, prec))
+
+
+def _spy_routes(monkeypatch, names) -> list:
+    routes = []
+    for name in names:
+        def spy(*args, real=getattr(dense, name), name=name):
+            routes.append(name)
+            return real(*args)
+        monkeypatch.setattr(dense, name, spy)
+    return routes
+
+
+def test_an_inverse_above_the_line_takes_one_over_y_from_the_equation(monkeypatch):
+    # an omega bounded above of order +-1 that carries a ratio or is exact
+    # inverts to 1/y for y the equation's inverse of J omega (flipped for
+    # order 1), with no division: it equals the reciprocal of the inverse of
+    # J omega, the formula it replaced, on value, side, window, coefficient
+    # types and exceptions, over Q (A_0 not +-1), GF(7) and GF(2^31-1)
+    rng = random.Random(132)
+    cases = []
+    for field in FIELDS:
+        for order in (1, -1):
+            for exact in (False, True):
+                for _ in range(8):
+                    prec = rng.choice([None, 12, 16, 33])  # every ratio fits
+                    omega = _above(rng, field, order, exact, prec or 16)
+                    assert omega.exact == exact and omega.hi == order
+                    assert exact or omega._ratio is not None
+                    cases.append((omega, prec))
+    cases.append((parse("x/(1-x^-1-x^-2)", Side.ABOVE, 70), 70))
+    cases.append((parse("(2x-x^-1)/(3+x^-2)", Side.ABOVE, 40), 40))
+    cases.append((parse("x-x^-2-x^-3", Side.ABOVE), 50))
+    routes = _spy_routes(monkeypatch, ("recip", "_divide", "_newton", "invert", "reversion"))
+    for omega, prec in cases:
+        want = outcome(lambda: recip(compositional_inverse(substitute_reciprocal(omega), prec),
+                                     None, prec))
+        routes.clear()
+        got = outcome(lambda: compositional_inverse(omega, prec))
+        assert routes == ["invert"], (omega, prec, routes)
+        assert type(got) is LaurentSeries
+        assert (got.side, got.lo, got.hi, got.exact) == (want.side, want.lo, want.hi, want.exact)
+        assert got == want
+        assert [type(c) for c in got.coeffs.values()] == \
+            [type(want.coeffs[e]) for e in got.coeffs]
+    # a precision below 1 raises as the formula raised
+    for omega, _ in cases[::5]:
+        for prec in (0, -3):
+            want = outcome(lambda: recip(compositional_inverse(
+                substitute_reciprocal(omega), prec), None, prec))
+            assert outcome(lambda: compositional_inverse(omega, prec)) == want
+
+
+def test_an_inverse_above_the_line_without_a_ratio_keeps_lagrange_and_its_recip(monkeypatch):
+    # a LaurentSeries.truncated copy carries no ratio: Lagrange's route, then
+    # one division for 1/y (and one more for psi when J omega has order 1)
+    rng = random.Random(133)
+    routes = _spy_routes(monkeypatch, ("recip", "invert", "reversion"))
+    for field in FIELDS:
+        for order in (1, -1):
+            for _ in range(4):
+                omega = _above(rng, field, order, False, 16)
+                bare = LaurentSeries.truncated(omega.coeffs, Side.ABOVE, omega.lo, omega.hi)
+                want = compositional_inverse(omega, None)
+                routes.clear()
+                got = compositional_inverse(bare, None)
+                assert got == want and (got.side, got.lo, got.hi) == (want.side, want.lo, want.hi)
+                psi = ["recip"] if order == -1 else []
+                assert routes == psi + ["reversion", "recip"], (order, routes)
 
 
 # -- powers kept on the series they walk -----------------------------------------------

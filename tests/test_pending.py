@@ -477,3 +477,23 @@ def test_neg_and_differences_of_pending_quotients_divide_nothing_until_read(monk
     assert not gone._pending and outcome(lambda: gone) == outcome(lambda: twin)
     with pytest.raises(OrderIndeterminateError):
         gone.order()
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_a_sum_with_the_exact_zero_is_the_other_operand(monkeypatch, side):
+    # x + 0 and 0 + x return x itself: a pending quotient stays pending with
+    # its ratio and divides nothing, as a sum with any other exact value does
+    calls = count_divisions(monkeypatch)
+    for text in ("(1+x)/(1-x) - 0", "(1+x)/(1-x) + 0x", "0 + (1+x)/(1-x)",
+                 "0x^3 + (1+x)/(1-x) - 0", "(1+x)/(1-x) - x^3"):
+        calls.clear()
+        got = parse(text, side, 1000)
+        assert got._pending and got._ratio is not None and calls == [], text
+        _assert_like_forced_twin(lambda: parse(text, side, 60), text, side, 60)
+    zero = LaurentSeries.zero()
+    for prec in (8, 40):
+        for a in (parse("(2-3x)/(1+x^3)", side, prec), plain(parse("1/(1-2x)", side, prec)),
+                  parse("x^-2 - 5/3x", side), zero):
+            assert a + zero is a and zero + a is a
+            assert a - zero is a or a.is_zero() and (a - zero).is_zero()
+            assert outcome(lambda: a - zero) == outcome(lambda: plain(a) if not a.exact else a)
